@@ -154,7 +154,3 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
 def mean_curvature_integral(state: CurvatureFlowState) -> float:
     """Closed integral of phi d(xi); zero for states derived from closed curves."""
     return periodic_integral(state.phi * state.g)
-
-
-def perimeter_of(state: CurvatureFlowState) -> float:
-    return periodic_integral(state.g)

@@ -18,6 +18,11 @@ def bracket(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def enclosed_area_of(points: np.ndarray) -> float:
+    """Signed Euclidean area 1/2 * integral of [C, C_p] of samples C; positive for CCW curves."""
+    return 0.5 * periodic_integral(bracket(points, derivative(points, 1)))
+
+
 @dataclass(frozen=True)
 class ClosedCurve:
     """Uniformly sampled closed curve: points[k] = C(2*pi*k/N).
@@ -59,7 +64,7 @@ class ClosedCurve:
 
     def enclosed_area(self) -> float:
         """Signed Euclidean area 1/2 * integral of [C, C_p]; positive for CCW curves."""
-        return 0.5 * periodic_integral(bracket(self.points, self.derivative(1)))
+        return enclosed_area_of(self.points)
 
     def scaled(self, factor: float) -> "ClosedCurve":
         return ClosedCurve(self.points * factor, name=self.name)

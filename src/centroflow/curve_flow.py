@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature_flow
-from .curve import ClosedCurve
+from .curve import ClosedCurve, enclosed_area_of
 from .errors import BlowUp, FlowError, StabilityViolation
 from .invariants import InvariantField, _metric_curvature, centro_affine
 from .spectral import antiderivative, dealias
@@ -108,19 +108,19 @@ def step(state: CurveFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
     t_new = state.t + dt
     if not np.isfinite(new).all():
         raise BlowUp("non-finite coordinates after step", time=t_new)
-    curve = ClosedCurve(new, name=state.curve.name)
     log_scale = state.log_scale
     if state.normalization == "unit_area_scale":
         # the gauge factor e^(lam dt) is cancelled exactly by this rescaling
-        area = curve.enclosed_area()
+        area = enclosed_area_of(new)
         if area <= 0:
             raise BlowUp("enclosed area collapsed", time=t_new)
-        curve = curve.scaled(math.sqrt(math.pi / area))
+        new = new * math.sqrt(math.pi / area)
     else:
         log_scale += state.lam * dt
-        physical_max = np.abs(curve.points).max() * math.exp(log_scale)
+        physical_max = np.abs(new).max() * math.exp(log_scale)
         if physical_max > coord_ceiling:
             raise BlowUp(f"coordinates exceeded ceiling {coord_ceiling:g}", time=t_new)
+    curve = ClosedCurve(new, name=state.curve.name)
     return replace(state, t=t_new, curve=curve, log_scale=log_scale)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import ClosedCurve, bracket
+from .curve import ClosedCurve
 from .errors import InsufficientStride
 from .invariants import InvariantField, centro_affine, perimeter, xi_derivative
 from .spectral import grid, periodic_integral
@@ -210,7 +210,7 @@ def check_backward_limit_on_family(a0: float, b0: float, t_list, n: int = 256) -
         for order in (1, 2):
             sup = max(sup, float(np.abs(xi_derivative(field.phi, field.g, order)).max()))
         worst_phi = max(worst_phi, sup)
-        area = 0.5 * periodic_integral(bracket(curve.points, curve.derivative(1)))
+        area = curve.enclosed_area()
         worst_area = max(worst_area, abs(area - family_area(a0, b0, t)))
         deviations.append(abs(area - math.pi))
     toward_pi = all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))

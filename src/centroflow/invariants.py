@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import ClosedCurve, bracket
+from .curve import SIGN_TOL, ClosedCurve, bracket
 from .errors import DegenerateMetric, NonConstantSign, NotStarShaped
-from .spectral import (_trimmed_spectrum, antiderivative, derivative,
+from .spectral import (_tables, _trimmed_spectrum, antiderivative, derivative,
                        periodic_integral)
-
-SIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,24 +68,24 @@ def centro_equiaffine(curve: ClosedCurve):
 
 
 def _metric_curvature(points: np.ndarray):
-    """Lean core shared with the curve flow: (cp, den, eps, g, phi).
+    """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi).
 
-    One forward FFT per component; derivative orders 1..3 reuse the
-    noise-trimmed spectrum.
+    One forward transform of the noise-trimmed spectrum, then one batched
+    inverse transform of it times the cached (ik)^1..3 multipliers, gives
+    C_p, C_pp and C_ppp together; each equals spectral.derivative of that
+    order bit for bit. The brackets are written out componentwise.
     """
     n = points.shape[0]
     spec = _trimmed_spectrum(points)
-    k = np.arange(n // 2 + 1)
-    ik = (1j * k)[:, None]
-    ik_odd = ik.copy()
-    if n % 2 == 0:
-        ik_odd[-1] = 0.0
-    cp = np.fft.irfft(spec * ik_odd, n=n, axis=0)
-    cpp = np.fft.irfft(spec * ik**2, n=n, axis=0)
-    cppp = np.fft.irfft(spec * ik_odd**3, n=n, axis=0)
+    derivs = np.fft.irfft(spec[:, None, :] * _tables(n).mults[:, :, None], n=n, axis=0)
+    cp, cpp = derivs[:, 0], derivs[:, 1]
+    x, y = points[:, 0], points[:, 1]
+    xp, yp = cp[:, 0], cp[:, 1]
+    xpp, ypp = cpp[:, 0], cpp[:, 1]
+    xppp, yppp = derivs[:, 2, 0], derivs[:, 2, 1]
 
-    den = bracket(points, cp)            # [C, C_p]
-    num = bracket(cp, cpp)               # [C_p, C_pp]
+    den = x * yp - y * xp                # [C, C_p]
+    num = xp * ypp - yp * xpp            # [C_p, C_pp]
 
     tol_den = SIGN_TOL * np.abs(den).max()
     if not (np.all(den > tol_den) or np.all(den < -tol_den)):
@@ -105,8 +103,8 @@ def _metric_curvature(points: np.ndarray):
     g = np.sqrt(radicand)
 
     # sqrt(eps*den/num) is 1/g; no extra radicand to guard
-    phi = (1.0 / g) * (1.5 * bracket(points, cpp) / den
-                       - 0.5 * bracket(cp, cppp) / num)
+    phi = (1.0 / g) * (1.5 * (x * ypp - y * xpp) / den          # [C, C_pp]
+                       - 0.5 * (xp * yppp - yp * xppp) / num)   # [C_p, C_ppp]
     return cp, cpp, den, eps, g, phi
 
 

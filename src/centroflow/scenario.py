@@ -2,8 +2,9 @@
 
 A scenario is one JSON document; see ScenarioConfig.from_json for the exact
 field set. run_scenario executes the configured flow(s), the verdict suite
-and all emissions. Exit codes: 0 all verdicts passed, 1 configuration error,
-2 verdict failure, 3 flow failure (failure time lands in the report).
+and all emissions. Exit codes: 0 all verdicts passed, 1 configuration error
+or inadmissible initial curve (reported), 2 verdict failure, 3 flow failure
+(failure time lands in the report).
 """
 
 import json
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import curvature_flow, curve_flow, diagnostics
 from .curve import ClosedCurve, preset
-from .errors import ConfigError, FlowError
+from .errors import (ConfigError, DegenerateMetric, FlowError, NonConstantSign,
+                     NotStarShaped)
 from .invariants import centro_affine
 from .io import read_curve_json, write_csv, write_report, write_svg
 
@@ -65,6 +67,10 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
+        try:
+            curvature_flow._plan_steps(0.0, self.t_end, self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n < 16 or self.n % 2:
             raise ConfigError("N must be even and >= 16")
         if self.record_stride < 1:
@@ -153,8 +159,16 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     extra = {"seed": config.seed, "flow": config.flow,
              "dt": config.dt, "t_end": config.t_end, "lambda": config.lam}
 
-    curve0 = config.build_curve()
-    field0 = centro_affine(curve0)
+    try:
+        curve0 = config.build_curve()
+        field0 = centro_affine(curve0)
+    except (NotStarShaped, NonConstantSign, DegenerateMetric) as exc:
+        write_report(config.name, [], report_path,
+                     error={"type": type(exc).__name__, "message": str(exc), "time": 0.0},
+                     extra=extra)
+        if printer:
+            printer(f"INADMISSIBLE CURVE {type(exc).__name__}: {exc}")
+        return 1
     verdicts = [diagnostics.check_mean_zero(field0),
                 diagnostics.check_isoperimetric(field0)]
 
@@ -223,7 +237,7 @@ def _emit_svgs(svg_dir: Path, config, curve0, curve_traj, final_curve) -> None:
 
 
 def run_sweep(directory, out_dir=None, printer=None) -> int:
-    """Run every *.json scenario in the directory in parallel, one worker each.
+    """Run every *.json scenario in the directory in parallel, at most one worker per core.
 
     Returns the worst exit status; per-scenario outputs stay independent.
     """
@@ -231,7 +245,7 @@ def run_sweep(directory, out_dir=None, printer=None) -> int:
     if not paths:
         raise ConfigError(f"no scenario files in {directory}")
     configs = [ScenarioConfig.from_json(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(configs), os.cpu_count() or 1)) as pool:
         codes = list(pool.map(lambda c: run_scenario(c, out_dir=out_dir), configs))
     if printer:
         for cfg, code in zip(configs, codes):

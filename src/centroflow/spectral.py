@@ -4,7 +4,15 @@ All fields live on p_k = 2*pi*k/N, k = 0..N-1, and are interpreted as
 2*pi-periodic. Derivatives, antiderivatives and quadrature act along the
 first axis so that both scalar fields (N,) and curve samples (N, 2) share
 one code path.
+
+The per-N constants (wavenumbers, the derivative multipliers of orders 1-3,
+antiderivative's divisor and the grid) are built once per grid size by
+_tables and shared read-only; each call then costs its transforms and a few
+elementwise products.
 """
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +30,39 @@ TRIM_FACTOR = 64.0
 _EPS = float(np.finfo(float).eps)
 
 
+class _Tables(NamedTuple):
+    k: np.ndarray        # wavenumbers 0..n//2
+    mults: np.ndarray    # (n//2 + 1, 3): (ik)^order for orders 1, 2, 3
+    divisor: np.ndarray  # ik with k[0] = 1, antiderivative's safe divisor
+    grid: np.ndarray
+
+
+def _multiplier(k: np.ndarray, order: int, n: int) -> np.ndarray:
+    mult = (1j * k) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        mult[-1] = 0.0  # odd derivatives of the Nyquist mode are not representable
+    return mult
+
+
+@lru_cache(maxsize=32)
+def _tables(n: int) -> _Tables:
+    """Read-only per-N constants of derivative, antiderivative and _metric_curvature."""
+    k = np.arange(n // 2 + 1)
+    safe = k.copy()
+    safe[0] = 1  # avoid 0/0; mode 0 is antiderivative's linear term
+    tables = _Tables(k=k,
+                     mults=np.stack([_multiplier(k, order, n) for order in (1, 2, 3)], axis=1),
+                     divisor=1j * safe, grid=grid(n))
+    for array in tables:
+        array.setflags(write=False)
+    return tables
+
+
 def _trimmed_spectrum(values: np.ndarray):
-    n = values.shape[0]
     spec = np.fft.rfft(values, axis=0)
-    floor = TRIM_FACTOR * _EPS * np.linalg.norm(spec, axis=0, keepdims=True)
-    spec[np.abs(spec) <= floor] = 0.0
+    # the column 2-norm exactly as np.linalg.norm(spec, axis=0) computes it, minus its dispatch
+    norm = np.sqrt(np.add.reduce((spec.conj() * spec).real, axis=0, keepdims=True))
+    spec[np.abs(spec) <= TRIM_FACTOR * _EPS * norm] = 0.0
     return spec
 
 
@@ -41,12 +77,10 @@ def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
         raise ValueError(f"derivative order must be >= 1, got {order}")
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    k = np.arange(n // 2 + 1)
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult[-1] = 0.0
+    tables = _tables(n)
+    mult = tables.mults[:, order - 1] if order <= 3 else _multiplier(tables.k, order, n)
     spec = _trimmed_spectrum(values)
-    shape = (len(k),) + (1,) * (values.ndim - 1)
+    shape = (len(mult),) + (1,) * (values.ndim - 1)
     return np.fft.irfft(spec * mult.reshape(shape), n=n, axis=0)
 
 
@@ -59,17 +93,16 @@ def antiderivative(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
+    tables = _tables(n)
     spec = np.fft.rfft(values)
     mean = spec[0].real / n
-    k = np.arange(n // 2 + 1)
-    k[0] = 1  # avoid 0/0; mode 0 handled by the linear term
-    integ = spec / (1j * k)
-    integ[0] = 0.0
+    integ = spec / tables.divisor
+    integ[0] = 0.0  # mode 0 is the linear term
     if n % 2 == 0:
         integ[-1] = 0.0
     periodic = np.fft.irfft(integ, n=n)
     periodic = periodic - periodic[0]
-    return periodic + mean * grid(n)
+    return periodic + mean * tables.grid
 
 
 def periodic_integral(values: np.ndarray) -> float:

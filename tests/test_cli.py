@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from centroflow import scenario
 from centroflow.cli import main
 from centroflow.curve import origin_ellipse, shifted_ellipse
 from centroflow.io import write_curve_json
@@ -102,6 +103,53 @@ def test_config_errors_exit_one(tmp_path, capsys):
     bad.write_text(json.dumps({"name": "x", "curve": {"kind": "origin_ellipse", "a": 1, "b": 1},
                                "mystery_field": 3}))
     assert main(["evolve", str(bad)]) == 1
+
+
+def test_horizon_not_a_multiple_of_dt_exits_one(tmp_path, capsys):
+    cfg = small_scenario(tmp_path, name="ragged", dt=3e-4, t_end=0.01)
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert "not an integer multiple of dt" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_json(cfg)
+
+
+def test_inadmissible_initial_curve_reports_and_exits_one(tmp_path):
+    cfg = small_scenario(tmp_path, name="nonconvex", N=64, flow="curve",
+                         curve={"kind": "star_convex", "cos_coeffs": [0, 0, 0.2],
+                                "sin_coeffs": [0, 0, 0], "require_convex": False})
+    assert main(["verify", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "nonconvex.report.json").read_text())
+    assert report["error"]["type"] == "NonConstantSign"
+    assert "sign" in report["error"]["message"]
+    assert report["verdicts"] == []
+
+
+def test_sweep_pool_bounded_by_cores(tmp_path, monkeypatch):
+    sweep_dir = tmp_path / "many"
+    sweep_dir.mkdir()
+    for i in range(5):
+        small_scenario(sweep_dir, name=f"s{i}")
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scenario, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scenario, "run_scenario", lambda config, out_dir=None: 0)
+    for cores, want in ((2, 2), (None, 1), (64, 5)):
+        monkeypatch.setattr(scenario.os, "cpu_count", lambda: cores)
+        assert run_sweep(sweep_dir, out_dir=tmp_path) == 0
+        assert sizes[-1] == want
 
 
 def test_verify_writes_report_only(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from centroflow.curvature_flow import CurvatureFlowState
 from centroflow.curvature_flow import rhs as scalar_rhs
 from centroflow.curvature_flow import step as scalar_step
-from centroflow.curve import origin_ellipse, perturbed_ellipse, shifted_ellipse
+from centroflow.curve import (ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
+                              shifted_ellipse)
 from centroflow.curve_flow import (CurveFlowState, consistency_check, evolve,
                                    nonlocal_potential, rhs, step)
 from centroflow.errors import BlowUp, FlowError, StabilityViolation
 from centroflow.invariants import centro_affine
+from centroflow.spectral import antiderivative, dealias, derivative, periodic_integral
 
 
 def test_nonlocal_potential_trivial_cases():
@@ -111,6 +114,46 @@ def test_lambda_gauge_phi_without_renormalization():
     scale = math.exp(1.0 * 300 * 1e-4)
     gap = np.abs(b.physical_curve.points - scale * a.physical_curve.points).max()
     assert gap <= 1e-8 * scale
+
+
+def _reference_velocity(pts):
+    # reference: one spectral.derivative per order and the bracket helper
+    cp, cpp, cppp = (derivative(pts, order) for order in (1, 2, 3))
+    den, num = bracket(pts, cp), bracket(cp, cpp)
+    ratio = num / den
+    g = np.sqrt(int(np.sign(ratio)[0]) * ratio)
+    phi = dealias((1.0 / g) * (1.5 * bracket(pts, cpp) / den - 0.5 * bracket(cp, cppp) / num))
+    return antiderivative(phi * g)[:, None] * pts + (0.5 * phi / g)[:, None] * cp
+
+
+def _reference_step(state, dt):
+    # reference: a validated curve for the raw RK4 result, then its area and a rescaled copy
+    pts = state.curve.points
+    k1 = _reference_velocity(pts)
+    k2 = _reference_velocity(pts + 0.5 * dt * k1)
+    k3 = _reference_velocity(pts + 0.5 * dt * k2)
+    k4 = _reference_velocity(pts + dt * k3)
+    curve = ClosedCurve(pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), name=state.curve.name)
+    log_scale = state.log_scale
+    if state.normalization == "unit_area_scale":
+        area = 0.5 * periodic_integral(bracket(curve.points, derivative(curve.points, 1)))
+        curve = curve.scaled(math.sqrt(math.pi / area))
+    else:
+        log_scale += state.lam * dt
+    return replace(state, t=state.t + dt, curve=curve, log_scale=log_scale)
+
+
+@pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])
+def test_step_bit_identical_to_reference(normalization):
+    state = CurveFlowState(0.0, perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64), lam=0.7,
+                           normalization=normalization)
+    want = state
+    for _ in range(50):
+        state = step(state, 1e-3)
+        want = _reference_step(want, 1e-3)
+        assert state.t == want.t and state.log_scale == want.log_scale
+        assert np.array_equal(state.curve.points, want.curve.points)
+    assert (state.log_scale != 0.0) == (normalization == "none")
 
 
 def test_cfl_guard_and_failure_time():

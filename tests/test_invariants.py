@@ -5,9 +5,9 @@ from centroflow.curve import (ClosedCurve, origin_ellipse, perturbed_ellipse,
                               random_star_convex, shifted_ellipse, star_convex)
 from centroflow.errors import (DegenerateMetric, NonConstantSign,
                                NotStarShaped)
-from centroflow.invariants import (centro_affine, centro_equiaffine, energy,
-                                   perimeter, phi_from_mu, sobolev_norm,
-                                   xi_derivative)
+from centroflow.invariants import (_metric_curvature, centro_affine,
+                                   centro_equiaffine, energy, perimeter,
+                                   phi_from_mu, sobolev_norm, xi_derivative)
 from centroflow.spectral import derivative, periodic_integral
 
 TWO_PI = 2 * np.pi
@@ -192,3 +192,24 @@ def test_mode_one_star_curve_exceeds_two_pi():
     curve = star_convex([0.15], [0.0], require_convex=True)
     L = perimeter(centro_affine(curve))
     assert L > TWO_PI + 1e-4
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_metric_curvature_derivatives_bit_identical(n, monkeypatch):
+    # the one batched inverse transform must give spectral.derivative's bits
+    points = random_star_convex(7, n=n).points
+    inverses = []
+    irfft = np.fft.irfft
+
+    def recording_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        inverses.append(out)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    cp, cpp, *_ = _metric_curvature(points)
+    monkeypatch.undo()
+    assert len(inverses) == 1
+    assert np.array_equal(cp, derivative(points, 1))
+    assert np.array_equal(cpp, derivative(points, 2))
+    assert np.array_equal(inverses[0][:, 2], derivative(points, 3))
