@@ -10,14 +10,14 @@ remeshing. Explicit RK4 with a diffusion CFL guard; the cubic term is
 optionally dealiased by the 2/3 rule (default on).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curve import ClosedCurve
-from .errors import BlowUp, DegenerateMetric, FlowError, StabilityViolation
-from .invariants import InvariantField, centro_affine, xi_derivative
-from .spectral import dealias, periodic_integral
+from .errors import MARCH_ERRORS, BlowUp, DegenerateMetric, StabilityViolation
+from .invariants import InvariantField, centro_affine
+from .spectral import _tables, _trim, periodic_integral
 from .trajectory import FlowTrajectory, record_from_fields
 
 DEFAULT_CFL = 0.5
@@ -31,6 +31,8 @@ class CurvatureFlowState:
     t: float
     g: np.ndarray
     phi: np.ndarray
+    # use_dealias -> this state's _stage, computed once: its record and its step's k1 share it
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -57,13 +59,41 @@ class CurvatureFlowState:
         return cls.from_field(centro_affine(curve), t=t)
 
 
+def _stage(g: np.ndarray, phi: np.ndarray, use_dealias: bool):
+    """One RK4 stage on bare arrays: (g_dot, phi_dot, phi_xi, phi_xixi).
+
+    One rfft of phi serves both the trimmed first derivative and the 2/3-rule
+    projection of the cubic. Each output equals, bit for bit, what
+    xi_derivative(phi, g, 1 or 2) and dealias compute on the same arrays.
+    """
+    if np.any(g <= 0):
+        raise DegenerateMetric("metric g must be positive for xi-derivatives")
+    n = len(phi)
+    mult = _tables(n).mults[:, 0]
+    spec = np.fft.rfft(phi)
+    phi_xi = np.fft.irfft(_trim(spec.copy()) * mult, n=n) / g
+    phi_xixi = np.fft.irfft(_trim(np.fft.rfft(phi_xi)) * mult, n=n) / g
+    if use_dealias:
+        spec[n // 3:] = 0.0
+        cubed = np.fft.irfft(spec, n=n) ** 3
+    else:
+        cubed = phi**3
+    g_dot = 0.5 * phi**2 * g
+    phi_dot = 0.5 * phi_xixi - 0.5 * cubed + 2.0 * phi
+    return g_dot, phi_dot, phi_xi, phi_xixi
+
+
+def _state_stage(state: "CurvatureFlowState", use_dealias: bool):
+    """_stage at the state's own fields, memoised on the state."""
+    stage = state._stages.get(use_dealias)
+    if stage is None:
+        stage = state._stages[use_dealias] = _stage(state.g, state.phi, use_dealias)
+    return stage
+
+
 def rhs(state: CurvatureFlowState, use_dealias: bool = False):
     """Right-hand sides (g_dot, phi_dot) of the curvature system."""
-    g, phi = state.g, state.phi
-    phi_xx = xi_derivative(phi, g, 2)
-    cubed = dealias(phi) ** 3 if use_dealias else phi**3
-    g_dot = 0.5 * phi**2 * g
-    phi_dot = 0.5 * phi_xx - 0.5 * cubed + 2.0 * phi
+    g_dot, phi_dot, _, _ = _stage(state.g, state.phi, use_dealias)
     return g_dot, phi_dot
 
 
@@ -83,14 +113,11 @@ def step(state: CurvatureFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
 
-    def f(g, phi):
-        return rhs(CurvatureFlowState(state.t, g, phi), use_dealias)
-
     g, phi = state.g, state.phi
-    k1g, k1p = f(g, phi)
-    k2g, k2p = f(g + 0.5 * dt * k1g, phi + 0.5 * dt * k1p)
-    k3g, k3p = f(g + 0.5 * dt * k2g, phi + 0.5 * dt * k2p)
-    k4g, k4p = f(g + dt * k3g, phi + dt * k3p)
+    k1g, k1p, _, _ = _state_stage(state, use_dealias)
+    k2g, k2p, _, _ = _stage(g + 0.5 * dt * k1g, phi + 0.5 * dt * k1p, use_dealias)
+    k3g, k3p, _, _ = _stage(g + 0.5 * dt * k2g, phi + 0.5 * dt * k2p, use_dealias)
+    k4g, k4p, _, _ = _stage(g + dt * k3g, phi + dt * k3p, use_dealias)
     g_new = g + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
     phi_new = phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
@@ -118,14 +145,18 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
            snapshot_stride: int = 0) -> FlowTrajectory:
     """March to t_end, recording diagnostics every record_stride steps.
 
-    Step failures are re-raised with the failure time attached. The observer,
-    when given, is called with (state, record) at each record time.
+    Flow and geometry errors from a step or a record are re-raised with the
+    failure time attached. The observer, when given, is called with (state,
+    record) at each record time. A record and the next step's first stage
+    share the state's xi-derivatives (see _state_stage).
     """
     n_steps = _plan_steps(state.t, t_end, dt)
     traj = FlowTrajectory()
 
     def emit(current):
-        rec = record_from_fields(current.t, current.g, current.phi, sobolev_max_n)
+        _, _, phi_xi, phi_xixi = _state_stage(current, use_dealias)
+        rec = record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi,
+                                 sobolev_max_n)
         traj.records.append(rec)
         if observer is not None:
             observer(current, rec)
@@ -138,12 +169,12 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
         try:
             current = step(current, dt, c_cfl=c_cfl, use_dealias=use_dealias,
                            phi_ceiling=phi_ceiling)
-        except FlowError as exc:
+            if i % record_stride == 0:
+                emit(current)
+        except MARCH_ERRORS as exc:
             if exc.time is None:
                 exc.time = current.t
             raise
-        if i % record_stride == 0:
-            emit(current)
         if snapshot_stride and i % snapshot_stride == 0:
             traj.snapshots.append((current.t, current))
     traj.final = current

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import curvature_flow
 from .curve import ClosedCurve, enclosed_area_of
-from .errors import BlowUp, FlowError, StabilityViolation
-from .invariants import InvariantField, _metric_curvature, centro_affine
+from .errors import MARCH_ERRORS, BlowUp, StabilityViolation
+from .invariants import InvariantField, _metric_curvature, centro_affine, xi_derivative
 from .spectral import antiderivative, dealias
 from .curvature_flow import DEFAULT_CFL, _plan_steps, cfl_limit
 from .trajectory import FlowTrajectory, record_from_fields
@@ -128,13 +128,19 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, sobolev_max_n: int = 4, observer=None,
            c_cfl: float = DEFAULT_CFL, coord_ceiling: float = DEFAULT_COORD_CEILING,
            snapshot_stride: int = 0) -> FlowTrajectory:
-    """March the curve to t_end, recording invariant diagnostics each stride."""
+    """March the curve to t_end, recording invariant diagnostics each stride.
+
+    Flow and geometry errors from a step or a record are re-raised with the
+    failure time attached.
+    """
     n_steps = _plan_steps(state.t, t_end, dt)
     traj = FlowTrajectory()
 
     def emit(current):
         field = centro_affine(current.curve)
-        rec = record_from_fields(current.t, field.g, field.phi, sobolev_max_n,
+        phi_xi = xi_derivative(field.phi, field.g, 1)
+        rec = record_from_fields(current.t, field.g, field.phi, phi_xi,
+                                 xi_derivative(phi_xi, field.g, 1), sobolev_max_n,
                                  area=current.physical_curve.enclosed_area())
         traj.records.append(rec)
         if observer is not None:
@@ -147,12 +153,12 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     for i in range(1, n_steps + 1):
         try:
             current = step(current, dt, c_cfl=c_cfl, coord_ceiling=coord_ceiling)
-        except FlowError as exc:
+            if i % record_stride == 0:
+                emit(current)
+        except MARCH_ERRORS as exc:
             if exc.time is None:
                 exc.time = current.t
             raise
-        if i % record_stride == 0:
-            emit(current)
         if snapshot_stride and i % snapshot_stride == 0:
             traj.snapshots.append((current.t, current.physical_curve))
     traj.final = current

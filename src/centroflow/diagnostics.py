@@ -17,6 +17,8 @@ from .spectral import grid, periodic_integral
 from .trajectory import FlowTrajectory
 
 TWO_PI = 2.0 * math.pi
+IDENTITY_VERDICTS = ("energy_identity", "h1_identity")
+MIN_IDENTITY_RECORDS = 5  # fewest records check_energy_identities judges
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,16 @@ def check_energy_identities(traj: FlowTrajectory) -> tuple:
     finalized on the trajectory; the worst interior value must stay within
     1e-4 for each identity.
     """
-    if len(traj.records) < 5:
+    if len(traj.records) < MIN_IDENTITY_RECORDS:
         raise InsufficientStride(
-            f"need at least 5 records for centered differencing, have {len(traj.records)}")
+            f"need at least {MIN_IDENTITY_RECORDS} records for centered differencing, "
+            f"have {len(traj.records)}")
     interior = traj.records[1:-1]
     res_e = max(r.energy_residual for r in interior)
     res_h = max(r.h1_residual for r in interior)
-    v1 = Verdict("energy_identity", res_e <= 1e-4, res_e, 0.0, 1e-4,
+    v1 = Verdict(IDENTITY_VERDICTS[0], res_e <= 1e-4, res_e, 0.0, 1e-4,
                  context="dE/dt = -H1 - quartic/2 + 4E, scale-normalized")
-    v2 = Verdict("h1_identity", res_h <= 1e-4, res_h, 0.0, 1e-4,
+    v2 = Verdict(IDENTITY_VERDICTS[1], res_h <= 1e-4, res_h, 0.0, 1e-4,
                  context="dH1/dt = -H2 + 4*H1 - 3.5*mixed, scale-normalized")
     return v1, v2
 

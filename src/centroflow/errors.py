@@ -2,7 +2,15 @@
 
 
 class CentroflowError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    `time` is the flow time of a failure raised during a march, when known;
+    both flows' evolve attach it to flow and geometry errors from a step.
+    """
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class NotStarShaped(CentroflowError):
@@ -20,10 +28,6 @@ class NonConstantSign(CentroflowError):
 class FlowError(CentroflowError):
     """Base class for time-stepping failures; carries the failure time when known."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 class StabilityViolation(FlowError):
     """Requested dt exceeds the explicit diffusion stability bound."""
@@ -39,3 +43,9 @@ class InsufficientStride(CentroflowError):
 
 class ConfigError(CentroflowError):
     """Scenario configuration is malformed; message names the offending field."""
+
+
+# inadmissible geometry, raised by the invariant pipeline on an initial curve or mid-march
+GEOMETRY_ERRORS = (NotStarShaped, DegenerateMetric, NonConstantSign)
+# what a march re-raises with its failure time attached
+MARCH_ERRORS = (FlowError,) + GEOMETRY_ERRORS

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import curvature_flow, curve_flow, diagnostics
 from .curve import ClosedCurve, preset
-from .errors import (ConfigError, DegenerateMetric, FlowError, NonConstantSign,
-                     NotStarShaped)
+from .errors import GEOMETRY_ERRORS, MARCH_ERRORS, ConfigError, InsufficientStride
 from .invariants import centro_affine
 from .io import read_curve_json, write_csv, write_report, write_svg
 
@@ -123,7 +122,10 @@ class ScenarioConfig:
             svg_dir=outputs.get("svg_dir"),
             snapshot_stride=raw.get("snapshot_stride", outputs.get("snapshot_stride", 0)),
         )
-        return cfg.validate()
+        try:
+            return cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def build_curve(self) -> ClosedCurve:
         if isinstance(self.curve, str):
@@ -162,7 +164,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     try:
         curve0 = config.build_curve()
         field0 = centro_affine(curve0)
-    except (NotStarShaped, NonConstantSign, DegenerateMetric) as exc:
+    except GEOMETRY_ERRORS as exc:
         write_report(config.name, [], report_path,
                      error={"type": type(exc).__name__, "message": str(exc), "time": 0.0},
                      extra=extra)
@@ -186,7 +188,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
                 state, config.t_end, config.dt, record_stride=config.record_stride,
                 sobolev_max_n=config.sobolev_max_n,
                 snapshot_stride=config.snapshot_stride)
-    except FlowError as exc:
+    except MARCH_ERRORS as exc:
         write_report(config.name, verdicts, report_path,
                      error={"type": type(exc).__name__, "message": str(exc),
                             "time": exc.time}, extra=extra)
@@ -197,8 +199,14 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     primary = curve_traj if curve_traj is not None else scalar_traj
     verdicts.append(diagnostics.check_curvature_bounds(
         primary, float(field0.phi.min()), float(field0.phi.max())))
-    if len(primary) >= 5:
+    try:
         verdicts.extend(diagnostics.check_energy_identities(primary))
+    except InsufficientStride as exc:
+        # too short a run to check the identities fails them rather than dropping them
+        verdicts.extend(diagnostics.Verdict(name, False, len(primary),
+                                            diagnostics.MIN_IDENTITY_RECORDS, 0.0,
+                                            context=str(exc))
+                        for name in diagnostics.IDENTITY_VERDICTS)
     verdicts.extend(diagnostics.check_monotone_L_and_integralE(primary))
     verdicts.append(diagnostics.check_sobolev_bounded(primary, config.sobolev_max_n))
 
@@ -239,15 +247,30 @@ def _emit_svgs(svg_dir: Path, config, curve0, curve_traj, final_curve) -> None:
 def run_sweep(directory, out_dir=None, printer=None) -> int:
     """Run every *.json scenario in the directory in parallel, at most one worker per core.
 
-    Returns the worst exit status; per-scenario outputs stay independent.
+    Each scenario is parsed inside its own task, so a malformed file gets exit
+    1 (its error, which names the file, goes to the printer) while the others
+    still run. Returns the worst exit status; per-scenario outputs stay
+    independent.
     """
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
         raise ConfigError(f"no scenario files in {directory}")
-    configs = [ScenarioConfig.from_json(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=min(len(configs), os.cpu_count() or 1)) as pool:
-        codes = list(pool.map(lambda c: run_scenario(c, out_dir=out_dir), configs))
+
+    def task(path):
+        try:
+            config = ScenarioConfig.from_json(path)
+        except ConfigError as exc:
+            return path.stem, 1, f"config error: {exc}"
+        try:
+            return config.name, run_scenario(config, out_dir=out_dir), None
+        except ConfigError as exc:  # a curve spec that no preset accepts
+            return config.name, 1, f"config error: {path}: {exc}"
+
+    with ThreadPoolExecutor(max_workers=min(len(paths), os.cpu_count() or 1)) as pool:
+        results = list(pool.map(task, paths))
     if printer:
-        for cfg, code in zip(configs, codes):
-            printer(f"{cfg.name}: exit {code}")
-    return max(codes)
+        for name, code, error in results:
+            if error:
+                printer(error)
+            printer(f"{name}: exit {code}")
+    return max(code for _, code, _ in results)

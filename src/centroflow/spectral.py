@@ -58,12 +58,16 @@ def _tables(n: int) -> _Tables:
     return tables
 
 
-def _trimmed_spectrum(values: np.ndarray):
-    spec = np.fft.rfft(values, axis=0)
+def _trim(spec: np.ndarray) -> np.ndarray:
+    """Zero, in place, the coefficients of an rfft spectrum at its noise floor."""
     # the column 2-norm exactly as np.linalg.norm(spec, axis=0) computes it, minus its dispatch
     norm = np.sqrt(np.add.reduce((spec.conj() * spec).real, axis=0, keepdims=True))
     spec[np.abs(spec) <= TRIM_FACTOR * _EPS * norm] = 0.0
     return spec
+
+
+def _trimmed_spectrum(values: np.ndarray):
+    return _trim(np.fft.rfft(values, axis=0))
 
 
 def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -108,7 +112,8 @@ def antiderivative(values: np.ndarray) -> np.ndarray:
 def periodic_integral(values: np.ndarray) -> float:
     """Trapezoidal quadrature (2*pi/N) * sum, spectrally accurate for smooth periodic data."""
     values = np.asarray(values, dtype=float)
-    return 2.0 * np.pi * float(np.mean(values))
+    # np.mean's own arithmetic (one pairwise sum, one division), minus its dispatch
+    return 2.0 * np.pi * float(np.add.reduce(values, axis=None) / values.size)
 
 
 def dealias(values: np.ndarray) -> np.ndarray:

@@ -37,19 +37,21 @@ class DiagnosticsRecord:
     mixed: float = 0.0
 
 
-def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray,
-                       sobolev_max_n: int = 4, area: float = math.nan) -> DiagnosticsRecord:
-    """Assemble a record from metric and curvature samples."""
+def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
+                       phi_xixi: np.ndarray, sobolev_max_n: int = 4,
+                       area: float = math.nan) -> DiagnosticsRecord:
+    """Assemble a record from metric and curvature samples.
+
+    phi_xi and phi_xixi are xi_derivative(phi, g, 1) and xi_derivative(phi_xi,
+    g, 1), which the caller has at hand; the higher orders continue from them.
+    """
     L = periodic_integral(g)
     E = periodic_integral(phi**2 * g)
-    norms = []
-    f = phi
-    phi_xi = None
     # at least H1 and H2 are always computed: the identity residuals need them
-    for i in range(max(sobolev_max_n, 2)):
+    norms = [periodic_integral(phi_xi**2 * g), periodic_integral(phi_xixi**2 * g)]
+    f = phi_xixi
+    for _ in range(2, sobolev_max_n):
         f = xi_derivative(f, g, 1)
-        if i == 0:
-            phi_xi = f
         norms.append(periodic_integral(f**2 * g))
     return DiagnosticsRecord(
         t=t,

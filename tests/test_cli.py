@@ -3,12 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from centroflow import scenario
+from centroflow import curvature_flow, curve_flow, scenario
 from centroflow.cli import main
 from centroflow.curve import origin_ellipse, shifted_ellipse
 from centroflow.io import write_curve_json
 from centroflow.scenario import ScenarioConfig, run_scenario, run_sweep
-from centroflow.errors import ConfigError
+from centroflow.errors import ConfigError, NonConstantSign, NotStarShaped
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -220,3 +220,60 @@ def test_evolve_sweep_flag(tmp_path, capsys):
 def test_evolve_without_config_or_sweep(capsys):
     assert main(["evolve"]) == 1
     assert "required" in capsys.readouterr().err
+
+
+def test_too_few_records_fail_the_identity_verdicts(tmp_path):
+    cfg = small_scenario(tmp_path, name="short", flow="curvature", N=64, t_end=3e-4)
+    assert main(["verify", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "short.report.json").read_text())
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert len(verdicts) == 8
+    for name in ("energy_identity", "h1_identity"):
+        v = verdicts[name]
+        assert not v["passed"]
+        assert (v["measured"], v["bound"]) == (4.0, 5.0)
+        assert "at least 5 records" in v["context"] and "have 4" in v["context"]
+    assert all(v["passed"] for name, v in verdicts.items() if "identity" not in name)
+
+
+def test_sweep_reports_a_bad_file_and_runs_the_rest(tmp_path):
+    sweep_dir = tmp_path / "mixed"
+    sweep_dir.mkdir()
+    small_scenario(sweep_dir, name="good", t_end=0.005)
+    ragged = small_scenario(sweep_dir, name="ragged", dt=3e-4, t_end=0.01)
+    unknown = small_scenario(sweep_dir, name="unknown", curve={"kind": "triangle"})
+    lines = []
+    assert run_sweep(sweep_dir, out_dir=tmp_path, printer=lines.append) == 1
+    assert (tmp_path / "good.csv").exists() and (tmp_path / "good.report.json").exists()
+    assert not (tmp_path / "ragged.report.json").exists()
+    assert {"good: exit 0", "ragged: exit 1", "unknown: exit 1"} <= set(lines)
+    errors = [line for line in lines if line.startswith("config error:")]
+    assert len(errors) == 2
+    assert str(ragged) in errors[0] and "not an integer multiple of dt" in errors[0]
+    assert str(unknown) in errors[1] and "unknown preset kind 'triangle'" in errors[1]
+
+
+@pytest.mark.parametrize("flow,module,kernel,error", [
+    ("curvature", curvature_flow, "_stage", NonConstantSign),
+    ("curve", curve_flow, "_geometry_velocity", NotStarShaped),
+])
+def test_geometry_error_mid_march_reports_and_exits_three(tmp_path, monkeypatch, flow,
+                                                          module, kernel, error):
+    calls = []
+    original = getattr(module, kernel)
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 10:
+            raise error("injected mid-march")
+        return original(*args)
+
+    monkeypatch.setattr(module, kernel, failing)
+    cfg = small_scenario(tmp_path, name="midmarch", flow=flow, N=64)
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "midmarch.report.json").read_text())
+    assert report["error"]["type"] == error.__name__
+    assert report["error"]["message"] == "injected mid-march"
+    # the tenth kernel call falls in the third step, which starts at t = 2 dt
+    assert report["error"]["time"] == pytest.approx(2e-4)
+    assert [v["name"] for v in report["verdicts"]] == ["mean_zero", "isoperimetric"]

@@ -1,12 +1,17 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from centroflow import curvature_flow
 from centroflow.curvature_flow import (CurvatureFlowState, cfl_limit, evolve,
                                        mean_curvature_integral, rhs, step)
 from centroflow.curve import origin_ellipse, perturbed_ellipse
-from centroflow.errors import (BlowUp, DegenerateMetric, StabilityViolation)
+from centroflow.errors import (BlowUp, DegenerateMetric, NonConstantSign,
+                               StabilityViolation)
 from centroflow.invariants import xi_derivative
-from centroflow.spectral import grid
+from centroflow.spectral import dealias, derivative, grid, periodic_integral
+from centroflow.trajectory import DiagnosticsRecord, FlowTrajectory
 
 
 def flat_state(phi, g=None, t=0.0):
@@ -155,3 +160,156 @@ def test_dealias_toggle_matches_for_smooth_data():
     a = evolve(state, 0.02, 1e-3, use_dealias=True).final
     b = evolve(state, 0.02, 1e-3, use_dealias=False).final
     assert np.abs(a.phi - b.phi).max() <= 1e-10
+
+
+# ---------------------------------------------------------------- reference path
+# The scalar march as it was written before its stage kernel: a validated
+# state per RK4 stage, the xi-derivatives by repeated spectral.derivative, the
+# cubic's projection by spectral.dealias, and every record recomputing its
+# xi-derivatives. The lean path must reproduce it bit for bit.
+
+def _reference_xi_derivative(values, g, order):
+    out = values
+    for _ in range(order):
+        out = derivative(out) / g
+    return out
+
+
+def _reference_rhs(state, use_dealias):
+    g, phi = state.g, state.phi
+    phi_xx = _reference_xi_derivative(phi, g, 2)
+    cubed = dealias(phi) ** 3 if use_dealias else phi**3
+    return 0.5 * phi**2 * g, 0.5 * phi_xx - 0.5 * cubed + 2.0 * phi
+
+
+def _reference_step(state, dt, use_dealias):
+    def f(g, phi):
+        return _reference_rhs(CurvatureFlowState(state.t, g, phi), use_dealias)
+
+    g, phi = state.g, state.phi
+    k1g, k1p = f(g, phi)
+    k2g, k2p = f(g + 0.5 * dt * k1g, phi + 0.5 * dt * k1p)
+    k3g, k3p = f(g + 0.5 * dt * k2g, phi + 0.5 * dt * k2p)
+    k4g, k4p = f(g + dt * k3g, phi + dt * k3p)
+    return CurvatureFlowState(t=state.t + dt,
+                              g=g + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g),
+                              phi=phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
+def _reference_record(t, g, phi, sobolev_max_n):
+    norms, f = [], phi
+    for _ in range(max(sobolev_max_n, 2)):
+        f = _reference_xi_derivative(f, g, 1)
+        norms.append(periodic_integral(f**2 * g))
+    phi_xi = _reference_xi_derivative(phi, g, 1)
+    L = periodic_integral(g)
+    return DiagnosticsRecord(
+        t=t, L=L, E=periodic_integral(phi**2 * g), phi_min=float(phi.min()),
+        phi_max=float(phi.max()), mean_phi=periodic_integral(phi * g) / L,
+        sobolev=tuple(norms), quartic=periodic_integral(phi**4 * g),
+        mixed=periodic_integral(phi**2 * phi_xi**2 * g))
+
+
+def _rough_state():
+    # a non-uniform metric, and curvature whose upper modes start at roundoff,
+    # so that the derivative's noise trim and the 2/3-rule projection both act
+    p = grid(64)
+    return CurvatureFlowState(0.0, 1.0 + 0.3 * np.cos(p),
+                              0.2 * np.sin(2 * p) + 0.1 * np.cos(3 * p))
+
+
+def _same_bits(a, b):
+    a, b = astuple(a), astuple(b)
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        assert np.array_equal(x, y, equal_nan=True), (x, y)
+
+
+@pytest.mark.parametrize("use_dealias", [True, False])
+def test_step_bit_identical_to_reference(use_dealias):
+    state = want = _rough_state()
+    for _ in range(50):
+        state = step(state, 1e-4, use_dealias=use_dealias)
+        want = _reference_step(want, 1e-4, use_dealias)
+        assert state.t == want.t
+        assert np.array_equal(state.g, want.g) and np.array_equal(state.phi, want.phi)
+    g_dot, phi_dot = rhs(state, use_dealias)
+    want_g_dot, want_phi_dot = _reference_rhs(state, use_dealias)
+    assert np.array_equal(g_dot, want_g_dot) and np.array_equal(phi_dot, want_phi_dot)
+
+
+@pytest.mark.parametrize("use_dealias,record_stride", [(True, 1), (False, 1), (True, 3)])
+def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride):
+    state = _rough_state()
+    traj = evolve(state, 30e-4, 1e-4, record_stride=record_stride, sobolev_max_n=4,
+                  use_dealias=use_dealias)
+    want = FlowTrajectory()
+    current = state
+    for i in range(31):
+        if i:
+            current = _reference_step(current, 1e-4, use_dealias)
+        if i % record_stride == 0:
+            want.records.append(_reference_record(current.t, current.g, current.phi, 4))
+    want.finalize_residuals()
+    assert len(traj.records) == len(want.records) == 1 + 30 // record_stride
+    assert len(traj.records[0].sobolev) == 4
+    for got, ref in zip(traj.records, want.records):
+        _same_bits(got, ref)
+    assert np.array_equal(traj.final.g, current.g)
+    assert np.array_equal(traj.final.phi, current.phi)
+
+
+def test_records_keep_two_sobolev_orders_below_two():
+    state = _rough_state()
+    for sobolev_max_n in (0, 1, 3):
+        rec = evolve(state, 1e-4, 1e-4, sobolev_max_n=sobolev_max_n).records[0]
+        assert len(rec.sobolev) == max(sobolev_max_n, 2)
+        _same_bits(rec, _reference_record(state.t, state.g, state.phi, sobolev_max_n))
+
+
+def test_non_finite_stage_ends_as_blowup_with_time():
+    # phi^3 overflows in the first stage; later stages and the step result go non-finite
+    state = flat_state(1e110 * np.sin(grid(64)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUp, match="non-finite") as info:
+            evolve(state, 1e-3, 1e-4)
+    assert info.value.time == pytest.approx(1e-4)
+
+
+def test_stage_kernel_checks_the_metric():
+    with pytest.raises(DegenerateMetric):
+        curvature_flow._stage(np.r_[np.ones(31), 0.0], np.zeros(32), True)
+
+
+def test_one_state_build_per_step(monkeypatch):
+    built = []
+    original = CurvatureFlowState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    state = _rough_state()
+    monkeypatch.setattr(CurvatureFlowState, "__post_init__", counting)
+    traj = evolve(state, 10e-4, 1e-4)
+    assert len(built) == 10
+    assert len(traj.records) == 11
+
+
+def test_geometry_error_mid_march_carries_step_time(monkeypatch):
+    # stage calls: 1 for the first record, then 3 per step and 1 per record;
+    # call 4k - 2 is the second stage of step k, which starts at (k - 1) dt
+    calls = []
+    original = curvature_flow._stage
+
+    def failing(g, phi, use_dealias):
+        calls.append(None)
+        if len(calls) == 4 * 3 - 2:
+            raise NonConstantSign("injected at step 3")
+        return original(g, phi, use_dealias)
+
+    monkeypatch.setattr(curvature_flow, "_stage", failing)
+    with pytest.raises(NonConstantSign) as info:
+        evolve(_rough_state(), 10e-4, 1e-4)
+    assert info.value.time == pytest.approx(2e-4)

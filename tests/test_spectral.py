@@ -48,6 +48,14 @@ def test_periodic_integral_examples():
     assert periodic_integral(np.sin(p) ** 2) == pytest.approx(np.pi, abs=1e-12)
 
 
+def test_periodic_integral_is_two_pi_times_mean_bit_for_bit(rng):
+    for shape in ((16,), (64,), (256,), (1024,), (96,), (257,), (1000,), (128, 2)) * 8:
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        assert periodic_integral(values) == 2.0 * np.pi * float(np.mean(values))
+    strided = rng.standard_normal((256, 2))[:, 1]
+    assert periodic_integral(strided) == 2.0 * np.pi * float(np.mean(strided))
+
+
 def test_integral_of_derivative_vanishes():
     n = 256
     p = grid(n)
