@@ -31,12 +31,9 @@ def _cmd_invariants(args) -> int:
     print(f"phi_min   = {float(field.phi.min())!r}")
     print(f"phi_max   = {float(field.phi.max())!r}")
     verdicts = [diagnostics.check_mean_zero(field), diagnostics.check_isoperimetric(field)]
-    ok = True
     for v in verdicts:
-        ok &= v.passed
-        print(f"{'PASS' if v.passed else 'FAIL'} {v.name}: measured={v.measured!r} "
-              f"bound={v.bound!r} tol={v.tolerance!r} {v.context}")
-    return 0 if ok else 2
+        print(diagnostics.verdict_line(v))
+    return 0 if all(v.passed for v in verdicts) else 2
 
 
 def _cmd_evolve(args, verdicts_only: bool = False) -> int:
@@ -57,8 +54,7 @@ def _cmd_verify(args) -> int:
 def _cmd_family(args) -> int:
     times = [float(x) for x in args.times.split(",")]
     verdict = diagnostics.check_backward_limit_on_family(args.a0, args.b0, times, n=args.n)
-    print(f"{'PASS' if verdict.passed else 'FAIL'} {verdict.name}: "
-          f"measured={verdict.measured!r} tol={verdict.tolerance!r} {verdict.context}")
+    print(diagnostics.verdict_line(verdict))
     for t in times:
         member = diagnostics.explicit_ellipse_family(args.a0, args.b0, t, n=args.n)
         area = member.enclosed_area()

@@ -1,11 +1,11 @@
 """Closed plane curves on the uniform periodic grid, with presets and shape checks."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateMetric, NotStarShaped
-from .spectral import derivative, grid, periodic_integral
+from .spectral import _derivative_batch, _trimmed_spectrum, derivative, grid, periodic_integral
 
 # relative tolerance for "one strict sign" in the bracket sign scans
 SIGN_TOL = 1e-12
@@ -18,9 +18,10 @@ def bracket(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def enclosed_area_of(points: np.ndarray) -> float:
+def enclosed_area_of(points: np.ndarray, cp=None) -> float:
     """Signed Euclidean area 1/2 * integral of [C, C_p] of samples C; positive for CCW curves."""
-    return 0.5 * periodic_integral(bracket(points, derivative(points, 1)))
+    cp = derivative(points, 1) if cp is None else cp
+    return 0.5 * periodic_integral(bracket(points, cp))
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,15 @@ class ClosedCurve:
 
     Immutable value; derived curves are new instances. Star-shapedness is
     *not* enforced here (the checks below and the invariant pipeline decide
-    admissibility), only grid size and finiteness.
+    admissibility), only grid size and finiteness. Its trimmed spectrum is
+    computed on first use and kept, read-only, for its derivatives of orders
+    1-3, its area and its invariants.
     """
 
     points: np.ndarray
     name: str = ""
+    # "spectrum" and invariants' "equiaffine" (s, mu): computed once, read-only
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -58,31 +63,52 @@ class ClosedCurve:
     def p(self) -> np.ndarray:
         return grid(self.n)
 
+    def _spectrum(self) -> np.ndarray:
+        spec = self._memo.get("spectrum")
+        if spec is None:
+            spec = self._memo["spectrum"] = _trimmed_spectrum(self.points)
+            spec.setflags(write=False)
+        return spec
+
+    def _derivatives(self) -> np.ndarray:
+        """(N, 3, 2): C_p, C_pp, C_ppp from one inverse transform of the spectrum."""
+        return _derivative_batch(self._spectrum(), self.n)
+
     def derivative(self, order: int = 1) -> np.ndarray:
         """Componentwise spectral derivative d^order C / dp^order."""
-        return derivative(self.points, order)
+        if not 1 <= order <= 3:
+            return derivative(self.points, order)
+        return self._derivatives()[:, order - 1]
 
     def enclosed_area(self) -> float:
         """Signed Euclidean area 1/2 * integral of [C, C_p]; positive for CCW curves."""
-        return enclosed_area_of(self.points)
+        return enclosed_area_of(self.points, self.derivative(1))
 
     def scaled(self, factor: float) -> "ClosedCurve":
         return ClosedCurve(self.points * factor, name=self.name)
 
 
 def _one_strict_sign(values: np.ndarray) -> bool:
+    """The one sign scan: every value beyond SIGN_TOL times the largest, on one side of 0."""
     tol = SIGN_TOL * np.abs(values).max()
     return bool(np.all(values > tol) or np.all(values < -tol))
 
 
+def _shape(curve: ClosedCurve):
+    """(star-shaped, convex): sign scans of [C, C_p] and [C_p, C_pp] from one derivative batch."""
+    derivs = curve._derivatives()
+    return (_one_strict_sign(bracket(curve.points, derivs[:, 0])),
+            _one_strict_sign(bracket(derivs[:, 0], derivs[:, 1])))
+
+
 def check_star_shaped(curve: ClosedCurve) -> bool:
     """True iff [C, C_p] keeps one strict sign at every node."""
-    return _one_strict_sign(bracket(curve.points, curve.derivative(1)))
+    return _shape(curve)[0]
 
 
 def check_convex(curve: ClosedCurve) -> bool:
     """True iff [C_p, C_pp] keeps one strict sign at every node."""
-    return _one_strict_sign(bracket(curve.derivative(1), curve.derivative(2)))
+    return _shape(curve)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +164,12 @@ def star_convex(cos_coeffs, sin_coeffs, r0: float = 1.0,
     star-shaped, and convex by default (this preset exists to feed the
     convex-curve property sweeps).
     """
+    return _star(cos_coeffs, sin_coeffs, r0, n, require_convex, "star_convex")
+
+
+def _star(cos_coeffs, sin_coeffs, r0: float, n: int, require_convex: bool,
+          name: str) -> ClosedCurve:
+    """The body of star_convex and random_star_convex; name is the validated curve's own."""
     cos_coeffs = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
     sin_coeffs = np.atleast_1d(np.asarray(sin_coeffs, dtype=float))
     if len(cos_coeffs) != len(sin_coeffs):
@@ -150,7 +182,7 @@ def star_convex(cos_coeffs, sin_coeffs, r0: float = 1.0,
         r += a * np.cos(k * p) + b * np.sin(k * p)
     if r.min() <= 0:
         raise NotStarShaped("radius function is not positive")
-    curve = ClosedCurve(np.stack([r * np.cos(p), r * np.sin(p)], axis=1), name="star_convex")
+    curve = ClosedCurve(np.stack([r * np.cos(p), r * np.sin(p)], axis=1), name=name)
     _validate_preset(curve, require_convex)
     return curve
 
@@ -170,14 +202,14 @@ def random_star_convex(seed: int, n: int = DEFAULT_N, modes: int = 5,
     weight = np.sum((1.0 + k**2) * (np.abs(a) + np.abs(b)))
     a *= margin / weight
     b *= margin / weight
-    curve = star_convex(a, b, n=n, require_convex=True)
-    return ClosedCurve(curve.points, name=f"random_star_convex(seed={seed})")
+    return _star(a, b, 1.0, n, True, f"random_star_convex(seed={seed})")
 
 
 def _validate_preset(curve: ClosedCurve, require_convex: bool) -> None:
-    if not check_star_shaped(curve):
+    star_shaped, convex = _shape(curve)
+    if not star_shaped:
         raise NotStarShaped(f"preset {curve.name or 'curve'} is not star-shaped")
-    if require_convex and not check_convex(curve):
+    if require_convex and not convex:
         raise DegenerateMetric(f"preset {curve.name or 'curve'} is not convex")
 
 

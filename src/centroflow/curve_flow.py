@@ -80,9 +80,10 @@ def rhs(state: CurveFlowState) -> np.ndarray:
     return vel + state.lam * pts
 
 
-def _geometry_velocity(points: np.ndarray):
-    """Gauge-invariant velocity field plus the metric (for the stability guard)."""
-    cp, _, _, _, g, phi = _metric_curvature(points)
+def _geometry_velocity(points: np.ndarray, derivs=None):
+    """Gauge-invariant velocity plus the metric (for the stability guard); derivs as in
+    _metric_curvature."""
+    cp, _, _, _, g, phi = _metric_curvature(points, derivs)
     phi = dealias(phi)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
     return g, potential[:, None] * points + (0.5 * phi / g)[:, None] * cp
@@ -94,7 +95,7 @@ def step(state: CurveFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
     if dt <= 0:
         raise ValueError("dt must be positive")
     pts = state.curve.points
-    g, k1 = _geometry_velocity(pts)
+    g, k1 = _geometry_velocity(pts, state.curve._derivatives())
     dt_max = cfl_limit(g, c_cfl)
     if dt > dt_max:
         raise StabilityViolation(
@@ -137,18 +138,24 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     traj = FlowTrajectory()
 
     def emit(current):
-        field = centro_affine(current.curve)
-        phi_xi = xi_derivative(field.phi, field.g, 1)
-        rec = record_from_fields(current.t, field.g, field.phi, phi_xi,
-                                 xi_derivative(phi_xi, field.g, 1), sobolev_max_n,
-                                 area=current.physical_curve.enclosed_area())
+        # the curve's kept spectrum serves this record and the next step's k1
+        curve = current.curve
+        _, _, _, _, g, phi = _metric_curvature(curve.points, curve._derivatives())
+        phi_xi = xi_derivative(phi, g, 1)
+        rec = record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
+                                 sobolev_max_n, area=current.physical_curve.enclosed_area())
         traj.records.append(rec)
         if observer is not None:
             observer(current, rec)
 
+    def snap(current):
+        # a bare copy, so the trajectory does not hold the stepped curve's kept spectrum
+        curve = current.physical_curve
+        traj.snapshots.append((current.t, ClosedCurve(curve.points, curve.name)))
+
     emit(state)
     if snapshot_stride:
-        traj.snapshots.append((state.t, state.physical_curve))
+        snap(state)
     current = state
     for i in range(1, n_steps + 1):
         try:
@@ -160,7 +167,7 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
                 exc.time = current.t
             raise
         if snapshot_stride and i % snapshot_stride == 0:
-            traj.snapshots.append((current.t, current.physical_curve))
+            snap(current)
     traj.final = current
     traj.finalize_residuals()
     return traj

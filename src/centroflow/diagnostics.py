@@ -48,6 +48,12 @@ class Verdict:
         }
 
 
+def verdict_line(v: Verdict) -> str:
+    """The one-line PASS/FAIL form every command prints."""
+    return (f"{'PASS' if v.passed else 'FAIL'} {v.name}: measured={v.measured!r} "
+            f"bound={v.bound!r} tol={v.tolerance!r} {v.context}")
+
+
 def check_mean_zero(field: InvariantField) -> Verdict:
     """Closed-curve curvature has zero mean: |closed integral of phi dxi| <= 1e-8 L."""
     L = perimeter(field)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import SIGN_TOL, ClosedCurve, bracket
+from .curve import SIGN_TOL, ClosedCurve, _one_strict_sign, bracket
 from .errors import DegenerateMetric, NonConstantSign, NotStarShaped
-from .spectral import (_tables, _trimmed_spectrum, antiderivative, derivative,
+from .spectral import (_derivative_batch, _trimmed_spectrum, antiderivative, derivative,
                        periodic_integral)
 
 
@@ -43,53 +43,58 @@ class InvariantField:
         return len(self.g)
 
 
-def _sigma_density(curve: ClosedCurve, cp=None):
-    s = bracket(curve.points, curve.derivative(1) if cp is None else cp)
-    tol = SIGN_TOL * np.abs(s).max()
-    if not (np.all(s > tol) or np.all(s < -tol)):
+def _star_density(points: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """s = [C, C_p], componentwise; NotStarShaped unless it keeps one strict sign."""
+    s = points[:, 0] * cp[:, 1] - points[:, 1] * cp[:, 0]
+    if not _one_strict_sign(s):
         raise NotStarShaped("[C, C_p] changes sign: curve is not star-shaped")
     return s
 
 
-def centro_equiaffine(curve: ClosedCurve):
-    """Return (sigma_density, mu) for a star-shaped curve.
+def _equiaffine(curve: ClosedCurve, derivs=None):
+    """(s, mu) of a star-shaped curve, computed once and kept on it, read-only.
 
-    mu is evaluated by the chain rule through the free parameter:
-    C_sigma = C_p/s, C_sigmasigma = (C_pp - (s_p/s) C_p)/s^2 with s = [C, C_p].
+    derivs, when given, is the curve's own derivative batch. mu is evaluated by
+    the chain rule through the free parameter: C_sigma = C_p/s,
+    C_sigmasigma = (C_pp - (s_p/s) C_p)/s^2 with s = [C, C_p].
     """
-    cp = curve.derivative(1)
-    cpp = curve.derivative(2)
-    s = _sigma_density(curve, cp)
-    s_p = derivative(s)
-    c_sigma = cp / s[:, None]
-    c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
-    mu = bracket(c_sigma, c_sigma2)
-    return s, mu
+    parts = curve._memo.get("equiaffine")
+    if parts is None:
+        if derivs is None:
+            derivs = curve._derivatives()
+        cp, cpp = derivs[:, 0], derivs[:, 1]
+        s = _star_density(curve.points, cp)
+        s_p = derivative(s)
+        c_sigma = cp / s[:, None]
+        c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
+        parts = curve._memo["equiaffine"] = (s, bracket(c_sigma, c_sigma2))
+        for array in parts:
+            array.setflags(write=False)
+    return parts
 
 
-def _metric_curvature(points: np.ndarray):
+def centro_equiaffine(curve: ClosedCurve):
+    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine."""
+    return _equiaffine(curve)
+
+
+def _metric_curvature(points: np.ndarray, derivs=None):
     """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi).
 
-    One forward transform of the noise-trimmed spectrum, then one batched
-    inverse transform of it times the cached (ik)^1..3 multipliers, gives
-    C_p, C_pp and C_ppp together; each equals spectral.derivative of that
-    order bit for bit. The brackets are written out componentwise.
+    derivs is the curve's derivative batch (ClosedCurve._derivatives); without
+    it, as in the curve-flow stages, one forward and one batched inverse
+    transform of the points give it. The brackets are written out componentwise.
     """
-    n = points.shape[0]
-    spec = _trimmed_spectrum(points)
-    derivs = np.fft.irfft(spec[:, None, :] * _tables(n).mults[:, :, None], n=n, axis=0)
+    if derivs is None:
+        derivs = _derivative_batch(_trimmed_spectrum(points), points.shape[0])
     cp, cpp = derivs[:, 0], derivs[:, 1]
     x, y = points[:, 0], points[:, 1]
     xp, yp = cp[:, 0], cp[:, 1]
     xpp, ypp = cpp[:, 0], cpp[:, 1]
     xppp, yppp = derivs[:, 2, 0], derivs[:, 2, 1]
 
-    den = x * yp - y * xp                # [C, C_p]
+    den = _star_density(points, cp)      # [C, C_p]
     num = xp * ypp - yp * xpp            # [C_p, C_pp]
-
-    tol_den = SIGN_TOL * np.abs(den).max()
-    if not (np.all(den > tol_den) or np.all(den < -tol_den)):
-        raise NotStarShaped("[C, C_p] changes sign: curve is not star-shaped")
 
     ratio = num / den
     signs = np.sign(ratio)
@@ -109,16 +114,15 @@ def _metric_curvature(points: np.ndarray):
 
 
 def centro_affine(curve: ClosedCurve) -> InvariantField:
-    """Full invariant field of a star-shaped curve with one-signed [C_p, C_pp]."""
-    cp, cpp, den, eps, g, phi = _metric_curvature(curve.points)
+    """Full invariant field of a star-shaped curve with one-signed [C_p, C_pp].
 
-    s_p = derivative(den)
-    c_sigma = cp / den[:, None]
-    c_sigma2 = (cpp - (s_p / den)[:, None] * cp) / (den**2)[:, None]
-    mu = bracket(c_sigma, c_sigma2)
-
-    xi = antiderivative(g)
-    return InvariantField(epsilon=eps, sigma_density=den, mu=mu, g=g, xi=xi, phi=phi)
+    sigma_density and mu are the arrays _equiaffine keeps on the curve.
+    """
+    derivs = curve._derivatives()
+    _, _, _, eps, g, phi = _metric_curvature(curve.points, derivs)
+    s, mu = _equiaffine(curve, derivs)
+    return InvariantField(epsilon=eps, sigma_density=s, mu=mu, g=g, xi=antiderivative(g),
+                          phi=phi)
 
 
 def phi_from_mu(curve: ClosedCurve) -> np.ndarray:

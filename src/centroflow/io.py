@@ -28,8 +28,11 @@ def read_curve_json(path) -> ClosedCurve:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(payload, dict) or "points" not in payload:
         raise ValueError(f"{path}: expected an object with a 'points' array")
-    points = np.asarray(payload["points"], dtype=float)
-    return ClosedCurve(points, name=str(payload.get("name", path.stem)))
+    try:
+        return ClosedCurve(np.asarray(payload["points"], dtype=float),
+                           name=str(payload.get("name", path.stem)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_curve_json(curve: ClosedCurve, path) -> None:

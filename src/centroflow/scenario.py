@@ -103,9 +103,11 @@ class ScenarioConfig:
             if required not in raw:
                 raise ConfigError(f"{path}: missing required field {required!r}")
         outputs = raw.get("outputs", {})
+        curve = raw["curve"]
         cfg = cls(
             name=raw["name"],
-            curve=raw["curve"],
+            # a curve file path is relative to the scenario file
+            curve=str(path.parent / curve) if isinstance(curve, str) else curve,
             n=raw.get("N", 256),
             dt=float(raw.get("dt", 1e-4)),
             t_end=float(raw.get("t_end", 1.0)),
@@ -129,7 +131,12 @@ class ScenarioConfig:
 
     def build_curve(self) -> ClosedCurve:
         if isinstance(self.curve, str):
-            return read_curve_json(self.curve)
+            try:
+                return read_curve_json(self.curve)
+            except OSError as exc:
+                raise ConfigError(f"curve file {self.curve}: {exc.strerror or exc}") from exc
+            except ValueError as exc:  # read_curve_json names the file
+                raise ConfigError(f"curve file {exc}") from exc
         spec = dict(self.curve)
         kind = spec.pop("kind", None)
         if kind is None:
@@ -164,10 +171,12 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     try:
         curve0 = config.build_curve()
         field0 = centro_affine(curve0)
-    except GEOMETRY_ERRORS as exc:
+    except (ConfigError,) + GEOMETRY_ERRORS as exc:
         write_report(config.name, [], report_path,
                      error={"type": type(exc).__name__, "message": str(exc), "time": 0.0},
                      extra=extra)
+        if isinstance(exc, ConfigError):
+            raise  # the caller prints it and exits 1
         if printer:
             printer(f"INADMISSIBLE CURVE {type(exc).__name__}: {exc}")
         return 1
@@ -227,8 +236,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     write_report(config.name, verdicts, report_path, extra=extra)
     if printer:
         for v in verdicts:
-            printer(f"{'PASS' if v.passed else 'FAIL'} {v.name}: measured={v.measured!r} "
-                    f"bound={v.bound!r} tol={v.tolerance!r} {v.context}")
+            printer(diagnostics.verdict_line(v))
     return 0 if all(v.passed for v in verdicts) else 2
 
 
@@ -263,7 +271,7 @@ def run_sweep(directory, out_dir=None, printer=None) -> int:
             return path.stem, 1, f"config error: {exc}"
         try:
             return config.name, run_scenario(config, out_dir=out_dir), None
-        except ConfigError as exc:  # a curve spec that no preset accepts
+        except ConfigError as exc:  # a curve spec no preset accepts, or an unreadable curve file
             return config.name, 1, f"config error: {path}: {exc}"
 
     with ThreadPoolExecutor(max_workers=min(len(paths), os.cpu_count() or 1)) as pool:

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from centroflow import curvature_flow, curve_flow, scenario
+from centroflow import curvature_flow, curve_flow, diagnostics, scenario
 from centroflow.cli import main
 from centroflow.curve import origin_ellipse, shifted_ellipse
 from centroflow.io import write_curve_json
 from centroflow.scenario import ScenarioConfig, run_scenario, run_sweep
 from centroflow.errors import ConfigError, NonConstantSign, NotStarShaped
+from centroflow.invariants import centro_affine
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -277,3 +278,59 @@ def test_geometry_error_mid_march_reports_and_exits_three(tmp_path, monkeypatch,
     # the tenth kernel call falls in the third step, which starts at t = 2 dt
     assert report["error"]["time"] == pytest.approx(2e-4)
     assert [v["name"] for v in report["verdicts"]] == ["mean_zero", "isoperimetric"]
+
+
+def test_curve_file_is_found_beside_the_scenario(tmp_path, monkeypatch):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    write_curve_json(origin_ellipse(1.0, 1.0, n=32), scenario_dir / "circle.json")
+    cfg = small_scenario(scenario_dir, name="fromfile", curve="circle.json", N=32,
+                         t_end=0.001, flow="curve")
+    monkeypatch.chdir(tmp_path)   # the scenario's directory, not the working one, decides
+    assert main(["verify", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("content", [None, "{broken", '{"points": [[1, 0], [0, 1, 2]]}'])
+def test_unreadable_curve_file_reports_and_exits_one(tmp_path, capsys, content):
+    curve_path = tmp_path / "curve.json"
+    if content is not None:
+        curve_path.write_text(content)
+    cfg = small_scenario(tmp_path, name="nocurve", curve="curve.json")
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: curve file") and str(curve_path) in err
+    report = json.loads((tmp_path / "nocurve.report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert str(curve_path) in report["error"]["message"]
+    assert report["verdicts"] == []
+
+
+def test_sweep_with_a_missing_curve_file_runs_the_rest(tmp_path):
+    sweep_dir = tmp_path / "mixed"
+    sweep_dir.mkdir()
+    small_scenario(sweep_dir, name="good", t_end=0.005)
+    missing = small_scenario(sweep_dir, name="missing", curve="missing-curve.json")
+    lines = []
+    assert run_sweep(sweep_dir, out_dir=tmp_path, printer=lines.append) == 1
+    assert (tmp_path / "good.csv").exists() and (tmp_path / "missing.report.json").exists()
+    assert {"good: exit 0", "missing: exit 1"} <= set(lines)
+    errors = [line for line in lines if line.startswith("config error:")]
+    assert len(errors) == 1
+    assert str(missing) in errors[0] and str(sweep_dir / "missing-curve.json") in errors[0]
+
+
+def test_every_command_prints_the_one_verdict_line(tmp_path, capsys):
+    curve_path = tmp_path / "ellipse.json"
+    write_curve_json(origin_ellipse(2, 0.5), curve_path)
+    main(["invariants", str(curve_path)])
+    main(["family", "--a0", "2", "--b0", "1", "--times", "0,-1"])
+    main(["verify", str(small_scenario(tmp_path, t_end=0.005)), "--out-dir", str(tmp_path)])
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("PASS ", "FAIL "))]
+    report = json.loads((tmp_path / "small.report.json").read_text())
+    verdicts = [diagnostics.check_mean_zero(centro_affine(origin_ellipse(2, 0.5))),
+                diagnostics.check_isoperimetric(centro_affine(origin_ellipse(2, 0.5))),
+                diagnostics.check_backward_limit_on_family(2, 1, [0, -1])]
+    verdicts += [diagnostics.Verdict(**v) for v in report["verdicts"]]
+    assert lines == [diagnostics.verdict_line(v) for v in verdicts]
+    assert all(" bound=" in line and " tol=" in line for line in lines)

@@ -1,13 +1,16 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from centroflow.curve import (ClosedCurve, bracket, check_convex,
-                              check_star_shaped, origin_ellipse,
+                              check_star_shaped, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, preset, random_star_convex,
                               shifted_ellipse, star_convex)
 from centroflow.errors import DegenerateMetric, NotStarShaped
+from centroflow.spectral import derivative
 from conftest import fd_bracket_signs
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -142,3 +145,68 @@ def test_preset_dispatcher():
 def test_enclosed_area_of_ellipse():
     assert origin_ellipse(2, 0.5).enclosed_area() == pytest.approx(np.pi, abs=1e-12)
     assert shifted_ellipse(1, 1, 0.4, 0.2).enclosed_area() == pytest.approx(np.pi, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kept spectrum
+
+def _gl_image(n):
+    # a GL+(2) image of a star: spectra with coefficients at the noise floor
+    mat = np.array([[1.3, 0.4], [-0.2, 0.8]])
+    return ClosedCurve(random_star_convex(11, n=n).points @ mat.T)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_curve_derivatives_and_area_bit_identical(n):
+    for curve in (_gl_image(n), shifted_ellipse(1.2, 0.6, 0.3, 0.1, n)):
+        for order in (1, 2, 3, 4):
+            assert np.array_equal(curve.derivative(order), derivative(curve.points, order))
+        assert curve.enclosed_area() == enclosed_area_of(curve.points)
+    with pytest.raises(ValueError):
+        curve.derivative(0)
+
+
+def test_curve_transforms_itself_once(monkeypatch):
+    curve = _gl_image(64)
+    forward = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: forward.append(1) or rfft(*a, **k))
+    for order in (1, 2, 3):
+        curve.derivative(order)
+    curve.enclosed_area()
+    assert check_star_shaped(curve) and check_convex(curve)
+    assert len(forward) == 1
+
+
+def test_new_and_scaled_curves_start_with_an_empty_cache():
+    curve = _gl_image(64)
+    assert curve._memo == {}
+    curve.derivative(1)
+    assert set(curve._memo) == {"spectrum"}
+    assert curve._memo["spectrum"].flags.writeable is False
+    for fresh in (curve.scaled(2.5), ClosedCurve(curve.points), replace(curve, name="x")):
+        assert fresh._memo == {}
+        assert np.array_equal(fresh.derivative(1), derivative(fresh.points, 1))
+    memo = next(f for f in fields(ClosedCurve) if f.name == "_memo")
+    assert not (memo.init or memo.repr or memo.compare)
+
+
+def test_preset_builds_and_validates_one_curve(monkeypatch):
+    built = []
+    original = ClosedCurve.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ClosedCurve, "__post_init__", counting)
+    inverse = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: inverse.append(1) or irfft(*a, **k))
+    curve = random_star_convex(4, n=64)
+    assert built == [curve]
+    assert curve.name == "random_star_convex(seed=4)"
+    # both sign scans come from one derivative batch; the spectrum stays for later
+    assert len(inverse) == 1
+    assert set(curve._memo) == {"spectrum"}
+    assert check_star_shaped(curve) and check_convex(curve)

@@ -1,19 +1,24 @@
+import functools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centroflow.curvature_flow import CurvatureFlowState
 from centroflow.curvature_flow import rhs as scalar_rhs
 from centroflow.curvature_flow import step as scalar_step
-from centroflow.curve import (ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
-                              shifted_ellipse)
+from centroflow import curve_flow
+from centroflow.curve import (ClosedCurve, bracket, enclosed_area_of, origin_ellipse,
+                              perturbed_ellipse, shifted_ellipse)
 from centroflow.curve_flow import (CurveFlowState, consistency_check, evolve,
                                    nonlocal_potential, rhs, step)
 from centroflow.errors import BlowUp, FlowError, StabilityViolation
-from centroflow.invariants import centro_affine
+from centroflow.invariants import centro_affine, xi_derivative
 from centroflow.spectral import antiderivative, dealias, derivative, periodic_integral
+from centroflow.trajectory import FlowTrajectory, record_from_fields
 
 
 def test_nonlocal_potential_trivial_cases():
@@ -191,6 +196,7 @@ def test_evolve_snapshots_are_curves():
     assert len(traj.snapshots) == 3
     for _, snap in traj.snapshots:
         assert snap.points.shape == (64, 2)
+        assert snap._memo == {}  # snapshots do not keep the stepped curves' spectra
 
 
 def test_consistency_check_trivial_on_ellipse():
@@ -201,3 +207,99 @@ def test_consistency_check_trivial_on_ellipse():
 def test_consistency_check_perturbed_short():
     gap = consistency_check(perturbed_ellipse(1, 1, 0.05, 3, n=128), 0.2, 2e-4)
     assert gap <= 1e-4
+
+
+def _reference_record(state, sobolev_max_n):
+    # reference: the invariants of a fresh curve and the physical curve's own area
+    field = centro_affine(ClosedCurve(state.curve.points))
+    phi_xi = xi_derivative(field.phi, field.g, 1)
+    return record_from_fields(state.t, field.g, field.phi, phi_xi,
+                              xi_derivative(phi_xi, field.g, 1), sobolev_max_n,
+                              area=enclosed_area_of(state.physical_curve.points))
+
+
+def _same_record(a, b):
+    for f in fields(a):
+        x, y = np.array(getattr(a, f.name)), np.array(getattr(b, f.name))
+        if not np.array_equal(x, y, equal_nan=True):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("normalization,lam,stride", [
+    ("unit_area_scale", 0.0, 1), ("unit_area_scale", 0.7, 3), ("none", 0.7, 2)])
+def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
+    state = CurveFlowState(0.0, perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64), lam=lam,
+                           normalization=normalization)
+    traj = evolve(state, 0.012, 1e-3, record_stride=stride, sobolev_max_n=4)
+    want = FlowTrajectory(records=[_reference_record(state, 4)])
+    current = state
+    for i in range(1, 13):
+        current = step(current, 1e-3)
+        if i % stride == 0:
+            want.records.append(_reference_record(current, 4))
+    want.finalize_residuals()
+    assert (current.log_scale != 0.0) == (normalization == "none")
+    assert len(traj.records) == len(want.records)
+    assert all(_same_record(a, b) for a, b in zip(traj.records, want.records))
+
+
+def test_step_k1_reads_the_kept_spectrum(monkeypatch):
+    stages = []
+    original = curve_flow._geometry_velocity
+
+    def counting(*args):
+        stages.append(args)
+        return original(*args)
+
+    forward = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(curve_flow, "_geometry_velocity", counting)
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: forward.append(1) or rfft(*a, **k))
+    points = perturbed_ellipse(1, 1, 0.05, 3, n=64).points
+    results, counts = [], []
+    for keep in (False, True):
+        curve = ClosedCurve(points)
+        if keep:
+            curve.derivative(1)  # as a record leaves the accepted curve
+        del forward[:], stages[:]
+        results.append(step(CurveFlowState(0.0, curve), 1e-3))
+        counts.append(len(forward))
+        assert len(stages) == 4
+        assert results[-1].curve._memo == {}
+    # with the spectrum kept, k1 makes no forward transform of the points
+    assert counts[1] == counts[0] - 1
+    assert np.array_equal(results[0].curve.points, results[1].curve.points)
+
+
+_EQUIV_BASE = perturbed_ellipse(1, 1, 0.05, 3, n=64)
+_EQUIV_STEPS, _EQUIV_DT = 30, 1e-3
+
+
+@functools.lru_cache(maxsize=1)
+def _equivariance_reference():
+    return evolve(CurveFlowState(0.0, _EQUIV_BASE), _EQUIV_STEPS * _EQUIV_DT, _EQUIV_DT,
+                  record_stride=10)
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(a=st.floats(0.0, 2 * math.pi), b=st.floats(0.0, 2 * math.pi),
+       stretch2=st.floats(1.0, 4.0), scale=st.floats(0.5, 2.0), lam=st.floats(-1.0, 1.0))
+def test_flow_commutes_with_gl2_up_to_the_scale_gauge(a, b, stretch2, scale, lam):
+    # A = scale R(a) diag(s, 1/s) R(b) with s^2 = stretch2: det A > 0, cond A = stretch2 <= 4
+    s = math.sqrt(stretch2)
+    mat = scale * _rotation(a) @ np.diag([s, 1.0 / s]) @ _rotation(b)
+    ref = _equivariance_reference()
+    image = evolve(CurveFlowState(0.0, ClosedCurve(_EQUIV_BASE.points @ mat.T), lam=lam),
+                   _EQUIV_STEPS * _EQUIV_DT, _EQUIV_DT, record_stride=10)
+    # unit-area renormalisation divides A C by sqrt(det A); lambda is pure gauge
+    want = ref.final.curve.points @ mat.T / math.sqrt(np.linalg.det(mat))
+    # tolerance fixed before measuring: the image's samples carry about cond(A)
+    # eps relative roundoff, and each step may add that much again
+    tol = 10 * _EQUIV_STEPS * stretch2 * np.finfo(float).eps
+    assert np.abs(image.final.curve.points - want).max() <= tol * np.abs(want).max()
+    assert np.abs(image.column("L") - ref.column("L")).max() <= tol * 2 * math.pi

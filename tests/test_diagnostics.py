@@ -7,7 +7,7 @@ from centroflow.curvature_flow import CurvatureFlowState, evolve
 from centroflow.curve import origin_ellipse, perturbed_ellipse, shifted_ellipse
 from centroflow.curve_flow import CurveFlowState
 from centroflow.curve_flow import evolve as curve_evolve
-from centroflow.diagnostics import (check_backward_limit_on_family,
+from centroflow.diagnostics import (Verdict, check_backward_limit_on_family,
                                     check_convergence_to_ellipse,
                                     check_curvature_bounds,
                                     check_energy_identities,
@@ -15,7 +15,7 @@ from centroflow.diagnostics import (check_backward_limit_on_family,
                                     check_monotone_L_and_integralE,
                                     check_sobolev_bounded,
                                     explicit_ellipse_family, family_area,
-                                    fit_origin_ellipse)
+                                    fit_origin_ellipse, verdict_line)
 from centroflow.errors import InsufficientStride
 from centroflow.invariants import centro_affine
 from centroflow.trajectory import FlowTrajectory
@@ -209,3 +209,10 @@ def test_shifted_center_data_documented_nonconvergence():
     assert L[0] > TWO_PI
     assert np.all(np.diff(L) >= -1e-12 * L[:-1])  # monotone as ever
     assert E[-1] > 2.0 * E[0]                     # mode-1 content amplifies
+
+
+def test_verdict_line():
+    v = Verdict("mean_zero", True, 1e-17, 0.0, 6.3e-8, context="L=6.28")
+    assert verdict_line(v) == "PASS mean_zero: measured=1e-17 bound=0.0 tol=6.3e-08 L=6.28"
+    failed = Verdict("isoperimetric", False, 6.4, 2 * math.pi, 1e-8, context="exceeded")
+    assert verdict_line(failed).startswith("FAIL isoperimetric: measured=6.4 bound=6.28318")

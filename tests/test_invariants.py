@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from centroflow.curve import (ClosedCurve, origin_ellipse, perturbed_ellipse,
+from centroflow.curve import (ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
                               random_star_convex, shifted_ellipse, star_convex)
 from centroflow.errors import (DegenerateMetric, NonConstantSign,
                                NotStarShaped)
 from centroflow.invariants import (_metric_curvature, centro_affine,
                                    centro_equiaffine, energy, perimeter,
                                    phi_from_mu, sobolev_norm, xi_derivative)
-from centroflow.spectral import derivative, periodic_integral
+from centroflow.spectral import antiderivative, derivative, periodic_integral
 
 TWO_PI = 2 * np.pi
 
@@ -213,3 +213,124 @@ def test_metric_curvature_derivatives_bit_identical(n, monkeypatch):
     assert np.array_equal(cp, derivative(points, 1))
     assert np.array_equal(cpp, derivative(points, 2))
     assert np.array_equal(inverses[0][:, 2], derivative(points, 3))
+
+
+# ---------------------------------------------------------------------------
+# one transform per curve: the kept spectrum and centro-equiaffine parts
+
+def _old_centro_equiaffine(curve):
+    # reference: a fresh spectral.derivative per order, as before the curve kept its spectrum
+    cp, cpp = derivative(curve.points, 1), derivative(curve.points, 2)
+    s = bracket(curve.points, cp)
+    tol = 1e-12 * np.abs(s).max()
+    if not (np.all(s > tol) or np.all(s < -tol)):
+        raise NotStarShaped("reference")
+    s_p = derivative(s)
+    c_sigma = cp / s[:, None]
+    c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
+    return s, bracket(c_sigma, c_sigma2)
+
+
+def _old_centro_affine(curve):
+    pts = curve.points
+    cp, cpp, cppp = (derivative(pts, order) for order in (1, 2, 3))
+    den, num = bracket(pts, cp), bracket(cp, cpp)
+    s, mu = _old_centro_equiaffine(curve)
+    ratio = num / den
+    signs = np.sign(ratio)
+    if signs.max() != signs.min():
+        raise NonConstantSign("reference")
+    eps = int(signs[0])
+    g = np.sqrt(eps * ratio)
+    phi = (1.0 / g) * (1.5 * bracket(pts, cpp) / den - 0.5 * bracket(cp, cppp) / num)
+    return eps, s, mu, g, antiderivative(g), phi
+
+
+def _old_phi_from_mu(curve):
+    s, mu = _old_centro_equiaffine(curve)
+    return -0.5 * mu**-1.5 * (derivative(mu) / s)
+
+
+def _sweep_curves(n):
+    rng = np.random.default_rng(n)
+    curves = [random_star_convex(seed, n=n) for seed in range(4)]
+    curves += [shifted_ellipse(1.3, 0.7, 0.25, -0.1, n=n), perturbed_ellipse(1, 1, 0.05, 3, n=n)]
+    for base in (curves[0], curves[4]):
+        theta = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        mat = rng.uniform(0.5, 2.0) * rot @ np.diag([1.7, 1 / 1.7])   # GL+(2), cond 2.89
+        curves.append(ClosedCurve(base.points @ mat.T, name="image"))
+    return curves
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("mu_first", [False, True])
+def test_invariants_bit_identical_to_reference(n, mu_first):
+    for curve in _sweep_curves(n):
+        curve = ClosedCurve(curve.points, name=curve.name)   # nothing kept yet
+        eps, s, mu, g, xi, phi = _old_centro_affine(curve)
+        if mu_first:
+            via_mu = phi_from_mu(curve)
+            field = centro_affine(curve)
+        else:
+            field = centro_affine(curve)
+            via_mu = phi_from_mu(curve)
+        assert field.epsilon == eps
+        for got, want in ((field.sigma_density, s), (field.mu, mu), (field.g, g),
+                          (field.xi, xi), (field.phi, phi), (via_mu, _old_phi_from_mu(curve))):
+            assert np.array_equal(got, want)
+        s2, mu2 = centro_equiaffine(curve)
+        assert np.array_equal(s2, s) and np.array_equal(mu2, mu)
+
+
+def test_equiaffine_parts_are_the_fields_arrays_and_read_only():
+    curve = ClosedCurve(random_star_convex(5, n=64).points)
+    field = centro_affine(curve)
+    s, mu = centro_equiaffine(curve)
+    assert s is field.sigma_density and mu is field.mu
+    for array in (s, mu, curve._memo["spectrum"]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # the fields a caller owns stay writable
+    field.g[0] = field.g[0]
+    field.phi[0] = field.phi[0]
+
+
+def _counting_transforms(monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_centro_affine_and_phi_from_mu_share_the_curve_transforms(monkeypatch):
+    curve = ClosedCurve(random_star_convex(2, n=64).points)
+    calls = _counting_transforms(monkeypatch)
+    centro_affine(curve)
+    phi_from_mu(curve)
+    centro_equiaffine(curve)
+    # one spectrum and one derivative batch of the points; s_p, xi and mu_p
+    # take one forward and one inverse transform each
+    assert calls.count("rfft") == 4 and calls.count("irfft") == 4
+
+
+@pytest.mark.parametrize("affine_first", [True, False])
+def test_error_types_in_either_call_order(affine_first):
+    # star-shaped, not convex: the metric fails with NonConstantSign, mu with DegenerateMetric
+    curve = perturbed_ellipse(1, 1, 0.5, 8, require_convex=False)
+    checks = [(centro_affine, NonConstantSign), (phi_from_mu, DegenerateMetric)]
+    for fn, error in (checks if affine_first else checks[::-1]):
+        with pytest.raises(error):
+            fn(curve)
+    # not star-shaped: every route says so, and nothing is kept
+    outside = shifted_ellipse(1, 1, 2.0, 0.0)
+    for fn in (centro_equiaffine, phi_from_mu, centro_affine, phi_from_mu):
+        with pytest.raises(NotStarShaped):
+            fn(outside)
+    assert "equiaffine" not in outside._memo
