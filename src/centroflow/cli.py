@@ -17,12 +17,11 @@ import sys
 from . import diagnostics
 from .errors import CentroflowError, ConfigError
 from .invariants import centro_affine, energy, perimeter
-from .io import read_curve_json
-from .scenario import ScenarioConfig, run_scenario, run_sweep
+from .scenario import ScenarioConfig, read_curve_file, run_scenario, run_sweep
 
 
 def _cmd_invariants(args) -> int:
-    curve = read_curve_json(args.curve)
+    curve = read_curve_file(args.curve)
     field = centro_affine(curve)
     print(f"curve: {curve.name}  (N = {curve.n})")
     print(f"epsilon   = {field.epsilon}")

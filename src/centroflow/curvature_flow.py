@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import ClosedCurve
-from .errors import MARCH_ERRORS, BlowUp, DegenerateMetric, StabilityViolation
+from .errors import BlowUp, DegenerateMetric, StabilityViolation
 from .invariants import InvariantField, centro_affine
 from .spectral import _tables, _trim, periodic_integral
-from .trajectory import FlowTrajectory, record_from_fields
+from .trajectory import FlowTrajectory, march, record_from_fields
 
-DEFAULT_CFL = 0.5
-DEFAULT_PHI_CEILING = 10.0
+# step guards, read at call time (tests monkeypatch them)
+CFL = 0.5           # diffusion CFL number of cfl_limit
+PHI_CEILING = 10.0  # bound on max|phi| after a step
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,17 @@ def rhs(state: CurvatureFlowState, use_dealias: bool = False):
     return g_dot, phi_dot
 
 
-def cfl_limit(g: np.ndarray, c_cfl: float = DEFAULT_CFL) -> float:
-    """Largest admissible dt: c_cfl * min(g * 2*pi/N)^2 (diffusion coefficient 1/2)."""
+def cfl_limit(g: np.ndarray) -> float:
+    """Largest admissible dt: CFL * min(g * 2*pi/N)^2 (diffusion coefficient 1/2)."""
     n = len(g)
-    return c_cfl * float((g.min() * 2.0 * np.pi / n) ** 2)
+    return CFL * float((g.min() * 2.0 * np.pi / n) ** 2)
 
 
-def step(state: CurvatureFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
-         use_dealias: bool = True, phi_ceiling: float = DEFAULT_PHI_CEILING) -> CurvatureFlowState:
+def step(state: CurvatureFlowState, dt: float, *, use_dealias: bool = True) -> CurvatureFlowState:
     """One classical RK4 step of the coupled (g, phi) system."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dt_max = cfl_limit(state.g, c_cfl)
+    dt_max = cfl_limit(state.g)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
@@ -124,62 +124,27 @@ def step(state: CurvatureFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
     t_new = state.t + dt
     if not (np.isfinite(phi_new).all() and np.isfinite(g_new).all()):
         raise BlowUp("non-finite state after step", time=t_new)
-    if np.abs(phi_new).max() > phi_ceiling:
-        raise BlowUp(f"max|phi| exceeded ceiling {phi_ceiling:g}", time=t_new)
+    if np.abs(phi_new).max() > PHI_CEILING:
+        raise BlowUp(f"max|phi| exceeded ceiling {PHI_CEILING:g}", time=t_new)
     return CurvatureFlowState(t=t_new, g=g_new, phi=phi_new)
-
-
-def _plan_steps(t0: float, t_end: float, dt: float) -> int:
-    if t_end <= t0:
-        raise ValueError("t_end must exceed the state's time")
-    n_steps = round((t_end - t0) / dt)
-    if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"horizon {t_end - t0:g} is not an integer multiple of dt = {dt:g}")
-    return n_steps
 
 
 def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, sobolev_max_n: int = 4, observer=None,
-           c_cfl: float = DEFAULT_CFL, use_dealias: bool = True,
-           phi_ceiling: float = DEFAULT_PHI_CEILING,
-           snapshot_stride: int = 0) -> FlowTrajectory:
-    """March to t_end, recording diagnostics every record_stride steps.
+           use_dealias: bool = True, snapshot_stride: int = 0) -> FlowTrajectory:
+    """March to t_end on trajectory.march; a snapshot is the state itself.
 
-    Flow and geometry errors from a step or a record are re-raised with the
-    failure time attached. The observer, when given, is called with (state,
-    record) at each record time. A record and the next step's first stage
-    share the state's xi-derivatives (see _state_stage).
+    A record and the next step's first stage share the state's xi-derivatives
+    (see _state_stage).
     """
-    n_steps = _plan_steps(state.t, t_end, dt)
-    traj = FlowTrajectory()
-
-    def emit(current):
+    def record(current):
         _, _, phi_xi, phi_xixi = _state_stage(current, use_dealias)
-        rec = record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi,
-                                 sobolev_max_n)
-        traj.records.append(rec)
-        if observer is not None:
-            observer(current, rec)
+        return record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi,
+                                  sobolev_max_n)
 
-    emit(state)
-    if snapshot_stride:
-        traj.snapshots.append((state.t, state))
-    current = state
-    for i in range(1, n_steps + 1):
-        try:
-            current = step(current, dt, c_cfl=c_cfl, use_dealias=use_dealias,
-                           phi_ceiling=phi_ceiling)
-            if i % record_stride == 0:
-                emit(current)
-        except MARCH_ERRORS as exc:
-            if exc.time is None:
-                exc.time = current.t
-            raise
-        if snapshot_stride and i % snapshot_stride == 0:
-            traj.snapshots.append((current.t, current))
-    traj.final = current
-    traj.finalize_residuals()
-    return traj
+    return march(state, t_end, dt, lambda s, dt: step(s, dt, use_dealias=use_dealias), record,
+                 record_stride=record_stride, observer=observer, snapshot=lambda s: s,
+                 snapshot_stride=snapshot_stride)
 
 
 def mean_curvature_integral(state: CurvatureFlowState) -> float:

@@ -21,15 +21,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature_flow
-from .curve import ClosedCurve, enclosed_area_of
-from .errors import MARCH_ERRORS, BlowUp, StabilityViolation
+from .curve import ClosedCurve, bracket, enclosed_area_of
+from .errors import BlowUp, StabilityViolation
 from .invariants import InvariantField, _metric_curvature, centro_affine, xi_derivative
 from .spectral import antiderivative, dealias
-from .curvature_flow import DEFAULT_CFL, _plan_steps, cfl_limit
-from .trajectory import FlowTrajectory, record_from_fields
+from .curvature_flow import cfl_limit
+from .trajectory import FlowTrajectory, march, plan_steps, record_from_fields
 
 NORMALIZATIONS = ("none", "unit_area_scale")
-DEFAULT_COORD_CEILING = 1e8
+COORD_CEILING = 1e8  # physical max|coordinate| under "none"; read at call time
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,14 @@ def _geometry_velocity(points: np.ndarray, derivs=None):
     return g, potential[:, None] * points + (0.5 * phi / g)[:, None] * cp
 
 
-def step(state: CurveFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
-         coord_ceiling: float = DEFAULT_COORD_CEILING) -> CurveFlowState:
+def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     """One RK4 step of the gauge-invariant flow; the gauge accumulates in log_scale."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     pts = state.curve.points
-    g, k1 = _geometry_velocity(pts, state.curve._derivatives())
-    dt_max = cfl_limit(g, c_cfl)
+    derivs = state.curve._derivatives()
+    g, k1 = _geometry_velocity(pts, derivs)
+    dt_max = cfl_limit(g)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
@@ -111,84 +111,57 @@ def step(state: CurveFlowState, dt: float, *, c_cfl: float = DEFAULT_CFL,
         raise BlowUp("non-finite coordinates after step", time=t_new)
     log_scale = state.log_scale
     if state.normalization == "unit_area_scale":
-        # the gauge factor e^(lam dt) is cancelled exactly by this rescaling
-        area = enclosed_area_of(new)
+        # the gauge factor e^(lam dt) is cancelled exactly by this rescaling; the area is
+        # oriented by the sign of [C, C_p], which k1's metric requires to be one strict sign
+        area = np.sign(bracket(pts[0], derivs[0, 0])) * enclosed_area_of(new)
         if area <= 0:
             raise BlowUp("enclosed area collapsed", time=t_new)
         new = new * math.sqrt(math.pi / area)
     else:
         log_scale += state.lam * dt
         physical_max = np.abs(new).max() * math.exp(log_scale)
-        if physical_max > coord_ceiling:
-            raise BlowUp(f"coordinates exceeded ceiling {coord_ceiling:g}", time=t_new)
+        if physical_max > COORD_CEILING:
+            raise BlowUp(f"coordinates exceeded ceiling {COORD_CEILING:g}", time=t_new)
     curve = ClosedCurve(new, name=state.curve.name)
     return replace(state, t=t_new, curve=curve, log_scale=log_scale)
 
 
 def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, sobolev_max_n: int = 4, observer=None,
-           c_cfl: float = DEFAULT_CFL, coord_ceiling: float = DEFAULT_COORD_CEILING,
            snapshot_stride: int = 0) -> FlowTrajectory:
-    """March the curve to t_end, recording invariant diagnostics each stride.
-
-    Flow and geometry errors from a step or a record are re-raised with the
-    failure time attached.
-    """
-    n_steps = _plan_steps(state.t, t_end, dt)
-    traj = FlowTrajectory()
-
-    def emit(current):
+    """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
+    def record(current):
         # the curve's kept spectrum serves this record and the next step's k1
         curve = current.curve
         _, _, _, _, g, phi = _metric_curvature(curve.points, curve._derivatives())
         phi_xi = xi_derivative(phi, g, 1)
-        rec = record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
-                                 sobolev_max_n, area=current.physical_curve.enclosed_area())
-        traj.records.append(rec)
-        if observer is not None:
-            observer(current, rec)
+        return record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
+                                  sobolev_max_n, area=current.physical_curve.enclosed_area())
 
-    def snap(current):
+    def snapshot(current):
         # a bare copy, so the trajectory does not hold the stepped curve's kept spectrum
         curve = current.physical_curve
-        traj.snapshots.append((current.t, ClosedCurve(curve.points, curve.name)))
+        return ClosedCurve(curve.points, curve.name)
 
-    emit(state)
-    if snapshot_stride:
-        snap(state)
-    current = state
-    for i in range(1, n_steps + 1):
-        try:
-            current = step(current, dt, c_cfl=c_cfl, coord_ceiling=coord_ceiling)
-            if i % record_stride == 0:
-                emit(current)
-        except MARCH_ERRORS as exc:
-            if exc.time is None:
-                exc.time = current.t
-            raise
-        if snapshot_stride and i % snapshot_stride == 0:
-            snap(current)
-    traj.final = current
-    traj.finalize_residuals()
-    return traj
+    return march(state, t_end, dt, step, record, record_stride=record_stride,
+                 observer=observer, snapshot=snapshot, snapshot_stride=snapshot_stride)
 
 
 def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
-                      lam: float = 0.0, record_stride: int = 100,
-                      c_cfl: float = DEFAULT_CFL) -> float:
+                      lam: float = 0.0, record_stride: int = 100) -> float:
     """Sup-norm gap between curvature extracted from the curve flow and the scalar flow.
 
     Both flows start from the same invariant field and march in lockstep on
     the same schedule; the returned number is the worst nodewise difference
     over all record times.
     """
-    n_steps = _plan_steps(0.0, t_end, dt)
+    n_steps = plan_steps(0.0, t_end, dt)
     cstate = CurveFlowState(t=0.0, curve=curve0, lam=lam, normalization="unit_area_scale")
     sstate = curvature_flow.CurvatureFlowState.from_curve(curve0)
     worst = 0.0
     for i in range(1, n_steps + 1):
-        cstate = step(cstate, dt, c_cfl=c_cfl)
-        sstate = curvature_flow.step(sstate, dt, c_cfl=c_cfl)
+        cstate = step(cstate, dt)
+        sstate = curvature_flow.step(sstate, dt)
         if i % record_stride == 0 or i == n_steps:
             phi_curve = centro_affine(cstate.curve).phi
             gap = float(np.abs(phi_curve - sstate.phi).max())

@@ -20,6 +20,7 @@ from .curve import ClosedCurve, preset
 from .errors import GEOMETRY_ERRORS, MARCH_ERRORS, ConfigError, InsufficientStride
 from .invariants import centro_affine
 from .io import read_curve_json, write_csv, write_report, write_svg
+from .trajectory import plan_steps
 
 ENV_OUTDIR = "CENTROFLOW_OUTDIR"
 FLOWS = ("curvature", "curve", "both")
@@ -41,6 +42,27 @@ _FIELD_TYPES = {
     "snapshot_stride": int,
     "outputs": dict,
 }
+_OUTPUT_TYPES = {"csv": str, "report": str, "svg_dir": str}
+
+
+def _check_fields(path, raw: dict, types: dict, prefix: str = "") -> None:
+    """ConfigError naming the file and the field for an unknown or mistyped field."""
+    for key, value in raw.items():
+        expected = types.get(key)
+        if expected is None:
+            raise ConfigError(f"{path}: unknown field {prefix + key!r}")
+        if (isinstance(value, bool) and expected is not bool) or not isinstance(value, expected):
+            raise ConfigError(f"{path}: field {prefix + key!r} has wrong type")
+
+
+def read_curve_file(path) -> ClosedCurve:
+    """read_curve_json, with a missing or malformed file a ConfigError naming the file."""
+    try:
+        return read_curve_json(path)
+    except OSError as exc:
+        raise ConfigError(f"curve file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # read_curve_json names the file
+        raise ConfigError(f"curve file {exc}") from exc
 
 
 @dataclass
@@ -67,13 +89,15 @@ class ScenarioConfig:
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
         try:
-            curvature_flow._plan_steps(0.0, self.t_end, self.dt)
+            plan_steps(0.0, self.t_end, self.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.n < 16 or self.n % 2:
             raise ConfigError("N must be even and >= 16")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
+        if self.snapshot_stride < 0:
+            raise ConfigError("snapshot_stride must be >= 0")
         if self.flow not in FLOWS:
             raise ConfigError(f"flow must be one of {FLOWS}")
         if self.normalization not in curve_flow.NORMALIZATIONS:
@@ -91,18 +115,12 @@ class ScenarioConfig:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        for key, value in raw.items():
-            expected = _FIELD_TYPES.get(key)
-            if expected is None:
-                raise ConfigError(f"{path}: unknown field {key!r}")
-            if isinstance(value, bool) and expected is not bool:
-                raise ConfigError(f"{path}: field {key!r} has wrong type")
-            if not isinstance(value, expected):
-                raise ConfigError(f"{path}: field {key!r} has wrong type")
+        _check_fields(path, raw, _FIELD_TYPES)
+        outputs = raw.get("outputs", {})
+        _check_fields(path, outputs, _OUTPUT_TYPES, prefix="outputs.")
         for required in ("name", "curve"):
             if required not in raw:
                 raise ConfigError(f"{path}: missing required field {required!r}")
-        outputs = raw.get("outputs", {})
         curve = raw["curve"]
         cfg = cls(
             name=raw["name"],
@@ -122,7 +140,7 @@ class ScenarioConfig:
             csv_path=outputs.get("csv"),
             report_path=outputs.get("report"),
             svg_dir=outputs.get("svg_dir"),
-            snapshot_stride=raw.get("snapshot_stride", outputs.get("snapshot_stride", 0)),
+            snapshot_stride=raw.get("snapshot_stride", 0),
         )
         try:
             return cfg.validate()
@@ -131,12 +149,7 @@ class ScenarioConfig:
 
     def build_curve(self) -> ClosedCurve:
         if isinstance(self.curve, str):
-            try:
-                return read_curve_json(self.curve)
-            except OSError as exc:
-                raise ConfigError(f"curve file {self.curve}: {exc.strerror or exc}") from exc
-            except ValueError as exc:  # read_curve_json names the file
-                raise ConfigError(f"curve file {exc}") from exc
+            return read_curve_file(self.curve)
         spec = dict(self.curve)
         kind = spec.pop("kind", None)
         if kind is None:

@@ -1,10 +1,11 @@
-"""Diagnostics records and trajectories produced by the flows."""
+"""Diagnostics records, trajectories, and the one march driver of both flows."""
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import MARCH_ERRORS
 from .invariants import xi_derivative
 from .spectral import periodic_integral
 
@@ -110,3 +111,51 @@ class FlowTrajectory:
             res_h = abs(dh1 - (-h2 + 4.0 * h1 - 3.5 * rs[i].mixed))
             res_h /= h2 + h1 + 1.0
             rs[i] = replace(rs[i], energy_residual=res_e, h1_residual=res_h)
+
+
+def plan_steps(t0: float, t_end: float, dt: float) -> int:
+    """Number of dt steps from t0 to t_end; ValueError unless it is a positive whole number."""
+    if t_end <= t0:
+        raise ValueError("t_end must exceed the state's time")
+    n_steps = round((t_end - t0) / dt)
+    if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"horizon {t_end - t0:g} is not an integer multiple of dt = {dt:g}")
+    return n_steps
+
+
+def march(state, t_end: float, dt: float, advance, record, *, record_stride: int,
+          observer, snapshot, snapshot_stride: int) -> FlowTrajectory:
+    """March state to t_end by advance(state, dt); the one loop of both flows' evolve.
+
+    Every record_stride steps, record(state) is kept and handed to the
+    observer with its state; every snapshot_stride steps (0: never),
+    snapshot(state). Flow and geometry errors from a step or a record are
+    re-raised with the failure time attached.
+    """
+    n_steps = plan_steps(state.t, t_end, dt)
+    traj = FlowTrajectory()
+
+    def emit(current):
+        rec = record(current)
+        traj.records.append(rec)
+        if observer is not None:
+            observer(current, rec)
+
+    emit(state)
+    if snapshot_stride:
+        traj.snapshots.append((state.t, snapshot(state)))
+    current = state
+    for i in range(1, n_steps + 1):
+        try:
+            current = advance(current, dt)
+            if i % record_stride == 0:
+                emit(current)
+        except MARCH_ERRORS as exc:
+            if exc.time is None:
+                exc.time = current.t
+            raise
+        if snapshot_stride and i % snapshot_stride == 0:
+            traj.snapshots.append((current.t, snapshot(current)))
+    traj.final = current
+    traj.finalize_residuals()
+    return traj

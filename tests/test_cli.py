@@ -334,3 +334,32 @@ def test_every_command_prints_the_one_verdict_line(tmp_path, capsys):
     verdicts += [diagnostics.Verdict(**v) for v in report["verdicts"]]
     assert lines == [diagnostics.verdict_line(v) for v in verdicts]
     assert all(" bound=" in line and " tol=" in line for line in lines)
+
+
+@pytest.mark.parametrize("content", [None, json.dumps({"points": [[1, 0], [0, 1]]})],
+                         ids=["missing", "two points"])
+def test_invariants_on_an_unreadable_curve_file_exits_one(tmp_path, capsys, content):
+    curve_path = tmp_path / "curve.json"
+    if content is not None:
+        curve_path.write_text(content)
+    assert main(["invariants", str(curve_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: curve file") and str(curve_path) in err
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"outputs": {"snapshot_stride": 5}}, "outputs.snapshot_stride"),
+    ({"outputs": {"snapshot_stride": "5"}}, "outputs.snapshot_stride"),
+    ({"outputs": {"csv": 5}}, "outputs.csv"),
+    ({"outputs": {"report": ["r.json"]}}, "outputs.report"),
+    ({"outputs": {"svg_dir": True}}, "outputs.svg_dir"),
+    ({"outputs": {"cvs": "run.csv"}}, "outputs.cvs"),
+    ({"snapshot_stride": -1}, "snapshot_stride"),
+], ids=["moved stride", "string stride", "csv type", "report type", "svg_dir type",
+        "typo", "negative stride"])
+def test_bad_outputs_and_snapshot_stride_exit_one(tmp_path, capsys, overrides, field):
+    cfg = small_scenario(tmp_path, name="badout", **overrides)
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err and field in err
+    assert not (tmp_path / "badout.report.json").exists()

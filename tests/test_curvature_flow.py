@@ -98,11 +98,12 @@ def test_step_self_convergence():
     assert gap <= 10.0 * dt**5
 
 
-def test_step_blowup_ceiling():
+def test_step_blowup_ceiling(monkeypatch):
     n = 64
     state = flat_state(3.0 * np.sin(grid(n)))
+    monkeypatch.setattr(curvature_flow, "PHI_CEILING", 2.0)
     with pytest.raises(BlowUp):
-        step(state, 1e-4, phi_ceiling=2.0)
+        step(state, 1e-4)
 
 
 def test_evolve_record_count_and_fixed_point():
@@ -122,11 +123,12 @@ def test_evolve_requires_integer_steps():
         evolve(state, 0.1, 3e-4)
 
 
-def test_evolve_annotates_failure_time():
+def test_evolve_annotates_failure_time(monkeypatch):
     n = 64
     state = flat_state(1.9 * np.sin(grid(n)))
+    monkeypatch.setattr(curvature_flow, "PHI_CEILING", 1.95)
     with pytest.raises(BlowUp) as info:
-        evolve(state, 1.0, 1e-3, phi_ceiling=1.95)
+        evolve(state, 1.0, 1e-3)
     assert info.value.time is not None and 0 < info.value.time <= 1.0
 
 

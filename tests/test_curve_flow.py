@@ -170,12 +170,26 @@ def test_cfl_guard_and_failure_time():
     assert info.value.time is not None
 
 
-def test_blowup_on_coordinate_overflow():
+def test_blowup_on_coordinate_overflow(monkeypatch):
     state = CurveFlowState(0.0, origin_ellipse(1, 1), lam=5.0, normalization="none")
+    monkeypatch.setattr(curve_flow, "COORD_CEILING", 10.0)
     with pytest.raises(BlowUp) as info:
-        evolve(state, 1.0, 2.5e-4, coord_ceiling=10.0)
+        evolve(state, 1.0, 2.5e-4)
     # e^(5t) crosses 10 near t = 0.46
     assert info.value.time == pytest.approx(math.log(10.0) / 5.0, abs=0.01)
+
+
+def test_clockwise_curve_marches_as_the_mirror_image():
+    base = perturbed_ellipse(1, 1, 0.05, 3, n=64)
+    mirror = np.array([1.0, -1.0])
+    ccw, cw = (evolve(CurveFlowState(0.0, curve), 0.05, 1e-3, record_stride=10)
+               for curve in (base, ClosedCurve(base.points * mirror)))
+    assert ccw.final.curve.enclosed_area() > 0 > cw.final.curve.enclosed_area()
+    # unit-area renormalisation keeps the orientation: area -pi, not a collapse
+    assert np.array_equal(cw.final.curve.points, ccw.final.curve.points * mirror)
+    assert np.array_equal(cw.column("area"), -ccw.column("area"))
+    assert np.array_equal(cw.column("L"), ccw.column("L"))
+    assert cw.column("area")[-1] == pytest.approx(-math.pi, rel=1e-12)
 
 
 def test_evolve_records_area():
@@ -288,16 +302,19 @@ def _rotation(theta):
 
 @settings(derandomize=True, deadline=None, max_examples=8)
 @given(a=st.floats(0.0, 2 * math.pi), b=st.floats(0.0, 2 * math.pi),
-       stretch2=st.floats(1.0, 4.0), scale=st.floats(0.5, 2.0), lam=st.floats(-1.0, 1.0))
-def test_flow_commutes_with_gl2_up_to_the_scale_gauge(a, b, stretch2, scale, lam):
-    # A = scale R(a) diag(s, 1/s) R(b) with s^2 = stretch2: det A > 0, cond A = stretch2 <= 4
+       stretch2=st.floats(1.0, 4.0), scale=st.floats(0.5, 2.0), lam=st.floats(-1.0, 1.0),
+       reflect=st.booleans())
+def test_flow_commutes_with_gl2_up_to_the_scale_gauge(a, b, stretch2, scale, lam, reflect):
+    # A = scale R(a) diag(s, +-1/s) R(b) with s^2 = stretch2: either sign of det A,
+    # cond A = stretch2 <= 4
     s = math.sqrt(stretch2)
-    mat = scale * _rotation(a) @ np.diag([s, 1.0 / s]) @ _rotation(b)
+    mat = scale * _rotation(a) @ np.diag([s, (-1.0 if reflect else 1.0) / s]) @ _rotation(b)
     ref = _equivariance_reference()
     image = evolve(CurveFlowState(0.0, ClosedCurve(_EQUIV_BASE.points @ mat.T), lam=lam),
                    _EQUIV_STEPS * _EQUIV_DT, _EQUIV_DT, record_stride=10)
-    # unit-area renormalisation divides A C by sqrt(det A); lambda is pure gauge
-    want = ref.final.curve.points @ mat.T / math.sqrt(np.linalg.det(mat))
+    # unit-area renormalisation divides A C by sqrt(|det A|), keeping its orientation;
+    # lambda is pure gauge
+    want = ref.final.curve.points @ mat.T / math.sqrt(abs(np.linalg.det(mat)))
     # tolerance fixed before measuring: the image's samples carry about cond(A)
     # eps relative roundoff, and each step may add that much again
     tol = 10 * _EQUIV_STEPS * stretch2 * np.finfo(float).eps
