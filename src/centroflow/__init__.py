@@ -9,8 +9,8 @@ from .curvature_flow import CurvatureFlowState
 from .curve_flow import CurveFlowState, consistency_check, nonlocal_potential
 from .diagnostics import Verdict, explicit_ellipse_family, fit_origin_ellipse
 from .errors import (BlowUp, CentroflowError, ConfigError, DegenerateMetric,
-                     FlowError, InsufficientStride, NonConstantSign,
-                     NotStarShaped, StabilityViolation)
+                     FlowError, NonConstantSign, NotStarShaped,
+                     StabilityViolation)
 from .invariants import (InvariantField, centro_affine, centro_equiaffine,
                          energy, perimeter, phi_from_mu, sobolev_norm,
                          xi_derivative)
@@ -29,6 +29,5 @@ __all__ = [
     "preset", "random_star_convex", "run_scenario", "run_sweep",
     "shifted_ellipse", "sobolev_norm", "star_convex", "xi_derivative",
     "BlowUp", "CentroflowError", "ConfigError", "DegenerateMetric",
-    "FlowError", "InsufficientStride", "NonConstantSign", "NotStarShaped",
-    "StabilityViolation",
+    "FlowError", "NonConstantSign", "NotStarShaped", "StabilityViolation",
 ]

@@ -15,14 +15,18 @@ import argparse
 import sys
 
 from . import diagnostics
-from .errors import CentroflowError, ConfigError
+from .errors import GEOMETRY_ERRORS, CentroflowError, ConfigError
 from .invariants import centro_affine, energy, perimeter
 from .scenario import ScenarioConfig, read_curve_file, run_scenario, run_sweep
 
 
 def _cmd_invariants(args) -> int:
     curve = read_curve_file(args.curve)
-    field = centro_affine(curve)
+    try:
+        field = centro_affine(curve)
+    except GEOMETRY_ERRORS as exc:  # reported as run_scenario reports an inadmissible curve
+        print(f"INADMISSIBLE CURVE {type(exc).__name__}: {exc}")
+        return 1
     print(f"curve: {curve.name}  (N = {curve.n})")
     print(f"epsilon   = {field.epsilon}")
     print(f"L         = {perimeter(field)!r}")

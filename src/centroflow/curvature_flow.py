@@ -7,10 +7,11 @@ The pair (g, phi) evolves by
 
 with d/d(xi) = (1/g) d/dp, so the whole system closes on the grid without
 remeshing. Explicit RK4 with a diffusion CFL guard; the cubic term is
-optionally dealiased by the 2/3 rule (default on).
+projected by the 2/3 rule, as the curve flow projects phi.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,6 @@ class CurvatureFlowState:
     t: float
     g: np.ndarray
     phi: np.ndarray
-    # use_dealias -> this state's _stage, computed once: its record and its step's k1 share it
-    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -51,6 +50,12 @@ class CurvatureFlowState:
     def n(self) -> int:
         return len(self.g)
 
+    @cached_property
+    def stage(self):
+        """_stage at the state's own fields, computed once: its record and its step's k1
+        share it."""
+        return _stage(self.g, self.phi)
+
     @classmethod
     def from_field(cls, field: InvariantField, t: float = 0.0) -> "CurvatureFlowState":
         return cls(t=t, g=field.g.copy(), phi=field.phi.copy())
@@ -60,7 +65,7 @@ class CurvatureFlowState:
         return cls.from_field(centro_affine(curve), t=t)
 
 
-def _stage(g: np.ndarray, phi: np.ndarray, use_dealias: bool):
+def _stage(g: np.ndarray, phi: np.ndarray):
     """One RK4 stage on bare arrays: (g_dot, phi_dot, phi_xi, phi_xixi).
 
     One rfft of phi serves both the trimmed first derivative and the 2/3-rule
@@ -74,27 +79,16 @@ def _stage(g: np.ndarray, phi: np.ndarray, use_dealias: bool):
     spec = np.fft.rfft(phi)
     phi_xi = np.fft.irfft(_trim(spec.copy()) * mult, n=n) / g
     phi_xixi = np.fft.irfft(_trim(np.fft.rfft(phi_xi)) * mult, n=n) / g
-    if use_dealias:
-        spec[n // 3:] = 0.0
-        cubed = np.fft.irfft(spec, n=n) ** 3
-    else:
-        cubed = phi**3
+    spec[n // 3:] = 0.0
+    cubed = np.fft.irfft(spec, n=n) ** 3
     g_dot = 0.5 * phi**2 * g
     phi_dot = 0.5 * phi_xixi - 0.5 * cubed + 2.0 * phi
     return g_dot, phi_dot, phi_xi, phi_xixi
 
 
-def _state_stage(state: "CurvatureFlowState", use_dealias: bool):
-    """_stage at the state's own fields, memoised on the state."""
-    stage = state._stages.get(use_dealias)
-    if stage is None:
-        stage = state._stages[use_dealias] = _stage(state.g, state.phi, use_dealias)
-    return stage
-
-
-def rhs(state: CurvatureFlowState, use_dealias: bool = False):
+def rhs(state: CurvatureFlowState):
     """Right-hand sides (g_dot, phi_dot) of the curvature system."""
-    g_dot, phi_dot, _, _ = _stage(state.g, state.phi, use_dealias)
+    g_dot, phi_dot, _, _ = _stage(state.g, state.phi)
     return g_dot, phi_dot
 
 
@@ -104,7 +98,7 @@ def cfl_limit(g: np.ndarray) -> float:
     return CFL * float((g.min() * 2.0 * np.pi / n) ** 2)
 
 
-def step(state: CurvatureFlowState, dt: float, *, use_dealias: bool = True) -> CurvatureFlowState:
+def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     """One classical RK4 step of the coupled (g, phi) system."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -114,10 +108,10 @@ def step(state: CurvatureFlowState, dt: float, *, use_dealias: bool = True) -> C
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
 
     g, phi = state.g, state.phi
-    k1g, k1p, _, _ = _state_stage(state, use_dealias)
-    k2g, k2p, _, _ = _stage(g + 0.5 * dt * k1g, phi + 0.5 * dt * k1p, use_dealias)
-    k3g, k3p, _, _ = _stage(g + 0.5 * dt * k2g, phi + 0.5 * dt * k2p, use_dealias)
-    k4g, k4p, _, _ = _stage(g + dt * k3g, phi + dt * k3p, use_dealias)
+    k1g, k1p, _, _ = state.stage
+    k2g, k2p, _, _ = _stage(g + 0.5 * dt * k1g, phi + 0.5 * dt * k1p)
+    k3g, k3p, _, _ = _stage(g + 0.5 * dt * k2g, phi + 0.5 * dt * k2p)
+    k4g, k4p, _, _ = _stage(g + dt * k3g, phi + dt * k3p)
     g_new = g + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
     phi_new = phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
@@ -130,19 +124,17 @@ def step(state: CurvatureFlowState, dt: float, *, use_dealias: bool = True) -> C
 
 
 def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
-           record_stride: int = 1, sobolev_max_n: int = 4, observer=None,
-           use_dealias: bool = True, snapshot_stride: int = 0) -> FlowTrajectory:
+           record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
     """March to t_end on trajectory.march; a snapshot is the state itself.
 
     A record and the next step's first stage share the state's xi-derivatives
-    (see _state_stage).
+    (see CurvatureFlowState.stage).
     """
     def record(current):
-        _, _, phi_xi, phi_xixi = _state_stage(current, use_dealias)
-        return record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi,
-                                  sobolev_max_n)
+        _, _, phi_xi, phi_xixi = current.stage
+        return record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi)
 
-    return march(state, t_end, dt, lambda s, dt: step(s, dt, use_dealias=use_dealias), record,
+    return march(state, t_end, dt, step, record,
                  record_stride=record_stride, observer=observer, snapshot=lambda s: s,
                  snapshot_stride=snapshot_stride)
 

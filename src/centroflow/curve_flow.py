@@ -127,8 +127,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
 
 
 def evolve(state: CurveFlowState, t_end: float, dt: float, *,
-           record_stride: int = 1, sobolev_max_n: int = 4, observer=None,
-           snapshot_stride: int = 0) -> FlowTrajectory:
+           record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
     """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
     def record(current):
         # the curve's kept spectrum serves this record and the next step's k1
@@ -136,7 +135,7 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
         _, _, _, _, g, phi = _metric_curvature(curve.points, curve._derivatives())
         phi_xi = xi_derivative(phi, g, 1)
         return record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
-                                  sobolev_max_n, area=current.physical_curve.enclosed_area())
+                                  area=current.physical_curve.enclosed_area())
 
     def snapshot(current):
         # a bare copy, so the trajectory does not hold the stepped curve's kept spectrum
@@ -148,7 +147,7 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
 
 
 def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
-                      lam: float = 0.0, record_stride: int = 100) -> float:
+                      record_stride: int = 100) -> float:
     """Sup-norm gap between curvature extracted from the curve flow and the scalar flow.
 
     Both flows start from the same invariant field and march in lockstep on
@@ -156,7 +155,7 @@ def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
     over all record times.
     """
     n_steps = plan_steps(0.0, t_end, dt)
-    cstate = CurveFlowState(t=0.0, curve=curve0, lam=lam, normalization="unit_area_scale")
+    cstate = CurveFlowState(t=0.0, curve=curve0)
     sstate = curvature_flow.CurvatureFlowState.from_curve(curve0)
     worst = 0.0
     for i in range(1, n_steps + 1):

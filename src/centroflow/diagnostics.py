@@ -11,13 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import ClosedCurve
-from .errors import InsufficientStride
 from .invariants import InvariantField, centro_affine, perimeter, xi_derivative
 from .spectral import grid, periodic_integral
 from .trajectory import FlowTrajectory
 
 TWO_PI = 2.0 * math.pi
-IDENTITY_VERDICTS = ("energy_identity", "h1_identity")
 MIN_IDENTITY_RECORDS = 5  # fewest records check_energy_identities judges
 
 
@@ -99,18 +97,22 @@ def check_energy_identities(traj: FlowTrajectory) -> tuple:
 
     Uses the scale-normalized centered-difference residuals already
     finalized on the trajectory; the worst interior value must stay within
-    1e-4 for each identity.
+    1e-4 for each identity. A run with fewer than MIN_IDENTITY_RECORDS
+    records fails both: too short to check them is not a pass.
     """
-    if len(traj.records) < MIN_IDENTITY_RECORDS:
-        raise InsufficientStride(
-            f"need at least {MIN_IDENTITY_RECORDS} records for centered differencing, "
-            f"have {len(traj.records)}")
+    names = ("energy_identity", "h1_identity")
+    count = len(traj.records)
+    if count < MIN_IDENTITY_RECORDS:
+        context = (f"need at least {MIN_IDENTITY_RECORDS} records for centered differencing, "
+                   f"have {count}")
+        return tuple(Verdict(name, False, count, MIN_IDENTITY_RECORDS, 0.0, context=context)
+                     for name in names)
     interior = traj.records[1:-1]
     res_e = max(r.energy_residual for r in interior)
     res_h = max(r.h1_residual for r in interior)
-    v1 = Verdict(IDENTITY_VERDICTS[0], res_e <= 1e-4, res_e, 0.0, 1e-4,
+    v1 = Verdict(names[0], res_e <= 1e-4, res_e, 0.0, 1e-4,
                  context="dE/dt = -H1 - quartic/2 + 4E, scale-normalized")
-    v2 = Verdict(IDENTITY_VERDICTS[1], res_h <= 1e-4, res_h, 0.0, 1e-4,
+    v2 = Verdict(names[1], res_h <= 1e-4, res_h, 0.0, 1e-4,
                  context="dH1/dt = -H2 + 4*H1 - 3.5*mixed, scale-normalized")
     return v1, v2
 
@@ -139,13 +141,13 @@ def check_monotone_L_and_integralE(traj: FlowTrajectory) -> tuple:
     return v1, v2
 
 
-def check_sobolev_bounded(traj: FlowTrajectory, n_max: int = 4) -> Verdict:
+def check_sobolev_bounded(traj: FlowTrajectory) -> Verdict:
     """Each recorded Sobolev integral stays within 10x its maximum over the first
     time unit (absolute floor 1e-20 guards identically-zero trajectories)."""
     t = traj.times
     t_head = t[0] + 1.0
     worst = 0.0
-    orders = min(n_max, len(traj.records[0].sobolev)) if traj.records else 0
+    orders = len(traj.records[0].sobolev)
     for n in range(orders):
         h = np.array([r.sobolev[n] for r in traj.records])
         head_max = max(float(h[t <= t_head].max()), 1e-20)

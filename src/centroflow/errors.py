@@ -37,10 +37,6 @@ class BlowUp(FlowError):
     """A field or coordinate exceeded its configured ceiling."""
 
 
-class InsufficientStride(CentroflowError):
-    """Too few trajectory records for the requested finite-difference check."""
-
-
 class ConfigError(CentroflowError):
     """Scenario configuration is malformed; message names the offending field."""
 

@@ -8,7 +8,6 @@ repr), so identical runs produce byte-identical files.
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +50,7 @@ def write_csv(traj: FlowTrajectory, path) -> None:
     path = Path(path)
     lines = [",".join(CSV_COLUMNS)]
     for r in traj.records:
-        sob = list(r.sobolev[:4]) + [math.nan] * max(0, 4 - len(r.sobolev))
-        row = [r.t, r.L, r.E, r.phi_min, r.phi_max, r.mean_phi, *sob,
+        row = [r.t, r.L, r.E, r.phi_min, r.phi_max, r.mean_phi, *r.sobolev,
                r.energy_residual, r.h1_residual, r.area]
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")

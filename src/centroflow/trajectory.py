@@ -14,7 +14,7 @@ from .spectral import periodic_integral
 class DiagnosticsRecord:
     """One sampled diagnostics row.
 
-    sobolev[i-1] holds the integral of (d^i phi/d xi^i)^2 d(xi). The identity
+    sobolev[i-1] holds the integral of (d^i phi/d xi^i)^2 d(xi), i = 1..4. The identity
     residuals are centered-difference residuals of the energy law and its
     first-derivative analogue, normalized by their own scale; they are NaN at
     the trajectory endpoints (no centered difference there) and on records
@@ -39,21 +39,16 @@ class DiagnosticsRecord:
 
 
 def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
-                       phi_xixi: np.ndarray, sobolev_max_n: int = 4,
-                       area: float = math.nan) -> DiagnosticsRecord:
+                       phi_xixi: np.ndarray, area: float = math.nan) -> DiagnosticsRecord:
     """Assemble a record from metric and curvature samples.
 
     phi_xi and phi_xixi are xi_derivative(phi, g, 1) and xi_derivative(phi_xi,
-    g, 1), which the caller has at hand; the higher orders continue from them.
+    g, 1), which the caller has at hand; H3 and H4 continue from them.
     """
     L = periodic_integral(g)
     E = periodic_integral(phi**2 * g)
-    # at least H1 and H2 are always computed: the identity residuals need them
-    norms = [periodic_integral(phi_xi**2 * g), periodic_integral(phi_xixi**2 * g)]
-    f = phi_xixi
-    for _ in range(2, sobolev_max_n):
-        f = xi_derivative(f, g, 1)
-        norms.append(periodic_integral(f**2 * g))
+    phi_3 = xi_derivative(phi_xixi, g, 1)
+    phi_4 = xi_derivative(phi_3, g, 1)
     return DiagnosticsRecord(
         t=t,
         L=L,
@@ -61,7 +56,7 @@ def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndar
         phi_min=float(phi.min()),
         phi_max=float(phi.max()),
         mean_phi=periodic_integral(phi * g) / L,
-        sobolev=tuple(norms),
+        sobolev=tuple(periodic_integral(f**2 * g) for f in (phi_xi, phi_xixi, phi_3, phi_4)),
         quartic=periodic_integral(phi**4 * g),
         mixed=periodic_integral(phi**2 * phi_xi**2 * g),
         area=area,

@@ -1,11 +1,12 @@
 """What bench/ relies on in the package, checked without changing bench/.
 
 bench/spans.py wraps every name in its TRACED table and counts transforms
-inside each flow's `step`; bench/lab.py rebinds each flow module's `evolve`
-to keep the trajectory that run_scenario gets back. These tests fail when a
-traced name disappears, when run_scenario stops calling `evolve` through the
-flow modules, or when an `evolve` stops looking up its module's `step` at
-call time.
+inside each flow's `step`; bench/lab.py writes the scenario files of its
+marches and rebinds each flow module's `evolve` to keep the trajectory that
+run_scenario gets back. These tests fail when a traced name disappears, when
+ScenarioConfig stops accepting a scenario the benchmark writes, when
+run_scenario stops calling `evolve` through the flow modules, or when an
+`evolve` stops looking up its module's `step` at call time.
 """
 
 import importlib
@@ -14,11 +15,14 @@ from pathlib import Path
 
 import pytest
 
+import centroflow
 from centroflow import curvature_flow, curve_flow
 from centroflow.curve import perturbed_ellipse
 from centroflow.scenario import ScenarioConfig, run_scenario
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
+LAB = BENCH / "lab.py"
 
 
 def _resolves(layer, name) -> bool:
@@ -74,3 +78,14 @@ def test_evolve_calls_its_module_step_once_per_step(monkeypatch, module, make_st
     traj = module.evolve(state, 7e-4, 1e-4, record_stride=3)
     assert len(steps) == 7
     assert len(traj) == 1 + 7 // 3
+
+
+@pytest.mark.parametrize("workload", ["curve-converge", "scalar-records"])
+def test_bench_scenarios_parse_and_build(tmp_path, workload):
+    # lab.setup writes each march's scenario file, parses it and builds its curve
+    spec = importlib.util.spec_from_file_location("bench_lab", LAB)
+    lab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lab)
+    ops = lab.setup(workload, 0, tmp_path, cf=centroflow)
+    assert [op.spec["name"] for op in ops] == [s["name"] for s in lab.MARCHES[workload]]
+    assert all(op.scenario_path.is_file() for op in ops)

@@ -5,7 +5,7 @@ import pytest
 
 from centroflow import curvature_flow, curve_flow, diagnostics, scenario
 from centroflow.cli import main
-from centroflow.curve import origin_ellipse, shifted_ellipse
+from centroflow.curve import origin_ellipse, shifted_ellipse, star_convex
 from centroflow.io import write_curve_json
 from centroflow.scenario import ScenarioConfig, run_scenario, run_sweep
 from centroflow.errors import ConfigError, NonConstantSign, NotStarShaped
@@ -363,3 +363,53 @@ def test_bad_outputs_and_snapshot_stride_exit_one(tmp_path, capsys, overrides, f
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(cfg) in err and field in err
     assert not (tmp_path / "badout.report.json").exists()
+
+
+@pytest.mark.parametrize("curve,error", [
+    (lambda: shifted_ellipse(1, 1, 2.0, 0), "NotStarShaped"),
+    (lambda: star_convex([0, 0, 0.2], [0, 0, 0], require_convex=False), "NonConstantSign"),
+], ids=["origin outside", "not convex"])
+def test_invariants_on_an_inadmissible_curve_exits_one(tmp_path, capsys, curve, error):
+    curve_path = tmp_path / "curve.json"
+    write_curve_json(curve(), curve_path)
+    assert main(["invariants", str(curve_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"INADMISSIBLE CURVE {error}: ")
+    # the line a scenario with the same curve file prints
+    lines = []
+    config = ScenarioConfig(name="inadmissible", curve=str(curve_path)).validate()
+    assert run_scenario(config, out_dir=tmp_path, printer=lines.append) == 1
+    assert out.splitlines() == lines
+
+
+@pytest.mark.parametrize("field,value", [("dealias", False), ("sobolev_max_n", 4)])
+def test_removed_scalar_march_fields_exit_one(tmp_path, capsys, field, value):
+    cfg = small_scenario(tmp_path, name="removed", **{field: value})
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err
+    assert f"unknown field {field!r}" in err
+    assert not (tmp_path / "removed.report.json").exists()
+
+
+def test_scenario_defaults_come_from_the_dataclass(tmp_path):
+    curve = {"kind": "origin_ellipse", "a": 1.0, "b": 1.0}
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps({"name": "minimal", "curve": curve}))
+    assert ScenarioConfig.from_json(path) == ScenarioConfig("minimal", curve)
+    path.write_text(json.dumps({"name": "ints", "curve": curve, "t_end": 1, "lambda": 2,
+                                "dt": 1e-4, "N": 64,
+                                "outputs": {"csv": "a.csv", "report": "a.json"}}))
+    config = ScenarioConfig.from_json(path)
+    assert (config.t_end, config.lam, config.n) == (1.0, 2.0, 64)
+    assert type(config.t_end) is float and type(config.lam) is float
+    assert (config.csv_path, config.report_path, config.svg_dir) == ("a.csv", "a.json", None)
+
+
+def test_readme_example_scenario_parses(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    config = ScenarioConfig.from_json(path)
+    assert config.name == "perturbed-m3" and config.record_stride == 1

@@ -156,14 +156,6 @@ def test_snapshots_recorded():
     assert [t for t, _ in traj.snapshots] == pytest.approx([0.0, 0.005, 0.01])
 
 
-def test_dealias_toggle_matches_for_smooth_data():
-    # band-limited data: the cubic's 2/3-rule projection is inert
-    state = flat_state(0.1 * np.sin(grid(96)))
-    a = evolve(state, 0.02, 1e-3, use_dealias=True).final
-    b = evolve(state, 0.02, 1e-3, use_dealias=False).final
-    assert np.abs(a.phi - b.phi).max() <= 1e-10
-
-
 # ---------------------------------------------------------------- reference path
 # The scalar march as it was written before its stage kernel: a validated
 # state per RK4 stage, the xi-derivatives by repeated spectral.derivative, the
@@ -198,9 +190,9 @@ def _reference_step(state, dt, use_dealias):
                               phi=phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _reference_record(t, g, phi, sobolev_max_n):
+def _reference_record(t, g, phi):
     norms, f = [], phi
-    for _ in range(max(sobolev_max_n, 2)):
+    for _ in range(4):
         f = _reference_xi_derivative(f, g, 1)
         norms.append(periodic_integral(f**2 * g))
     phi_xi = _reference_xi_derivative(phi, g, 1)
@@ -228,31 +220,30 @@ def _same_bits(a, b):
         assert np.array_equal(x, y, equal_nan=True), (x, y)
 
 
-@pytest.mark.parametrize("use_dealias", [True, False])
+@pytest.mark.parametrize("use_dealias", [True])
 def test_step_bit_identical_to_reference(use_dealias):
     state = want = _rough_state()
     for _ in range(50):
-        state = step(state, 1e-4, use_dealias=use_dealias)
+        state = step(state, 1e-4)
         want = _reference_step(want, 1e-4, use_dealias)
         assert state.t == want.t
         assert np.array_equal(state.g, want.g) and np.array_equal(state.phi, want.phi)
-    g_dot, phi_dot = rhs(state, use_dealias)
+    g_dot, phi_dot = rhs(state)
     want_g_dot, want_phi_dot = _reference_rhs(state, use_dealias)
     assert np.array_equal(g_dot, want_g_dot) and np.array_equal(phi_dot, want_phi_dot)
 
 
-@pytest.mark.parametrize("use_dealias,record_stride", [(True, 1), (False, 1), (True, 3)])
+@pytest.mark.parametrize("use_dealias,record_stride", [(True, 1), (True, 3)])
 def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride):
     state = _rough_state()
-    traj = evolve(state, 30e-4, 1e-4, record_stride=record_stride, sobolev_max_n=4,
-                  use_dealias=use_dealias)
+    traj = evolve(state, 30e-4, 1e-4, record_stride=record_stride)
     want = FlowTrajectory()
     current = state
     for i in range(31):
         if i:
             current = _reference_step(current, 1e-4, use_dealias)
         if i % record_stride == 0:
-            want.records.append(_reference_record(current.t, current.g, current.phi, 4))
+            want.records.append(_reference_record(current.t, current.g, current.phi))
     want.finalize_residuals()
     assert len(traj.records) == len(want.records) == 1 + 30 // record_stride
     assert len(traj.records[0].sobolev) == 4
@@ -260,14 +251,6 @@ def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride):
         _same_bits(got, ref)
     assert np.array_equal(traj.final.g, current.g)
     assert np.array_equal(traj.final.phi, current.phi)
-
-
-def test_records_keep_two_sobolev_orders_below_two():
-    state = _rough_state()
-    for sobolev_max_n in (0, 1, 3):
-        rec = evolve(state, 1e-4, 1e-4, sobolev_max_n=sobolev_max_n).records[0]
-        assert len(rec.sobolev) == max(sobolev_max_n, 2)
-        _same_bits(rec, _reference_record(state.t, state.g, state.phi, sobolev_max_n))
 
 
 def test_non_finite_stage_ends_as_blowup_with_time():
@@ -281,7 +264,7 @@ def test_non_finite_stage_ends_as_blowup_with_time():
 
 def test_stage_kernel_checks_the_metric():
     with pytest.raises(DegenerateMetric):
-        curvature_flow._stage(np.r_[np.ones(31), 0.0], np.zeros(32), True)
+        curvature_flow._stage(np.r_[np.ones(31), 0.0], np.zeros(32))
 
 
 def test_one_state_build_per_step(monkeypatch):
@@ -305,11 +288,11 @@ def test_geometry_error_mid_march_carries_step_time(monkeypatch):
     calls = []
     original = curvature_flow._stage
 
-    def failing(g, phi, use_dealias):
+    def failing(g, phi):
         calls.append(None)
         if len(calls) == 4 * 3 - 2:
             raise NonConstantSign("injected at step 3")
-        return original(g, phi, use_dealias)
+        return original(g, phi)
 
     monkeypatch.setattr(curvature_flow, "_stage", failing)
     with pytest.raises(NonConstantSign) as info:

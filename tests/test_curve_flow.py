@@ -223,12 +223,12 @@ def test_consistency_check_perturbed_short():
     assert gap <= 1e-4
 
 
-def _reference_record(state, sobolev_max_n):
+def _reference_record(state):
     # reference: the invariants of a fresh curve and the physical curve's own area
     field = centro_affine(ClosedCurve(state.curve.points))
     phi_xi = xi_derivative(field.phi, field.g, 1)
     return record_from_fields(state.t, field.g, field.phi, phi_xi,
-                              xi_derivative(phi_xi, field.g, 1), sobolev_max_n,
+                              xi_derivative(phi_xi, field.g, 1),
                               area=enclosed_area_of(state.physical_curve.points))
 
 
@@ -245,13 +245,13 @@ def _same_record(a, b):
 def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
     state = CurveFlowState(0.0, perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64), lam=lam,
                            normalization=normalization)
-    traj = evolve(state, 0.012, 1e-3, record_stride=stride, sobolev_max_n=4)
-    want = FlowTrajectory(records=[_reference_record(state, 4)])
+    traj = evolve(state, 0.012, 1e-3, record_stride=stride)
+    want = FlowTrajectory(records=[_reference_record(state)])
     current = state
     for i in range(1, 13):
         current = step(current, 1e-3)
         if i % stride == 0:
-            want.records.append(_reference_record(current, 4))
+            want.records.append(_reference_record(current))
     want.finalize_residuals()
     assert (current.log_scale != 0.0) == (normalization == "none")
     assert len(traj.records) == len(want.records)
