@@ -15,13 +15,13 @@ from .invariants import (InvariantField, centro_affine, centro_equiaffine,
                          energy, perimeter, phi_from_mu, sobolev_norm,
                          xi_derivative)
 from .scenario import ScenarioConfig, run_scenario, run_sweep
-from .trajectory import DiagnosticsRecord, FlowTrajectory
+from .trajectory import FlowTrajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedCurve", "CurvatureFlowState", "CurveFlowState", "DiagnosticsRecord",
-    "FlowTrajectory", "InvariantField", "ScenarioConfig", "Verdict",
+    "ClosedCurve", "CurvatureFlowState", "CurveFlowState", "FlowTrajectory",
+    "InvariantField", "ScenarioConfig", "Verdict",
     "bracket", "centro_affine", "centro_equiaffine", "check_convex",
     "check_star_shaped", "consistency_check", "energy",
     "explicit_ellipse_family", "fit_origin_ellipse", "nonlocal_potential",

@@ -18,7 +18,7 @@ import numpy as np
 from .curve import ClosedCurve
 from .errors import BlowUp, DegenerateMetric, StabilityViolation
 from .invariants import InvariantField, centro_affine
-from .spectral import _tables, _trim, periodic_integral
+from .spectral import _tables, _trim
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 # step guards, read at call time (tests monkeypatch them)
@@ -137,8 +137,3 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
     return march(state, t_end, dt, step, record,
                  record_stride=record_stride, observer=observer, snapshot=lambda s: s,
                  snapshot_stride=snapshot_stride)
-
-
-def mean_curvature_integral(state: CurvatureFlowState) -> float:
-    """Closed integral of phi d(xi); zero for states derived from closed curves."""
-    return periodic_integral(state.phi * state.g)

@@ -76,17 +76,17 @@ def nonlocal_potential(field: InvariantField, lam: float, base_index: int = 0) -
 def rhs(state: CurveFlowState) -> np.ndarray:
     """Velocity field of the full nonlocal flow at the physical curve."""
     pts = state.physical_curve.points
-    _, vel = _geometry_velocity(pts)
+    _, _, vel = _geometry_velocity(pts)
     return vel + state.lam * pts
 
 
 def _geometry_velocity(points: np.ndarray, derivs=None):
-    """Gauge-invariant velocity plus the metric (for the stability guard); derivs as in
-    _metric_curvature."""
+    """(g, phi, velocity): the gauge-invariant velocity plus the metric and the projected
+    curvature it used (for the step guards); derivs as in _metric_curvature."""
     cp, _, _, _, g, phi = _metric_curvature(points, derivs)
     phi = dealias(phi)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
-    return g, potential[:, None] * points + (0.5 * phi / g)[:, None] * cp
+    return g, phi, potential[:, None] * points + (0.5 * phi / g)[:, None] * cp
 
 
 def step(state: CurveFlowState, dt: float) -> CurveFlowState:
@@ -95,15 +95,17 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
         raise ValueError("dt must be positive")
     pts = state.curve.points
     derivs = state.curve._derivatives()
-    g, k1 = _geometry_velocity(pts, derivs)
+    g, phi, k1 = _geometry_velocity(pts, derivs)
     dt_max = cfl_limit(g)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
+    if np.abs(phi).max() > curvature_flow.PHI_CEILING:
+        raise BlowUp(f"max|phi| exceeded ceiling {curvature_flow.PHI_CEILING:g}", time=state.t)
 
-    _, k2 = _geometry_velocity(pts + 0.5 * dt * k1)
-    _, k3 = _geometry_velocity(pts + 0.5 * dt * k2)
-    _, k4 = _geometry_velocity(pts + dt * k3)
+    _, _, k2 = _geometry_velocity(pts + 0.5 * dt * k1)
+    _, _, k3 = _geometry_velocity(pts + 0.5 * dt * k2)
+    _, _, k4 = _geometry_velocity(pts + dt * k3)
     new = pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     t_new = state.t + dt

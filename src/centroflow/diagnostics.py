@@ -84,10 +84,7 @@ def check_curvature_bounds(traj: FlowTrajectory, phi0_min: float, phi0_max: floa
     """Extrema confinement: min(-2, phi_min(0)) <= phi <= max(2, phi_max(0))."""
     lo = min(-2.0, phi0_min)
     hi = max(2.0, phi0_max)
-    worst = 0.0
-    for r in traj.records:
-        worst = max(worst, r.phi_max - hi, lo - r.phi_min)
-    worst = max(worst, 0.0)
+    worst = max(0.0, (traj.column("phi_max") - hi).max(), (lo - traj.column("phi_min")).max())
     return Verdict("curvature_bounds", worst <= 1e-6, worst, 0.0, 1e-6,
                    context=f"bounds=[{lo!r},{hi!r}]")
 
@@ -107,9 +104,8 @@ def check_energy_identities(traj: FlowTrajectory) -> tuple:
                    f"have {count}")
         return tuple(Verdict(name, False, count, MIN_IDENTITY_RECORDS, 0.0, context=context)
                      for name in names)
-    interior = traj.records[1:-1]
-    res_e = max(r.energy_residual for r in interior)
-    res_h = max(r.h1_residual for r in interior)
+    res_e = traj.column("energy_residual")[1:-1].max()
+    res_h = traj.column("h1_residual")[1:-1].max()
     v1 = Verdict(names[0], res_e <= 1e-4, res_e, 0.0, 1e-4,
                  context="dE/dt = -H1 - quartic/2 + 4E, scale-normalized")
     v2 = Verdict(names[1], res_h <= 1e-4, res_h, 0.0, 1e-4,
@@ -124,15 +120,11 @@ def check_monotone_L_and_integralE(traj: FlowTrajectory) -> tuple:
     Trapezoid form of the rate identity: L(t_{i+1}) - L(t_i) is the integral
     of E/2, so 4 dL / dt_interval matches E_i + E_{i+1}.
     """
-    t = traj.times
-    L = traj.column("L")
-    E = traj.column("E")
+    t, L, E = (traj.column(name) for name in ("t", "L", "E"))
     monotone = bool(np.all(np.diff(L) >= -1e-12 * L[:-1]))
-    worst = 0.0
-    for i in range(len(t) - 1):
-        dt = t[i + 1] - t[i]
-        resid = abs(4.0 * (L[i + 1] - L[i]) / dt - (E[i] + E[i + 1]))
-        worst = max(worst, resid / (E[i] + E[i + 1] + 1.0))
+    pair_e = E[:-1] + E[1:]
+    resid = np.abs(4.0 * np.diff(L) / np.diff(t) - pair_e) / (pair_e + 1.0)
+    worst = resid.max(initial=0.0)
     v1 = Verdict("L_monotone_energy_rate", monotone and worst <= 1e-4, worst, 0.0, 1e-4,
                  context=f"monotone={monotone}, residual of E = 2 dL/dt")
     integral_e = float(np.trapezoid(E, t)) if len(t) > 1 else 0.0
@@ -144,16 +136,16 @@ def check_monotone_L_and_integralE(traj: FlowTrajectory) -> tuple:
 def check_sobolev_bounded(traj: FlowTrajectory) -> Verdict:
     """Each recorded Sobolev integral stays within 10x its maximum over the first
     time unit (absolute floor 1e-20 guards identically-zero trajectories)."""
-    t = traj.times
+    t = traj.column("t")
     t_head = t[0] + 1.0
     worst = 0.0
-    orders = len(traj.records[0].sobolev)
-    for n in range(orders):
-        h = np.array([r.sobolev[n] for r in traj.records])
+    orders = ("H1", "H2", "H3", "H4")
+    for name in orders:
+        h = traj.column(name)
         head_max = max(float(h[t <= t_head].max()), 1e-20)
         worst = max(worst, float(h.max()) / head_max)
     return Verdict("sobolev_bounded", worst <= 10.0, worst, 10.0, 0.0,
-                   context=f"orders 1..{orders}, first-unit reference")
+                   context=f"orders 1..{len(orders)}, first-unit reference")
 
 
 def fit_origin_ellipse(points: np.ndarray):
@@ -171,7 +163,7 @@ def fit_origin_ellipse(points: np.ndarray):
     return q, residual
 
 
-def check_convergence_to_ellipse(traj: FlowTrajectory, final_curve: ClosedCurve) -> Verdict:
+def check_convergence_to_ellipse(final_curve: ClosedCurve) -> Verdict:
     """Forward-limit proxies: sup|phi| <= 1e-4, |L - 2pi| <= 1e-3, and an
     origin-centered positive-definite quadratic-form fit residual <= 1e-6."""
     field = centro_affine(final_curve)

@@ -1,10 +1,9 @@
 """File formats: curve JSON, trajectory CSV, SVG snapshots, verdict reports.
 
 The curve file is a JSON object {"name": str, "points": [[x, y], ...]}
-interpreted as uniform periodic samples. CSV columns are fixed:
-t, L, E, phi_min, phi_max, mean_phi, H1, H2, H3, H4, energy_residual,
-h1_residual, area - written at full double precision (shortest round-trip
-repr), so identical runs produce byte-identical files.
+interpreted as uniform periodic samples. The CSV columns are
+trajectory.CSV_COLUMNS, written at full double precision (shortest
+round-trip repr), so identical runs produce byte-identical files.
 """
 
 import json
@@ -13,10 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .curve import ClosedCurve
-from .trajectory import FlowTrajectory
-
-CSV_COLUMNS = ("t", "L", "E", "phi_min", "phi_max", "mean_phi",
-               "H1", "H2", "H3", "H4", "energy_residual", "h1_residual", "area")
+from .trajectory import CSV_COLUMNS, FlowTrajectory
 
 
 def read_curve_json(path) -> ClosedCurve:
@@ -40,19 +36,13 @@ def write_curve_json(curve: ClosedCurve, path) -> None:
     path.write_text(json.dumps(payload))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_csv(traj: FlowTrajectory, path) -> None:
-    """One row per record; header always present, so an empty trajectory
-    yields a header-only file."""
+    """One line per record, its CSV_COLUMNS prefix; header always present, so an
+    empty trajectory yields a header-only file."""
     path = Path(path)
+    width = len(CSV_COLUMNS)
     lines = [",".join(CSV_COLUMNS)]
-    for r in traj.records:
-        row = [r.t, r.L, r.E, r.phi_min, r.phi_max, r.mean_phi, *r.sobolev,
-               r.energy_residual, r.h1_residual, r.area]
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(repr, row[:width].tolist())) for row in traj.records]
     path.write_text("\n".join(lines) + "\n")
 
 

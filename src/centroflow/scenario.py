@@ -35,7 +35,6 @@ _FIELD_TYPES = {
     "flow": str,
     "normalization": str,
     "record_stride": int,
-    "seed": int,
     "check_convergence": bool,
     "snapshot_stride": int,
     "outputs": dict,
@@ -77,7 +76,6 @@ class ScenarioConfig:
     flow: str = "curvature"
     normalization: str = "unit_area_scale"
     record_stride: int = 1
-    seed: int = 0
     check_convergence: bool = False
     csv_path: str | None = None
     report_path: str | None = None
@@ -162,8 +160,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     default_dir = Path(out_dir or os.environ.get(ENV_OUTDIR, "."))
     report_path = _resolve(config.report_path, default_dir, f"{config.name}.report.json")
     csv_path = _resolve(config.csv_path, default_dir, f"{config.name}.csv")
-    extra = {"seed": config.seed, "flow": config.flow,
-             "dt": config.dt, "t_end": config.t_end, "lambda": config.lam}
+    extra = {"flow": config.flow, "dt": config.dt, "t_end": config.t_end, "lambda": config.lam}
 
     try:
         curve0 = config.build_curve()
@@ -209,7 +206,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
 
     final_curve = curve_traj.final.physical_curve if curve_traj is not None else None
     if config.check_convergence and final_curve is not None:
-        verdicts.append(diagnostics.check_convergence_to_ellipse(curve_traj, final_curve))
+        verdicts.append(diagnostics.check_convergence_to_ellipse(final_curve))
     if config.flow == "both":
         gap = float(np.abs(centro_affine(final_curve).phi - scalar_traj.final.phi).max())
         verdicts.append(diagnostics.Verdict(

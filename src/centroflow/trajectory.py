@@ -1,7 +1,7 @@
 """Diagnostics records, trajectories, and the one march driver of both flows."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,62 +10,38 @@ from .invariants import xi_derivative
 from .spectral import periodic_integral
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One sampled diagnostics row.
-
-    sobolev[i-1] holds the integral of (d^i phi/d xi^i)^2 d(xi), i = 1..4. The identity
-    residuals are centered-difference residuals of the energy law and its
-    first-derivative analogue, normalized by their own scale; they are NaN at
-    the trajectory endpoints (no centered difference there) and on records
-    where they have not been finalized. quartic and mixed are the auxiliary
-    integrals of phi^4 and phi^2 phi_xi^2 the residuals need. area is the
-    Euclidean enclosed area of the evolving curve, NaN for scalar-flow
-    trajectories (no curve exists there).
-    """
-
-    t: float
-    L: float
-    E: float
-    phi_min: float
-    phi_max: float
-    mean_phi: float
-    sobolev: tuple
-    energy_residual: float = math.nan
-    h1_residual: float = math.nan
-    area: float = math.nan
-    quartic: float = 0.0
-    mixed: float = 0.0
+# A record is one row of these columns: the CSV columns, then the integrals of
+# phi^4 and phi^2 phi_xi^2 that only the identity residuals read
+CSV_COLUMNS = ("t", "L", "E", "phi_min", "phi_max", "mean_phi",
+               "H1", "H2", "H3", "H4", "energy_residual", "h1_residual", "area")
+COLUMNS = CSV_COLUMNS + ("quartic", "mixed")
 
 
 def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
-                       phi_xixi: np.ndarray, area: float = math.nan) -> DiagnosticsRecord:
-    """Assemble a record from metric and curvature samples.
+                       phi_xixi: np.ndarray, area: float = math.nan) -> np.ndarray:
+    """One record, a row in COLUMNS order, from metric and curvature samples.
 
     phi_xi and phi_xixi are xi_derivative(phi, g, 1) and xi_derivative(phi_xi,
-    g, 1), which the caller has at hand; H3 and H4 continue from them.
+    g, 1), which the caller has at hand; H3 and H4 continue from them. Hn is
+    the integral of (d^n phi/d xi^n)^2 d(xi). The residuals are NaN until
+    FlowTrajectory.finalize_residuals fills them; area is the Euclidean
+    enclosed area of the evolving curve, NaN for scalar-flow trajectories (no
+    curve exists there).
     """
     L = periodic_integral(g)
-    E = periodic_integral(phi**2 * g)
     phi_3 = xi_derivative(phi_xixi, g, 1)
     phi_4 = xi_derivative(phi_3, g, 1)
-    return DiagnosticsRecord(
-        t=t,
-        L=L,
-        E=E,
-        phi_min=float(phi.min()),
-        phi_max=float(phi.max()),
-        mean_phi=periodic_integral(phi * g) / L,
-        sobolev=tuple(periodic_integral(f**2 * g) for f in (phi_xi, phi_xixi, phi_3, phi_4)),
-        quartic=periodic_integral(phi**4 * g),
-        mixed=periodic_integral(phi**2 * phi_xi**2 * g),
-        area=area,
-    )
+    return np.array([
+        t, L, periodic_integral(phi**2 * g), phi.min(), phi.max(),
+        periodic_integral(phi * g) / L,
+        *(periodic_integral(f**2 * g) for f in (phi_xi, phi_xixi, phi_3, phi_4)),
+        math.nan, math.nan, area,
+        periodic_integral(phi**4 * g), periodic_integral(phi**2 * phi_xi**2 * g)])
 
 
 @dataclass
 class FlowTrajectory:
-    """Time-ordered diagnostics records plus optional state snapshots.
+    """Time-ordered records (rows in COLUMNS order) plus optional state snapshots.
 
     `final` holds the last evolved state (a CurvatureFlowState or a
     CurveFlowState, depending on which flow produced the trajectory).
@@ -78,34 +54,32 @@ class FlowTrajectory:
     def __len__(self):
         return len(self.records)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        i = COLUMNS.index(name)
+        return np.array([row[i] for row in self.records])
 
     def finalize_residuals(self) -> None:
-        """Fill identity residuals on interior records by centered differencing.
+        """Fill the identity residuals of interior records by centered differencing.
 
         Energy law:  dE/dt = -H1 - quartic/2 + 4E, normalized by (H1 + E + 1).
         H1 law:      dH1/dt = -H2 + 4 H1 - 3.5 mixed, normalized by (H2 + H1 + 1).
         The time derivatives are estimated from the recorded values only, so
-        the checks stay two-sided.
+        the checks stay two-sided; the endpoints keep NaN (no centered stencil).
         """
-        rs = self.records
-        if len(rs) < 3:
+        if len(self.records) < 3:
             return
-        for i in range(1, len(rs) - 1):
-            dt2 = rs[i + 1].t - rs[i - 1].t
-            dE = (rs[i + 1].E - rs[i - 1].E) / dt2
-            h1, h2 = rs[i].sobolev[0], rs[i].sobolev[1]
-            res_e = abs(dE - (-h1 - 0.5 * rs[i].quartic + 4.0 * rs[i].E))
-            res_e /= h1 + rs[i].E + 1.0
-            dh1 = (rs[i + 1].sobolev[0] - rs[i - 1].sobolev[0]) / dt2
-            res_h = abs(dh1 - (-h2 + 4.0 * h1 - 3.5 * rs[i].mixed))
-            res_h /= h2 + h1 + 1.0
-            rs[i] = replace(rs[i], energy_residual=res_e, h1_residual=res_h)
+        table = np.array(self.records)
+        t, E, h1, h2, quartic, mixed = (
+            table[:, COLUMNS.index(name)] for name in ("t", "E", "H1", "H2", "quartic", "mixed"))
+        dt2 = t[2:] - t[:-2]
+        dE = (E[2:] - E[:-2]) / dt2
+        dh1 = (h1[2:] - h1[:-2]) / dt2
+        E, h1, h2, quartic, mixed = E[1:-1], h1[1:-1], h2[1:-1], quartic[1:-1], mixed[1:-1]
+        table[1:-1, COLUMNS.index("energy_residual")] = (
+            np.abs(dE - (-h1 - 0.5 * quartic + 4.0 * E)) / (h1 + E + 1.0))
+        table[1:-1, COLUMNS.index("h1_residual")] = (
+            np.abs(dh1 - (-h2 + 4.0 * h1 - 3.5 * mixed)) / (h2 + h1 + 1.0))
+        self.records[:] = table
 
 
 def plan_steps(t0: float, t_end: float, dt: float) -> int:

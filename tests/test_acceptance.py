@@ -22,7 +22,7 @@ from centroflow.curvature_flow import step as scalar_step
 from centroflow.curve import (ClosedCurve, bracket, origin_ellipse,
                               perturbed_ellipse, random_star_convex,
                               shifted_ellipse, star_convex)
-from centroflow.curve_flow import CurveFlowState
+from centroflow.curve_flow import CurveFlowState, consistency_check
 from centroflow.curve_flow import evolve as curve_evolve
 from centroflow.curve_flow import step as curve_step
 from centroflow.diagnostics import (check_backward_limit_on_family,
@@ -172,8 +172,9 @@ def test_criterion_4_flow_identities(identity_runs):
     # t = 0: records whose centered-difference stencil touches the initial
     # transient carry a window-placement effect rather than pure dt-scaling
     # (the pointwise matched-time ratio is 4.000 everywhere)
-    def tail_max(traj, attr):
-        return max(getattr(r, attr) for r in traj.records[1:-1] if r.t >= 1e-3)
+    def tail_max(traj, name):
+        t, residual = traj.column("t")[1:-1], traj.column(name)[1:-1]
+        return residual[t >= 1e-3].max()
     ratio_e = tail_max(coarse, "energy_residual") / tail_max(fine, "energy_residual")
     ratio_h = tail_max(coarse, "h1_residual") / tail_max(fine, "h1_residual")
     ok = (v1.passed and v2.passed and ratio_e >= 4.0 and ratio_h >= 4.0)
@@ -204,7 +205,7 @@ def test_criterion_6_convergence_to_ellipse():
     sup_phi = float(np.abs(field.phi).max())
     l_gap = abs(perimeter(field) - TWO_PI)
     _, fit_residual = fit_origin_ellipse(final_curve.points)
-    conv = check_convergence_to_ellipse(traj, final_curve)
+    conv = check_convergence_to_ellipse(final_curve)
     L = traj.column("L")
     monotone = bool(np.all(np.diff(L) >= -1e-12 * L[:-1]))
     _, integral = check_monotone_L_and_integralE(traj)
@@ -227,29 +228,18 @@ def test_criterion_6_convergence_to_ellipse():
 # ---------------------------------------------------------------------- 7
 
 def test_criterion_7_flow_equivalence_and_gauge():
-    worst_consistency = 0.0
-    worst_gauge = 0.0
-    for (amplitude, mode) in ((0.05, 3), (0.02, 2)):
-        curve0 = perturbed_ellipse(1, 1, amplitude, mode, n=256)
-        a = CurveFlowState(0.0, curve0, lam=0.0)
-        b = CurveFlowState(0.0, curve0, lam=1.0)
-        s = CurvatureFlowState.from_curve(curve0)
-        dt, steps, stride = 1e-4, 10000, 100
-        for i in range(1, steps + 1):
-            a = curve_step(a, dt)
-            b = curve_step(b, dt)
-            s = scalar_step(s, dt)
-            if i % stride == 0 or i == steps:
-                phi_a = centro_affine(a.curve).phi
-                phi_b = centro_affine(b.curve).phi
-                worst_consistency = max(worst_consistency,
-                                        float(np.abs(phi_a - s.phi).max()))
-                worst_gauge = max(worst_gauge, float(np.abs(phi_a - phi_b).max()))
-    ok = worst_consistency <= 1e-4 and worst_gauge <= 1e-8
+    # the lambda gauge is asserted bit for bit by the two tests named in the report line:
+    # under unit-area normalisation a step never reads lambda, so a lockstep march at
+    # another lambda here would only repeat the first one
+    worst = max(consistency_check(perturbed_ellipse(1, 1, amplitude, mode, n=256), 1.0, 1e-4,
+                                  record_stride=100)
+                for amplitude, mode in ((0.05, 3), (0.02, 2)))
+    ok = worst <= 1e-4
     report("7 flow equivalence + lambda gauge", ok,
-           f"sup consistency={worst_consistency:.2e} lambda gap={worst_gauge:.2e}")
-    assert worst_consistency <= 1e-4
-    assert worst_gauge <= 1e-8
+           f"sup consistency={worst:.2e}; lambda gauge: tests/test_curve_flow.py::"
+           f"test_lambda_gauge_bit_identical_under_renormalization and "
+           f"::test_lambda_gauge_phi_without_renormalization")
+    assert worst <= 1e-4
 
 
 # ---------------------------------------------------------------------- 8
@@ -317,7 +307,7 @@ def test_criterion_10_determinism(tmp_path):
         "curve": {"kind": "perturbed_ellipse", "a": 1.0, "b": 1.0,
                   "amplitude": 0.05, "mode": 3},
         "N": 128, "dt": 1e-4, "t_end": 0.05, "flow": "both",
-        "record_stride": 1, "seed": 12345,
+        "record_stride": 1,
         "outputs": {"csv": "determinism.csv", "report": "determinism.report.json"},
     }
     cfg_path = tmp_path / "determinism.json"

@@ -8,8 +8,9 @@ from centroflow.cli import main
 from centroflow.curve import origin_ellipse, shifted_ellipse, star_convex
 from centroflow.io import write_curve_json
 from centroflow.scenario import ScenarioConfig, run_scenario, run_sweep
-from centroflow.errors import ConfigError, NonConstantSign, NotStarShaped
+from centroflow.errors import BlowUp, ConfigError, NonConstantSign, NotStarShaped
 from centroflow.invariants import centro_affine
+from centroflow.trajectory import CSV_COLUMNS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -86,6 +87,23 @@ def test_cfl_violation_exits_three(tmp_path):
     report = json.loads((tmp_path / "unstable.report.json").read_text())
     assert report["error"]["type"] == "StabilityViolation"
     assert report["error"]["time"] is not None
+
+
+def test_curve_flow_phi_ceiling_exits_three(tmp_path, monkeypatch):
+    # max|phi| of this curve grows by about 6.5e-4 a step from 0.4549 at dt 1e-3, so the
+    # state at t = 4e-3 is the first above 0.457; the step from it raises at its time
+    monkeypatch.setattr(curvature_flow, "PHI_CEILING", 0.457)
+    state = curve_flow.CurveFlowState(0.0, shifted_ellipse(1, 1, 0.3, 0, n=64))
+    with pytest.raises(BlowUp, match=r"max\|phi\| exceeded ceiling 0.457") as info:
+        curve_flow.evolve(state, 0.02, 1e-3)
+    assert info.value.time == pytest.approx(4e-3, abs=1e-12)
+    cfg = small_scenario(tmp_path, name="phiceiling", flow="curve", N=64, dt=1e-3,
+                         t_end=0.02, curve={"kind": "shifted_ellipse", "a": 1.0, "b": 1.0,
+                                            "x0": 0.3, "y0": 0.0})
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "phiceiling.report.json").read_text())
+    assert report["error"] == {"type": "BlowUp", "message": str(info.value),
+                               "time": info.value.time}
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -382,7 +400,7 @@ def test_invariants_on_an_inadmissible_curve_exits_one(tmp_path, capsys, curve, 
     assert out.splitlines() == lines
 
 
-@pytest.mark.parametrize("field,value", [("dealias", False), ("sobolev_max_n", 4)])
+@pytest.mark.parametrize("field,value", [("dealias", False), ("sobolev_max_n", 4), ("seed", 0)])
 def test_removed_scalar_march_fields_exit_one(tmp_path, capsys, field, value):
     cfg = small_scenario(tmp_path, name="removed", **{field: value})
     assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 1
@@ -413,3 +431,9 @@ def test_readme_example_scenario_parses(tmp_path):
     path.write_text(block)
     config = ScenarioConfig.from_json(path)
     assert config.name == "perturbed-m3" and config.record_stride == 1
+
+
+def test_readme_csv_columns_are_the_trajectory_columns():
+    readme = (REPO / "README.md").read_text()
+    listed = readme.split("CSV columns, in order", 1)[1].split("`", 2)[1]
+    assert tuple(name.strip() for name in listed.split(",")) == CSV_COLUMNS

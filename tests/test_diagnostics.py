@@ -74,7 +74,7 @@ def test_curvature_bounds_synthetic_phimax_three():
     v = check_curvature_bounds(traj, float(field.phi.min()), float(field.phi.max()))
     assert v.passed
     # and the flow actually dips back under 2 rather than hugging 3
-    assert traj.records[-1].phi_max < 2.0
+    assert traj.column("phi_max")[-1] < 2.0
 
 
 def test_energy_identity_verdicts_and_stride_guard():
@@ -134,7 +134,7 @@ def test_fit_residual_gl2_invariant(rng):
 def test_convergence_check_trivial_on_ellipse():
     state = CurveFlowState(0.0, origin_ellipse(1.2, 1 / 1.2, n=64), lam=0.0)
     traj = curve_evolve(state, 0.05, 1e-3, record_stride=10)
-    v = check_convergence_to_ellipse(traj, traj.final.curve)
+    v = check_convergence_to_ellipse(traj.final.curve)
     assert v.passed
 
 

@@ -6,9 +6,9 @@ import pytest
 from centroflow.curvature_flow import CurvatureFlowState, evolve
 from centroflow.curve import origin_ellipse, perturbed_ellipse
 from centroflow.diagnostics import Verdict, fit_origin_ellipse
-from centroflow.io import (CSV_COLUMNS, read_curve_json, write_csv,
-                           write_curve_json, write_report, write_svg)
-from centroflow.trajectory import FlowTrajectory
+from centroflow.io import (read_curve_json, write_csv, write_curve_json, write_report,
+                           write_svg)
+from centroflow.trajectory import CSV_COLUMNS, FlowTrajectory
 
 
 def test_curve_json_roundtrip_bit_exact(tmp_path):
@@ -48,7 +48,7 @@ def test_csv_columns_and_row_count(tmp_path):
     assert len(first) == 13
     assert float(first[0]) == 0.0
     # full double precision round-trips
-    assert float(first[1]) == traj.records[0].L
+    assert float(first[1]) == traj.column("L")[0]
 
 
 def test_csv_full_precision_roundtrip(tmp_path):
@@ -57,9 +57,9 @@ def test_csv_full_precision_roundtrip(tmp_path):
     path = tmp_path / "run.csv"
     write_csv(traj, path)
     rows = path.read_text().strip().split("\n")[1:]
-    for row, rec in zip(rows, traj.records):
+    for row, L, E in zip(rows, traj.column("L"), traj.column("E")):
         vals = [float(x) for x in row.split(",")]
-        assert vals[1] == rec.L and vals[2] == rec.E
+        assert vals[1] == L and vals[2] == E
 
 
 def test_report_schema(tmp_path):
