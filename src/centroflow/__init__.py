@@ -6,7 +6,7 @@ from .curve import (ClosedCurve, bracket, check_convex, check_star_shaped,
                     origin_ellipse, perturbed_ellipse, preset,
                     random_star_convex, shifted_ellipse, star_convex)
 from .curvature_flow import CurvatureFlowState
-from .curve_flow import CurveFlowState, consistency_check, nonlocal_potential
+from .curve_flow import CurveFlowState, consistency_check
 from .diagnostics import Verdict, explicit_ellipse_family, fit_origin_ellipse
 from .errors import (BlowUp, CentroflowError, ConfigError, DegenerateMetric,
                      FlowError, NonConstantSign, NotStarShaped,
@@ -24,7 +24,7 @@ __all__ = [
     "InvariantField", "ScenarioConfig", "Verdict",
     "bracket", "centro_affine", "centro_equiaffine", "check_convex",
     "check_star_shaped", "consistency_check", "energy",
-    "explicit_ellipse_family", "fit_origin_ellipse", "nonlocal_potential",
+    "explicit_ellipse_family", "fit_origin_ellipse",
     "origin_ellipse", "perimeter", "perturbed_ellipse", "phi_from_mu",
     "preset", "random_star_convex", "run_scenario", "run_sweep",
     "shifted_ellipse", "sobolev_norm", "star_convex", "xi_derivative",

@@ -55,8 +55,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    times = [float(x) for x in args.times.split(",")]
-    verdict = diagnostics.check_backward_limit_on_family(args.a0, args.b0, times, n=args.n)
+    try:
+        times = [float(x) for x in args.times.split(",")]
+        verdict = diagnostics.check_backward_limit_on_family(args.a0, args.b0, times, n=args.n)
+    except ValueError as exc:  # the family is closed-form: only its arguments can be wrong
+        raise ConfigError(f"family: {exc}") from None
     print(diagnostics.verdict_line(verdict))
     for t in times:
         member = diagnostics.explicit_ellipse_family(args.a0, args.b0, t, n=args.n)

@@ -17,16 +17,17 @@ feedback loop among those modes destabilizes the march at any usable dt.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import curvature_flow
-from .curve import ClosedCurve, bracket, enclosed_area_of
-from .errors import BlowUp, StabilityViolation
-from .invariants import InvariantField, _metric_curvature, centro_affine, xi_derivative
+from .curve import ClosedCurve, enclosed_area_of
+from .errors import MARCH_ERRORS, BlowUp, StabilityViolation
+from .invariants import _metric_curvature, xi_derivative
 from .spectral import antiderivative, dealias
 from .curvature_flow import cfl_limit
-from .trajectory import FlowTrajectory, march, plan_steps, record_from_fields
+from .trajectory import FlowTrajectory, march, record_from_fields
 
 NORMALIZATIONS = ("none", "unit_area_scale")
 COORD_CEILING = 1e8  # physical max|coordinate| under "none"; read at call time
@@ -58,35 +59,33 @@ class CurveFlowState:
             return self.curve
         return self.curve.scaled(math.exp(self.log_scale))
 
-
-def nonlocal_potential(field: InvariantField, lam: float, base_index: int = 0) -> np.ndarray:
-    """lambda + cumulative integral of phi d(xi) anchored at grid node base_index.
-
-    Periodic because the closed-curve curvature has zero mean; changing the
-    base node shifts the whole field by a constant, which the flow absorbs
-    into lambda.
-    """
-    integrand = field.phi * field.g
-    if base_index == 0:
-        return lam + antiderivative(integrand)
-    rolled = antiderivative(np.roll(integrand, -base_index))
-    return lam + np.roll(rolled, base_index)
-
-
-def rhs(state: CurveFlowState) -> np.ndarray:
-    """Velocity field of the full nonlocal flow at the physical curve."""
-    pts = state.physical_curve.points
-    _, _, vel = _geometry_velocity(pts)
-    return vel + state.lam * pts
+    @cached_property
+    def stage(self):
+        """_geometry_velocity at the state's own curve, computed once: its step's k1,
+        the guards and its record share it."""
+        return _geometry_velocity(self.curve.points, self.curve._derivatives())
 
 
 def _geometry_velocity(points: np.ndarray, derivs=None):
-    """(g, phi, velocity): the gauge-invariant velocity plus the metric and the projected
-    curvature it used (for the step guards); derivs as in _metric_curvature."""
-    cp, _, _, _, g, phi = _metric_curvature(points, derivs)
-    phi = dealias(phi)  # see module docstring: required for top-mode stability
+    """(sign, g, raw phi, projected phi, velocity): the gauge-invariant velocity, the
+    sign of [C, C_p] (one strict sign, as the metric requires) and the fields the step
+    and the record read; derivs as in _metric_curvature."""
+    cp, _, den, _, g, raw = _metric_curvature(points, derivs)
+    phi = dealias(raw)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
-    return g, phi, potential[:, None] * points + (0.5 * phi / g)[:, None] * cp
+    return (np.sign(den[0]), g, raw, phi,
+            potential[:, None] * points + (0.5 * phi / g)[:, None] * cp)
+
+
+def _judge(state: CurveFlowState) -> None:
+    """BlowUp when the state's projected max|phi| exceeds PHI_CEILING; this and any
+    geometry error of its curve carry the state's time."""
+    try:
+        if np.abs(state.stage[3]).max() > curvature_flow.PHI_CEILING:
+            raise BlowUp(f"max|phi| exceeded ceiling {curvature_flow.PHI_CEILING:g}")
+    except MARCH_ERRORS as exc:
+        exc.time = state.t
+        raise
 
 
 def step(state: CurveFlowState, dt: float) -> CurveFlowState:
@@ -94,18 +93,16 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     pts = state.curve.points
-    derivs = state.curve._derivatives()
-    g, phi, k1 = _geometry_velocity(pts, derivs)
+    sign, g, _, _, k1 = state.stage
     dt_max = cfl_limit(g)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
-    if np.abs(phi).max() > curvature_flow.PHI_CEILING:
-        raise BlowUp(f"max|phi| exceeded ceiling {curvature_flow.PHI_CEILING:g}", time=state.t)
+    _judge(state)
 
-    _, _, k2 = _geometry_velocity(pts + 0.5 * dt * k1)
-    _, _, k3 = _geometry_velocity(pts + 0.5 * dt * k2)
-    _, _, k4 = _geometry_velocity(pts + dt * k3)
+    k2 = _geometry_velocity(pts + 0.5 * dt * k1)[-1]
+    k3 = _geometry_velocity(pts + 0.5 * dt * k2)[-1]
+    k4 = _geometry_velocity(pts + dt * k3)[-1]
     new = pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     t_new = state.t + dt
@@ -114,8 +111,8 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     log_scale = state.log_scale
     if state.normalization == "unit_area_scale":
         # the gauge factor e^(lam dt) is cancelled exactly by this rescaling; the area is
-        # oriented by the sign of [C, C_p], which k1's metric requires to be one strict sign
-        area = np.sign(bracket(pts[0], derivs[0, 0])) * enclosed_area_of(new)
+        # oriented by the sign of [C, C_p] at the state stepped from
+        area = sign * enclosed_area_of(new)
         if area <= 0:
             raise BlowUp("enclosed area collapsed", time=t_new)
         new = new * math.sqrt(math.pi / area)
@@ -124,17 +121,17 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
         physical_max = np.abs(new).max() * math.exp(log_scale)
         if physical_max > COORD_CEILING:
             raise BlowUp(f"coordinates exceeded ceiling {COORD_CEILING:g}", time=t_new)
-    curve = ClosedCurve(new, name=state.curve.name)
-    return replace(state, t=t_new, curve=curve, log_scale=log_scale)
+    produced = replace(state, t=t_new, curve=ClosedCurve(new, name=state.curve.name),
+                       log_scale=log_scale)
+    _judge(produced)
+    return produced
 
 
 def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
     """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
     def record(current):
-        # the curve's kept spectrum serves this record and the next step's k1
-        curve = current.curve
-        _, _, _, _, g, phi = _metric_curvature(curve.points, curve._derivatives())
+        _, g, phi, _, _ = current.stage
         phi_xi = xi_derivative(phi, g, 1)
         return record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
                                   area=current.physical_curve.enclosed_area())
@@ -152,21 +149,16 @@ def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
                       record_stride: int = 100) -> float:
     """Sup-norm gap between curvature extracted from the curve flow and the scalar flow.
 
-    Both flows start from the same invariant field and march in lockstep on
-    the same schedule; the returned number is the worst nodewise difference
-    over all record times.
+    Both flows start from the same invariant field and march on the same
+    schedule; the returned number is the worst nodewise difference over all
+    record times and the final time.
     """
-    n_steps = plan_steps(0.0, t_end, dt)
-    cstate = CurveFlowState(t=0.0, curve=curve0)
-    sstate = curvature_flow.CurvatureFlowState.from_curve(curve0)
-    worst = 0.0
-    for i in range(1, n_steps + 1):
-        cstate = step(cstate, dt)
-        sstate = curvature_flow.step(sstate, dt)
-        if i % record_stride == 0 or i == n_steps:
-            phi_curve = centro_affine(cstate.curve).phi
-            gap = float(np.abs(phi_curve - sstate.phi).max())
-            if not math.isfinite(gap):
-                raise BlowUp("consistency comparison became non-finite", time=i * dt)
-            worst = max(worst, gap)
-    return worst
+    curve_phis, scalar_phis = [], []
+    final = evolve(CurveFlowState(t=0.0, curve=curve0), t_end, dt, record_stride=record_stride,
+                   observer=lambda state, _: curve_phis.append(state.stage[2])).final
+    curve_phis.append(final.stage[2])
+    final = curvature_flow.evolve(
+        curvature_flow.CurvatureFlowState.from_curve(curve0), t_end, dt,
+        record_stride=record_stride, observer=lambda state, _: scalar_phis.append(state.phi)).final
+    scalar_phis.append(final.phi)
+    return max(float(np.abs(a - b).max()) for a, b in zip(curve_phis, scalar_phis))

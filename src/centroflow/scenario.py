@@ -131,7 +131,10 @@ class ScenarioConfig:
 
     def build_curve(self) -> ClosedCurve:
         if isinstance(self.curve, str):
-            return read_curve_file(self.curve)
+            curve = read_curve_file(self.curve)
+            if curve.n != self.n:
+                raise ConfigError(f"curve file {self.curve}: {curve.n} samples, but N is {self.n}")
+            return curve
         spec = dict(self.curve)
         kind = spec.pop("kind", None)
         if kind is None:

@@ -184,6 +184,17 @@ def test_family_command(capsys):
     assert "PASS backward_limit_family" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--a0", "2", "--b0", "1", "--times", "0,1"], "strictly decreasing"),
+    (["--a0", "-2", "--b0", "1", "--times", "0,-1"], "axes must be positive"),
+    (["--a0", "2", "--b0", "1", "--times", "0,abc"], "could not convert"),
+], ids=["increasing times", "negative axis", "not a number"])
+def test_family_argument_errors_exit_one(capsys, argv, message):
+    assert main(["family", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: family: ") and message in err
+
+
 def test_sweep_runs_all(tmp_path):
     sweep_dir = tmp_path / "sweep"
     sweep_dir.mkdir()
@@ -306,6 +317,20 @@ def test_curve_file_is_found_beside_the_scenario(tmp_path, monkeypatch):
                          t_end=0.001, flow="curve")
     monkeypatch.chdir(tmp_path)   # the scenario's directory, not the working one, decides
     assert main(["verify", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_curve_file_sample_count_must_match_n(tmp_path, capsys):
+    curve_path = tmp_path / "curve.json"
+    write_curve_json(origin_ellipse(1.0, 1.0, n=128), curve_path)
+    cfg = small_scenario(tmp_path, name="wrongn", curve="curve.json", N=256)
+    assert main(["evolve", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: curve file") and str(curve_path) in err
+    assert "128 samples, but N is 256" in err
+    report = json.loads((tmp_path / "wrongn.report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert str(curve_path) in report["error"]["message"]
+    assert not (tmp_path / "wrongn.csv").exists()
 
 
 @pytest.mark.parametrize("content", [None, "{broken", '{"points": [[1, 0], [0, 1, 2]]}'])

@@ -10,50 +10,20 @@ from hypothesis import strategies as st
 from centroflow.curvature_flow import CurvatureFlowState
 from centroflow.curvature_flow import rhs as scalar_rhs
 from centroflow.curvature_flow import step as scalar_step
-from centroflow import curve_flow
+from centroflow import curvature_flow, curve_flow
 from centroflow.curve import (ClosedCurve, bracket, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, shifted_ellipse)
-from centroflow.curve_flow import (CurveFlowState, consistency_check, evolve,
-                                   nonlocal_potential, rhs, step)
+from centroflow.curve_flow import CurveFlowState, consistency_check, evolve, step
 from centroflow.errors import BlowUp, FlowError, StabilityViolation
 from centroflow.invariants import centro_affine, xi_derivative
 from centroflow.spectral import antiderivative, dealias, derivative, periodic_integral
 from centroflow.trajectory import FlowTrajectory, record_from_fields
 
 
-def test_nonlocal_potential_trivial_cases():
-    field = centro_affine(origin_ellipse(1.4, 1 / 1.4))
-    pot0 = nonlocal_potential(field, 0.0)
-    assert np.abs(pot0).max() <= 1e-10
-    pot7 = nonlocal_potential(field, 0.7)
-    assert np.abs(pot7 - 0.7).max() <= 1e-10
-
-
-def test_nonlocal_potential_shifted_curve():
-    field = centro_affine(shifted_ellipse(1, 1, 0.3, 0))
-    pot = nonlocal_potential(field, 0.0)
-    assert pot[0] == pytest.approx(0.0, abs=1e-14)
-    # periodic because the curvature has zero mean: the linear part of the
-    # antiderivative (the endpoint wrap over one period) is negligible
-    wrap = abs(2 * np.pi * np.mean(field.phi * field.g))
-    assert wrap <= 1e-10
-    assert np.abs(pot).max() > 0.1  # genuinely nonconstant along the curve
-
-
-def test_nonlocal_potential_base_point_invariance():
-    field = centro_affine(perturbed_ellipse(1, 1, 0.05, 3))
-    a = nonlocal_potential(field, 0.0, base_index=0)
-    b = nonlocal_potential(field, 0.0, base_index=field.n // 2)
-    gap = a - b
-    assert gap.max() - gap.min() <= 1e-10  # differs by a constant only
-
-
-def test_rhs_ellipse_examples():
+def test_stage_velocity_vanishes_on_ellipse():
+    # phi = 0 on an origin-centred ellipse: the gauge-invariant velocity is zero
     state = CurveFlowState(0.0, origin_ellipse(2, 0.5), lam=0.0)
-    assert np.abs(rhs(state)).max() <= 1e-9
-    state1 = CurveFlowState(0.0, origin_ellipse(2, 0.5), lam=1.0)
-    # phi = 0 reduces the flow to pure radial scaling C_t = C
-    assert np.abs(rhs(state1) - state1.curve.points).max() <= 1e-9
+    assert np.abs(state.stage[-1]).max() <= 1e-9
 
 
 def test_rhs_matches_scalar_tendency():
@@ -250,32 +220,58 @@ def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(traj.records, want.records))
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+    return calls
+
+
 def test_step_k1_reads_the_kept_spectrum(monkeypatch):
-    stages = []
-    original = curve_flow._geometry_velocity
-
-    def counting(*args):
-        stages.append(args)
-        return original(*args)
-
-    forward = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(curve_flow, "_geometry_velocity", counting)
-    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: forward.append(1) or rfft(*a, **k))
+    forward = _counting(monkeypatch, np.fft, "rfft")
     points = perturbed_ellipse(1, 1, 0.05, 3, n=64).points
-    results, counts = [], []
+    states, counts = [], []
     for keep in (False, True):
         curve = ClosedCurve(points)
         if keep:
-            curve.derivative(1)  # as a record leaves the accepted curve
-        del forward[:], stages[:]
-        results.append(step(CurveFlowState(0.0, curve), 1e-3))
+            curve.derivative(1)  # as an earlier reader leaves the curve
+        states.append(CurveFlowState(0.0, curve))
+        del forward[:]
+        states[-1].stage
         counts.append(len(forward))
-        assert len(stages) == 4
-        assert results[-1].curve._memo == {}
-    # with the spectrum kept, k1 makes no forward transform of the points
+    # with the spectrum kept, the stage makes no forward transform of the points
     assert counts[1] == counts[0] - 1
+    assert np.array_equal(states[0].stage[-1], states[1].stage[-1])
+    stages = _counting(monkeypatch, curve_flow, "_geometry_velocity")
+    results = [step(state, 1e-3) for state in states]
+    # k1 is the state's stage: each step computes k2-k4 and the produced state's stage
+    assert len(stages) == 8
+    assert np.array_equal(stages[0][0], points + 0.5e-3 * states[0].stage[-1])
     assert np.array_equal(results[0].curve.points, results[1].curve.points)
+
+
+def test_march_computes_each_state_velocity_once(monkeypatch):
+    stages = _counting(monkeypatch, curve_flow, "_geometry_velocity")
+    kernels = _counting(monkeypatch, curve_flow, "_metric_curvature")
+    state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64), lam=0.7)
+    evolve(state, 0.005, 1e-3, record_stride=1)
+    # the initial stage, then per step k2-k4 and the produced state's stage: each
+    # record and the next k1 read the stage, and no other kernel call is made
+    assert len(stages) == 1 + 4 * 5
+    assert len(kernels) == len(stages)
+
+
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_phi_ceiling_judges_the_final_state(monkeypatch, flow):
+    # max|phi| first exceeds 0.457 at t = 4e-3 (see test_curve_flow_phi_ceiling_exits_three);
+    # a march that ends there raises at that time in both flows
+    monkeypatch.setattr(curvature_flow, "PHI_CEILING", 0.457)
+    curve = shifted_ellipse(1, 1, 0.3, 0, n=64)
+    state = (CurveFlowState(0.0, curve) if flow is curve_flow
+             else CurvatureFlowState.from_curve(curve))
+    with pytest.raises(BlowUp, match=r"max\|phi\| exceeded ceiling 0.457") as info:
+        flow.evolve(state, 4e-3, 1e-3)
+    assert info.value.time == pytest.approx(4e-3, abs=1e-12)
 
 
 _EQUIV_BASE = perturbed_ellipse(1, 1, 0.05, 3, n=64)
