@@ -4,7 +4,7 @@ Subcommands:
     invariants <curve.json>        print L, E, epsilon, phi extrema and the
                                    closed-curve verdicts for a stored curve
     evolve <config.json>           run one scenario with all outputs
-    evolve --sweep <dir>           run every scenario in a directory in parallel
+    evolve --sweep <dir>           run every scenario in a directory, in name order
     verify <config.json>           run a scenario, verdicts/report only
     family --a0 A --b0 B --times T run the explicit-family backward-limit checks
 
@@ -41,7 +41,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_evolve(args, verdicts_only: bool = False) -> int:
     if getattr(args, "sweep", None):
-        return run_sweep(args.sweep, out_dir=args.out_dir, printer=print)
+        return run_sweep(args.sweep, out_dir=args.out_dir, verdicts_only=verdicts_only,
+                         printer=print)
     if not args.config:
         print("error: a config file (or --sweep DIR) is required", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ from .trajectory import FlowTrajectory, march, record_from_fields
 
 # step guards, read at call time (tests monkeypatch them)
 CFL = 0.5           # diffusion CFL number of cfl_limit
-PHI_CEILING = 10.0  # bound on max|phi| after a step
+PHI_CEILING = 10.0  # bound on max|phi| of the state a step starts from and of its result
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,22 @@ def cfl_limit(g: np.ndarray) -> float:
     return CFL * float((g.min() * 2.0 * np.pi / n) ** 2)
 
 
+def _judge(phi: np.ndarray, t: float) -> None:
+    """BlowUp at time t when max|phi| exceeds PHI_CEILING."""
+    if np.abs(phi).max() > PHI_CEILING:
+        raise BlowUp(f"max|phi| exceeded ceiling {PHI_CEILING:g}", time=t)
+
+
 def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
-    """One classical RK4 step of the coupled (g, phi) system."""
+    """One classical RK4 step of the coupled (g, phi) system; it judges the state it
+    starts from and the state it produces against PHI_CEILING."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt_max = cfl_limit(state.g)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
+    _judge(state.phi, state.t)
 
     g, phi = state.g, state.phi
     k1g, k1p, _, _ = state.stage
@@ -118,8 +126,7 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     t_new = state.t + dt
     if not (np.isfinite(phi_new).all() and np.isfinite(g_new).all()):
         raise BlowUp("non-finite state after step", time=t_new)
-    if np.abs(phi_new).max() > PHI_CEILING:
-        raise BlowUp(f"max|phi| exceeded ceiling {PHI_CEILING:g}", time=t_new)
+    _judge(phi_new, t_new)
     return CurvatureFlowState(t=t_new, g=g_new, phi=phi_new)
 
 

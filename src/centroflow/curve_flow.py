@@ -81,8 +81,7 @@ def _judge(state: CurveFlowState) -> None:
     """BlowUp when the state's projected max|phi| exceeds PHI_CEILING; this and any
     geometry error of its curve carry the state's time."""
     try:
-        if np.abs(state.stage[3]).max() > curvature_flow.PHI_CEILING:
-            raise BlowUp(f"max|phi| exceeded ceiling {curvature_flow.PHI_CEILING:g}")
+        curvature_flow._judge(state.stage[3], state.t)
     except MARCH_ERRORS as exc:
         exc.time = state.t
         raise
@@ -111,14 +110,18 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     log_scale = state.log_scale
     if state.normalization == "unit_area_scale":
         # the gauge factor e^(lam dt) is cancelled exactly by this rescaling; the area is
-        # oriented by the sign of [C, C_p] at the state stepped from
-        area = sign * enclosed_area_of(new)
-        if area <= 0:
+        # oriented by the sign of [C, C_p] at the state stepped from, and one too small
+        # for its factor sqrt(pi/area) to be a float has collapsed as well
+        area = float(sign * enclosed_area_of(new))
+        if area <= 0 or math.pi / area == math.inf:
             raise BlowUp("enclosed area collapsed", time=t_new)
         new = new * math.sqrt(math.pi / area)
     else:
         log_scale += state.lam * dt
-        physical_max = np.abs(new).max() * math.exp(log_scale)
+        try:
+            physical_max = np.abs(new).max() * math.exp(log_scale)
+        except OverflowError:
+            raise BlowUp(f"gauge factor e^{log_scale:g} overflowed", time=t_new) from None
         if physical_max > COORD_CEILING:
             raise BlowUp(f"coordinates exceeded ceiling {COORD_CEILING:g}", time=t_new)
     produced = replace(state, t=t_new, curve=ClosedCurve(new, name=state.curve.name),

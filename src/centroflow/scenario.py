@@ -8,8 +8,8 @@ or inadmissible initial curve (reported), 2 verdict failure, 3 flow failure
 """
 
 import json
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import curvature_flow, curve_flow, diagnostics
 from .curve import ClosedCurve, preset
-from .errors import GEOMETRY_ERRORS, MARCH_ERRORS, ConfigError
+from .errors import GEOMETRY_ERRORS, MARCH_ERRORS, CentroflowError, ConfigError
 from .invariants import centro_affine
 from .io import read_curve_json, write_csv, write_report, write_svg
 from .trajectory import plan_steps
@@ -46,13 +46,15 @@ _FLOATS = ("dt", "t_end", "lam")  # echoed in the report, so 1 is read as 1.0
 
 
 def _check_fields(path, raw: dict, types: dict, prefix: str = "") -> None:
-    """ConfigError naming the file and the field for an unknown or mistyped field."""
+    """ConfigError naming the file and the field for an unknown, mistyped or non-finite field."""
     for key, value in raw.items():
         expected = types.get(key)
         if expected is None:
             raise ConfigError(f"{path}: unknown field {prefix + key!r}")
         if (isinstance(value, bool) and expected is not bool) or not isinstance(value, expected):
             raise ConfigError(f"{path}: field {prefix + key!r} has wrong type")
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+            raise ConfigError(f"{path}: field {prefix + key!r} must be finite")
 
 
 def read_curve_file(path) -> ClosedCurve:
@@ -83,6 +85,8 @@ class ScenarioConfig:
     snapshot_stride: int = 0
 
     def validate(self) -> "ScenarioConfig":
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            raise ConfigError(f"field 'name' must be a plain file stem, got {self.name!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
         try:
@@ -240,33 +244,30 @@ def _emit_svgs(svg_dir: Path, config, curve0, curve_traj, final_curve) -> None:
         write_svg(final_curve, svg_dir / f"{config.name}.final.svg", fitted_form=fitted)
 
 
-def run_sweep(directory, out_dir=None, printer=None) -> int:
-    """Run every *.json scenario in the directory in parallel, at most one worker per core.
+def run_sweep(directory, out_dir=None, *, verdicts_only: bool = False, printer=None) -> int:
+    """Run every *.json scenario in the directory, one file after another in name order.
 
-    Each scenario is parsed inside its own task, so a malformed file gets exit
-    1 (its error, which names the file, goes to the printer) while the others
-    still run. Returns the worst exit status; per-scenario outputs stay
-    independent.
+    Each file is parsed and run as `centroflow evolve|verify <file>` would run
+    it, so a malformed file gets exit 1 (its error, which names the file, goes
+    to the printer) while the others still run. The printer gets one
+    "name: exit k" line per file as it ends. Returns the worst exit status.
     """
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
         raise ConfigError(f"no scenario files in {directory}")
-
-    def task(path):
+    worst = 0
+    for path in paths:
+        config, error = None, None
         try:
             config = ScenarioConfig.from_json(path)
-        except ConfigError as exc:
-            return path.stem, 1, f"config error: {exc}"
-        try:
-            return config.name, run_scenario(config, out_dir=out_dir), None
-        except ConfigError as exc:  # a curve spec no preset accepts, or an unreadable curve file
-            return config.name, 1, f"config error: {path}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=min(len(paths), os.cpu_count() or 1)) as pool:
-        results = list(pool.map(task, paths))
-    if printer:
-        for name, code, error in results:
+            code = run_scenario(config, out_dir=out_dir, verdicts_only=verdicts_only)
+        except ConfigError as exc:  # from_json's errors name the file; a curve's do not
+            code, error = 1, f"config error: {exc if config is None else f'{path}: {exc}'}"
+        except (CentroflowError, ValueError, OSError) as exc:  # exit 3, as cli.main has it
+            code, error = 3, f"error: {type(exc).__name__}: {exc}"
+        if printer:
             if error:
                 printer(error)
-            printer(f"{name}: exit {code}")
-    return max(code for _, code, _ in results)
+            printer(f"{path.stem if config is None else config.name}: exit {code}")
+        worst = max(worst, code)
+    return worst

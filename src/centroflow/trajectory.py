@@ -86,7 +86,10 @@ def plan_steps(t0: float, t_end: float, dt: float) -> int:
     """Number of dt steps from t0 to t_end; ValueError unless it is a positive whole number."""
     if t_end <= t0:
         raise ValueError("t_end must exceed the state's time")
-    n_steps = round((t_end - t0) / dt)
+    steps = (t_end - t0) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon {t_end - t0:g} is too long to plan in steps of dt = {dt:g}")
+    n_steps = round(steps)
     if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"horizon {t_end - t0:g} is not an integer multiple of dt = {dt:g}")
     return n_steps

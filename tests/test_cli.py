@@ -1,6 +1,12 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from centroflow import curvature_flow, curve_flow, diagnostics, scenario
@@ -143,32 +149,21 @@ def test_inadmissible_initial_curve_reports_and_exits_one(tmp_path):
     assert report["verdicts"] == []
 
 
-def test_sweep_pool_bounded_by_cores(tmp_path, monkeypatch):
+def test_sweep_runs_in_name_order_on_the_calling_thread(tmp_path, monkeypatch):
     sweep_dir = tmp_path / "many"
     sweep_dir.mkdir()
-    for i in range(5):
-        small_scenario(sweep_dir, name=f"s{i}")
-    sizes = []
+    for name in ("s3", "s1", "s4", "s0", "s2"):
+        small_scenario(sweep_dir, name=name)
+    calls = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_run(config, out_dir=None, *, verdicts_only=False):
+        calls.append((config.name, threading.current_thread()))
+        return 0
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(scenario, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(scenario, "run_scenario", lambda config, out_dir=None: 0)
-    for cores, want in ((2, 2), (None, 1), (64, 5)):
-        monkeypatch.setattr(scenario.os, "cpu_count", lambda: cores)
-        assert run_sweep(sweep_dir, out_dir=tmp_path) == 0
-        assert sizes[-1] == want
+    monkeypatch.setattr(scenario, "run_scenario", recording_run)
+    assert run_sweep(sweep_dir, out_dir=tmp_path) == 0
+    assert [name for name, _ in calls] == ["s0", "s1", "s2", "s3", "s4"]
+    assert all(thread is threading.current_thread() for _, thread in calls)
 
 
 def test_verify_writes_report_only(tmp_path):
@@ -176,6 +171,50 @@ def test_verify_writes_report_only(tmp_path):
     assert main(["verify", str(cfg), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "verify-only.report.json").exists()
     assert not (tmp_path / "verify-only.csv").exists()
+
+
+def test_verify_sweep_writes_reports_only(tmp_path, capsys):
+    sweep_dir = tmp_path / "batch"
+    sweep_dir.mkdir()
+    for name in ("a", "b"):
+        small_scenario(sweep_dir, name=name, t_end=0.002, snapshot_stride=10,
+                       outputs={"csv": f"{name}.csv", "report": f"{name}.report.json",
+                                "svg_dir": "svg"})
+    out = tmp_path / "out"
+    assert main(["verify", "--sweep", str(sweep_dir), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a: exit 0", "b: exit 0"]
+    assert sorted(p.name for p in out.rglob("*")) == ["a.report.json", "b.report.json"]
+
+
+def _written(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_each_sweep_file_ends_as_its_run_alone(tmp_path, capsys):
+    sweep_dir = tmp_path / "mixed"
+    sweep_dir.mkdir()
+    quick = {"t_end": 0.002}
+    paths = [small_scenario(sweep_dir, name="good", **quick),
+             small_scenario(sweep_dir, name="good-curve", flow="curve", **quick),
+             small_scenario(sweep_dir, name="ragged", N=64, dt=3e-4, t_end=0.01),
+             small_scenario(sweep_dir, name="unknown", curve={"kind": "triangle"}, **quick),
+             small_scenario(sweep_dir, name="missing", curve="missing-curve.json", **quick),
+             small_scenario(sweep_dir, name="endless", N=64, t_end=math.inf),
+             # the CSV path is the output directory itself: an OSError, exit 3
+             small_scenario(sweep_dir, name="unwritable", outputs={"csv": "."}, **quick)]
+    alone_codes, alone_files = {}, {}
+    for path in paths:
+        out = tmp_path / "alone" / path.stem
+        alone_codes[path.stem] = main(["evolve", str(path), "--out-dir", str(out)])
+        alone_files.update(_written(out) if out.exists() else {})
+    assert alone_codes == {"good": 0, "good-curve": 0, "ragged": 1, "unknown": 1,
+                           "missing": 1, "endless": 1, "unwritable": 3}
+    capsys.readouterr()
+    worst = main(["evolve", "--sweep", str(sweep_dir), "--out-dir", str(tmp_path / "swept")])
+    exits = [line for line in capsys.readouterr().out.splitlines() if ": exit " in line]
+    assert exits == [f"{path.stem}: exit {alone_codes[path.stem]}" for path in sorted(paths)]
+    assert _written(tmp_path / "swept") == alone_files
+    assert worst == max(alone_codes.values())
 
 
 def test_family_command(capsys):
@@ -281,6 +320,80 @@ def test_sweep_reports_a_bad_file_and_runs_the_rest(tmp_path):
     assert len(errors) == 2
     assert str(ragged) in errors[0] and "not an integer multiple of dt" in errors[0]
     assert str(unknown) in errors[1] and "unknown preset kind 'triangle'" in errors[1]
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"t_end": math.inf}, "field 't_end' must be finite"),
+    ({"t_end": 1e308, "dt": 1e-10}, "horizon 1e+308 is too long to plan in steps of dt = 1e-10"),
+    ({"dt": math.nan}, "field 'dt' must be finite"),
+    ({"lambda": math.nan, "normalization": "none"}, "field 'lambda' must be finite"),
+], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN"])
+def test_numbers_that_cannot_run_are_config_errors(tmp_path, capsys, overrides, message):
+    cfg = small_scenario(tmp_path, name="numeric", **{"N": 64, "t_end": 3e-4, **overrides})
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"normalization": "none", "lambda": 1e308}, "gauge factor e^1e+304 overflowed"),
+    ({"curve": {"kind": "perturbed_ellipse", "a": 1e-160, "b": 1e-160,
+                "amplitude": 0.05, "mode": 3}}, "enclosed area collapsed"),
+], ids=["lambda 1e308", "area 1e-320"])
+def test_an_overflowing_scale_factor_is_a_blowup(tmp_path, overrides, message):
+    cfg = small_scenario(tmp_path, name="scale", flow="curve", N=64, t_end=3e-4, **overrides)
+    with np.errstate(all="ignore"):  # the 1e-160 curve's invariants divide by zero
+        assert main(["verify", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    error = json.loads((tmp_path / "scale.report.json").read_text())["error"]
+    assert error == {"type": "BlowUp", "message": message, "time": 1e-4}
+
+
+@pytest.mark.parametrize("name", ["g/../../escaped", "a/b", "", ".", ".."])
+def test_a_name_must_be_a_plain_file_stem(tmp_path, capsys, name):
+    (tmp_path / "scenarios" / "deep").mkdir(parents=True)
+    cfg = small_scenario(tmp_path / "scenarios" / "deep", name="stem", N=64, t_end=3e-4,
+                         outputs={})
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "name": name}))
+    assert main(["verify", str(cfg), "--out-dir", str(tmp_path / "out" / "inner")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg}: field 'name' must be a plain file stem, got {name!r}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
+
+_PROCESS_BASE = {"name": "proc", "curve": {"kind": "perturbed_ellipse", "a": 1.0, "b": 1.0,
+                                           "amplitude": 0.05, "mode": 3},
+                 "N": 64, "dt": 1e-4, "t_end": 3e-4, "flow": "curve"}
+
+
+@pytest.mark.parametrize("overrides,code", [
+    ({"t_end": math.inf}, 1),
+    ({"t_end": 1e308, "dt": 1e-10}, 1),
+    ({"dt": math.nan}, 1),
+    ({"lambda": math.nan, "normalization": "none"}, 1),
+    ({"lambda": 1e308, "normalization": "none"}, 3),
+    ({"name": "g/../../escaped"}, 1),
+], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN", "lambda 1e308",
+        "escaping name"])
+def test_the_process_exits_with_the_readme_code_and_no_traceback(tmp_path, overrides, code):
+    # what a user sees: the interpreter's own exit status and stderr, not main()'s return
+    cfg = tmp_path / "scenarios" / "proc.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({**_PROCESS_BASE, **overrides}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "centroflow.cli", "verify", str(cfg), "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p != cfg]
+    if code == 1:
+        assert proc.stderr.startswith(f"config error: {cfg}: ")
+        assert written == []
+    else:
+        assert written == [out / "proc.report.json"]
+        assert json.loads(written[0].read_text())["error"]["type"] == "BlowUp"
 
 
 @pytest.mark.parametrize("flow,module,kernel,error", [

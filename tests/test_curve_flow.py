@@ -12,7 +12,7 @@ from centroflow.curvature_flow import rhs as scalar_rhs
 from centroflow.curvature_flow import step as scalar_step
 from centroflow import curvature_flow, curve_flow
 from centroflow.curve import (ClosedCurve, bracket, enclosed_area_of, origin_ellipse,
-                              perturbed_ellipse, shifted_ellipse)
+                              perturbed_ellipse, shifted_ellipse, star_convex)
 from centroflow.curve_flow import CurveFlowState, consistency_check, evolve, step
 from centroflow.errors import BlowUp, FlowError, StabilityViolation
 from centroflow.invariants import centro_affine, xi_derivative
@@ -272,6 +272,19 @@ def test_phi_ceiling_judges_the_final_state(monkeypatch, flow):
     with pytest.raises(BlowUp, match=r"max\|phi\| exceeded ceiling 0.457") as info:
         flow.evolve(state, 4e-3, 1e-3)
     assert info.value.time == pytest.approx(4e-3, abs=1e-12)
+
+
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_phi_ceiling_judges_the_start_state(flow):
+    # a convex mode-6 star whose initial max|phi| (13.56) is above the ceiling of 10:
+    # both flows raise before the first step, so a "both" run and a "curve" run of
+    # the curve report the same failure time
+    curve = star_convex([0, 0, 0, 0, 0, 0.024], [0] * 6, n=128)
+    state = (CurveFlowState(0.0, curve) if flow is curve_flow
+             else CurvatureFlowState.from_curve(curve))
+    with pytest.raises(BlowUp, match=r"max\|phi\| exceeded ceiling 10") as info:
+        flow.evolve(state, 1e-4, 5e-5)
+    assert info.value.time == 0.0
 
 
 _EQUIV_BASE = perturbed_ellipse(1, 1, 0.05, 3, n=64)
