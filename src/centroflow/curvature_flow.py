@@ -75,7 +75,7 @@ def _stage(g: np.ndarray, phi: np.ndarray):
     if np.any(g <= 0):
         raise DegenerateMetric("metric g must be positive for xi-derivatives")
     n = len(phi)
-    mult = _tables(n).mults[:, 0]
+    mult = _tables(n).mults[:, 0, 0]
     spec = np.fft.rfft(phi)
     phi_xi = np.fft.irfft(_trim(spec.copy()) * mult, n=n) / g
     phi_xixi = np.fft.irfft(_trim(np.fft.rfft(phi_xi)) * mult, n=n) / g
@@ -95,12 +95,12 @@ def rhs(state: CurvatureFlowState):
 def cfl_limit(g: np.ndarray) -> float:
     """Largest admissible dt: CFL * min(g * 2*pi/N)^2 (diffusion coefficient 1/2)."""
     n = len(g)
-    return CFL * float((g.min() * 2.0 * np.pi / n) ** 2)
+    return CFL * float((np.minimum.reduce(g) * 2.0 * np.pi / n) ** 2)
 
 
 def _judge(phi: np.ndarray, t: float) -> None:
     """BlowUp at time t when max|phi| exceeds PHI_CEILING."""
-    if np.abs(phi).max() > PHI_CEILING:
+    if np.maximum.reduce(np.abs(phi)) > PHI_CEILING:
         raise BlowUp(f"max|phi| exceeded ceiling {PHI_CEILING:g}", time=t)
 
 

@@ -89,9 +89,12 @@ class ClosedCurve:
 
 
 def _one_strict_sign(values: np.ndarray) -> bool:
-    """The one sign scan: every value beyond SIGN_TOL times the largest, on one side of 0."""
-    tol = SIGN_TOL * np.abs(values).max()
-    return bool(np.all(values > tol) or np.all(values < -tol))
+    """The one sign scan: every value beyond SIGN_TOL times the largest, on one side of 0.
+
+    It reads only the extremes; a NaN makes both NaN, and every comparison then fails."""
+    lo, hi = np.minimum.reduce(values), np.maximum.reduce(values)
+    tol = SIGN_TOL * max(-lo, hi)
+    return bool(lo > tol or hi < -tol)
 
 
 def _shape(curve: ClosedCurve):

@@ -62,19 +62,22 @@ class CurveFlowState:
     @cached_property
     def stage(self):
         """_geometry_velocity at the state's own curve, computed once: its step's k1,
-        the guards and its record share it."""
+        the guards and its record (C_p for the area included) share it."""
         return _geometry_velocity(self.curve.points, self.curve._derivatives())
 
 
 def _geometry_velocity(points: np.ndarray, derivs=None):
-    """(sign, g, raw phi, projected phi, velocity): the gauge-invariant velocity, the
-    sign of [C, C_p] (one strict sign, as the metric requires) and the fields the step
-    and the record read; derivs as in _metric_curvature."""
+    """(sign, g, raw phi, projected phi, C_p, velocity): the gauge-invariant velocity,
+    the sign of [C, C_p] (one strict sign, as the metric requires) and the fields the
+    step and the record read; derivs as in _metric_curvature.
+
+    The velocity is combined on the component-major views (2, N) and returned as the
+    transposed view, so no field is broadcast along a new axis."""
     cp, _, den, _, g, raw = _metric_curvature(points, derivs)
     phi = dealias(raw)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
-    return (np.sign(den[0]), g, raw, phi,
-            potential[:, None] * points + (0.5 * phi / g)[:, None] * cp)
+    return (math.copysign(1.0, den[0]), g, raw, phi, cp,
+            (potential * points.T + 0.5 * phi / g * cp.T).T)
 
 
 def _judge(state: CurveFlowState) -> None:
@@ -92,7 +95,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     pts = state.curve.points
-    sign, g, _, _, k1 = state.stage
+    sign, g, _, _, _, k1 = state.stage
     dt_max = cfl_limit(g)
     if dt > dt_max:
         raise StabilityViolation(
@@ -105,7 +108,8 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     new = pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     t_new = state.t + dt
-    if not np.isfinite(new).all():
+    peak = np.maximum.reduce(np.abs(new), axis=None)  # inf or NaN unless all are finite
+    if not peak < math.inf:
         raise BlowUp("non-finite coordinates after step", time=t_new)
     log_scale = state.log_scale
     if state.normalization == "unit_area_scale":
@@ -119,7 +123,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     else:
         log_scale += state.lam * dt
         try:
-            physical_max = np.abs(new).max() * math.exp(log_scale)
+            physical_max = peak * math.exp(log_scale)
         except OverflowError:
             raise BlowUp(f"gauge factor e^{log_scale:g} overflowed", time=t_new) from None
         if physical_max > COORD_CEILING:
@@ -134,10 +138,13 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
     """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
     def record(current):
-        _, g, phi, _, _ = current.stage
+        _, g, phi, _, cp, _ = current.stage
         phi_xi = xi_derivative(phi, g, 1)
+        # unscaled, the curve's area is read from the stage's C_p without a transform
+        area = (enclosed_area_of(current.curve.points, cp) if current.log_scale == 0.0
+                else current.physical_curve.enclosed_area())
         return record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
-                                  area=current.physical_curve.enclosed_area())
+                                  area=area)
 
     def snapshot(current):
         # a bare copy, so the trajectory does not hold the stepped curve's kept spectrum

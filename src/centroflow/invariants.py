@@ -96,16 +96,21 @@ def _metric_curvature(points: np.ndarray, derivs=None):
     den = _star_density(points, cp)      # [C, C_p]
     num = xp * ypp - yp * xpp            # [C_p, C_pp]
 
+    # the guards read the ratio's extremes only: eps is the sign np.sign gives every
+    # node (a NaN has none), and the extremes of the radicand eps * ratio are eps times them
     ratio = num / den
-    signs = np.sign(ratio)
-    if signs.max() != signs.min():
+    lo, hi = np.minimum.reduce(ratio), np.maximum.reduce(ratio)
+    if lo > 0:
+        eps, least, most = 1, lo, hi
+    elif hi < 0:
+        eps, least, most = -1, -hi, -lo
+    elif lo == hi == 0:
+        eps, least, most = 0, 0.0, 0.0
+    else:
         raise NonConstantSign("sign of [C_p, C_pp]/[C, C_p] varies over the grid")
-    eps = int(signs[0])
-
-    radicand = eps * ratio
-    if np.any(radicand <= SIGN_TOL * radicand.max()):
+    if least <= SIGN_TOL * most:
         raise DegenerateMetric("metric radicand [C_p, C_pp]/[C, C_p] vanishes on the grid")
-    g = np.sqrt(radicand)
+    g = np.sqrt(ratio if eps == 1 else -ratio)
 
     # sqrt(eps*den/num) is 1/g; no extra radicand to guard
     phi = (1.0 / g) * (1.5 * (x * ypp - y * xpp) / den          # [C, C_pp]

@@ -8,7 +8,9 @@ one code path.
 The per-N constants (wavenumbers, the derivative multipliers of orders 1-3,
 antiderivative's divisor and the grid) are built once per grid size by
 _tables and shared read-only; each call then costs its transforms and a few
-elementwise products.
+elementwise products. At N = 256 a numpy call costs more than its arithmetic, so
+the guards in curve, invariants and the flows read an array's extremes with one
+ufunc.reduce each (np.any, np.all and .max() cost two to three times as much).
 """
 
 from functools import lru_cache
@@ -28,11 +30,12 @@ def grid(n: int) -> np.ndarray:
 # relative to the spectrum norm, so it commutes with rescaling the data.
 TRIM_FACTOR = 64.0
 _EPS = float(np.finfo(float).eps)
+_TRIM = TRIM_FACTOR * _EPS
 
 
 class _Tables(NamedTuple):
     k: np.ndarray        # wavenumbers 0..n//2
-    mults: np.ndarray    # (n//2 + 1, 3): (ik)^order for orders 1, 2, 3
+    mults: np.ndarray    # (n//2 + 1, 3, 1): (ik)^order for orders 1, 2, 3
     divisor: np.ndarray  # ik with k[0] = 1, antiderivative's safe divisor
     grid: np.ndarray
 
@@ -50,9 +53,8 @@ def _tables(n: int) -> _Tables:
     k = np.arange(n // 2 + 1)
     safe = k.copy()
     safe[0] = 1  # avoid 0/0; mode 0 is antiderivative's linear term
-    tables = _Tables(k=k,
-                     mults=np.stack([_multiplier(k, order, n) for order in (1, 2, 3)], axis=1),
-                     divisor=1j * safe, grid=grid(n))
+    mults = np.stack([_multiplier(k, order, n) for order in (1, 2, 3)], axis=1)
+    tables = _Tables(k=k, mults=mults[:, :, None], divisor=1j * safe, grid=grid(n))
     for array in tables:
         array.setflags(write=False)
     return tables
@@ -61,8 +63,10 @@ def _tables(n: int) -> _Tables:
 def _trim(spec: np.ndarray) -> np.ndarray:
     """Zero, in place, the coefficients of an rfft spectrum at its noise floor."""
     # the column 2-norm exactly as np.linalg.norm(spec, axis=0) computes it, minus its dispatch
-    norm = np.sqrt(np.add.reduce((spec.conj() * spec).real, axis=0, keepdims=True))
-    spec[np.abs(spec) <= TRIM_FACTOR * _EPS * norm] = 0.0
+    squares = spec.conj()
+    squares *= spec
+    norm = np.sqrt(np.add.reduce(squares.real, axis=0))
+    spec[np.abs(spec) <= _TRIM * norm] = 0.0
     return spec
 
 
@@ -90,8 +94,11 @@ def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
 
 def _derivative_batch(spec: np.ndarray, n: int) -> np.ndarray:
     """(n, 3, 2): orders 1-3 of a trimmed curve spectrum from one inverse transform;
-    [:, order - 1] equals derivative of that order bit for bit."""
-    return np.fft.irfft(spec[:, None, :] * _tables(n).mults[:, :, None], n=n, axis=0)
+    [:, order - 1] equals derivative of that order bit for bit.
+
+    The product is laid out component-major (Fortran order), so the transform and
+    every derivative component it gives are contiguous along the grid."""
+    return np.fft.irfft(np.multiply(spec[:, None], _tables(n).mults, order="F"), n=n, axis=0)
 
 
 def antiderivative(values: np.ndarray) -> np.ndarray:
@@ -106,13 +113,14 @@ def antiderivative(values: np.ndarray) -> np.ndarray:
     tables = _tables(n)
     spec = np.fft.rfft(values)
     mean = spec[0].real / n
-    integ = spec / tables.divisor
-    integ[0] = 0.0  # mode 0 is the linear term
+    spec /= tables.divisor
+    spec[0] = 0.0  # mode 0 is the linear term
     if n % 2 == 0:
-        integ[-1] = 0.0
-    periodic = np.fft.irfft(integ, n=n)
-    periodic = periodic - periodic[0]
-    return periodic + mean * tables.grid
+        spec[-1] = 0.0
+    periodic = np.fft.irfft(spec, n=n)
+    periodic -= periodic[0]
+    periodic += mean * tables.grid
+    return periodic
 
 
 def periodic_integral(values: np.ndarray) -> float:

@@ -27,6 +27,18 @@ def fd_bracket_signs(points: np.ndarray):
     return d, m
 
 
+def overflowing_m3_image():
+    """(points, derivatives) of a rotated, sheared m3 scaled near 1e154: [C, C_p] stays
+    finite and one-signed, while [C_p, C_pp] overflows to inf - inf = NaN at some nodes."""
+    from centroflow.curve import ClosedCurve, perturbed_ellipse
+
+    rot, shear = 0.7, 4.0
+    mat = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]]) @ [[1, shear], [0, 1]]
+    curve = ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=64).points @ mat.T)
+    scale = 10.0**153.75
+    return curve.points * scale, curve._derivatives() * scale
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -2,16 +2,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centroflow.curve import (ClosedCurve, bracket, check_convex,
+from centroflow.curve import (SIGN_TOL, ClosedCurve, _one_strict_sign, bracket, check_convex,
                               check_star_shaped, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, preset, random_star_convex,
                               shifted_ellipse, star_convex)
 from centroflow.errors import DegenerateMetric, NotStarShaped
 from centroflow.spectral import derivative
-from conftest import fd_bracket_signs
+from conftest import fd_bracket_signs, overflowing_m3_image
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 small = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -210,3 +210,45 @@ def test_preset_builds_and_validates_one_curve(monkeypatch):
     assert len(inverse) == 1
     assert set(curve._memo) == {"spectrum"}
     assert check_star_shaped(curve) and check_convex(curve)
+
+
+def _reference_one_strict_sign(values):
+    # reference: the scan as np.all over every node, against SIGN_TOL times np.abs(...).max()
+    tol = SIGN_TOL * np.abs(values).max()
+    return bool(np.all(values > tol) or np.all(values < -tol))
+
+
+def _brackets(curve):
+    derivs = curve._derivatives()
+    return bracket(curve.points, derivs[:, 0]), bracket(derivs[:, 0], derivs[:, 1])
+
+
+def test_one_strict_sign_matches_the_scan_on_curves():
+    base = perturbed_ellipse(1, 1, 0.05, 3, n=64)
+    points, derivs = overflowing_m3_image()
+    with np.errstate(all="ignore"):
+        overflowed = bracket(derivs[:, 0], derivs[:, 1])
+        assert np.isnan(overflowed).any()
+        arrays = [*_brackets(shifted_ellipse(1, 1, 2.0, 0.0)),                       # origin outside
+                  *_brackets(perturbed_ellipse(1, 1, 0.5, 8, require_convex=False)),  # not convex
+                  *_brackets(base), *_brackets(ClosedCurve(base.points * [1, -1])),
+                  bracket(points, derivs[:, 0]), overflowed]
+        for values in arrays:
+            assert _one_strict_sign(values) == _reference_one_strict_sign(values)
+    assert [_one_strict_sign(values) for values in arrays] == [False, True, True, False, True,
+                                                               True, True, True, True, False]
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                            1e-300, 1e300, -1e300])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(base=st.sampled_from([1.0, -1.0, 1e-310, -1e300]),
+       values=st.lists(_SPECIAL | st.floats(), min_size=1, max_size=12),
+       keep=st.integers(0, 12))
+def test_one_strict_sign_matches_the_scan_on_drawn_arrays(base, values, keep):
+    # one-signed runs of base with NaN, infinities, zeros, subnormals or any float mixed in
+    values = np.array([base] * keep + values)
+    with np.errstate(all="ignore"):
+        assert _one_strict_sign(values) == _reference_one_strict_sign(values)

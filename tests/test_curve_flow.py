@@ -17,7 +17,7 @@ from centroflow.curve_flow import CurveFlowState, consistency_check, evolve, ste
 from centroflow.errors import BlowUp, FlowError, StabilityViolation
 from centroflow.invariants import centro_affine, xi_derivative
 from centroflow.spectral import antiderivative, dealias, derivative, periodic_integral
-from centroflow.trajectory import FlowTrajectory, record_from_fields
+from centroflow.trajectory import COLUMNS, FlowTrajectory, record_from_fields
 
 
 def test_stage_velocity_vanishes_on_ellipse():
@@ -118,14 +118,22 @@ def _reference_step(state, dt):
     return replace(state, t=state.t + dt, curve=curve, log_scale=log_scale)
 
 
-@pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])
-def test_step_bit_identical_to_reference(normalization):
-    state = CurveFlowState(0.0, perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64), lam=0.7,
-                           normalization=normalization)
+def _m3_image():
+    # the benchmark's grid and dt: a GL(2) image of m3 (cond 1.6) at N 256, stepped at 1e-4
+    mat = np.array([[1.3, 0.4], [-0.2, 0.8]])
+    return ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=256).points @ mat.T, name="image"), 1e-4
+
+
+@pytest.mark.parametrize("normalization,image", [
+    ("unit_area_scale", False), ("none", False), ("unit_area_scale", True)],
+    ids=["unit_area_scale", "none", "m3 image N 256"])
+def test_step_bit_identical_to_reference(normalization, image):
+    curve, dt = _m3_image() if image else (perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64), 1e-3)
+    state = CurveFlowState(0.0, curve, lam=0.7, normalization=normalization)
     want = state
     for _ in range(50):
-        state = step(state, 1e-3)
-        want = _reference_step(want, 1e-3)
+        state = step(state, dt)
+        want = _reference_step(want, dt)
         assert state.t == want.t and state.log_scale == want.log_scale
         assert np.array_equal(state.curve.points, want.curve.points)
     assert (state.log_scale != 0.0) == (normalization == "none")
@@ -248,6 +256,23 @@ def test_step_k1_reads_the_kept_spectrum(monkeypatch):
     assert len(stages) == 8
     assert np.array_equal(stages[0][0], points + 0.5e-3 * states[0].stage[-1])
     assert np.array_equal(results[0].curve.points, results[1].curve.points)
+
+
+@pytest.mark.parametrize("normalization,lam,transforms", [
+    ("unit_area_scale", 0.7, 4), ("none", 0.0, 4), ("none", 0.7, 5)])
+def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, transforms):
+    state = step(CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=256), lam=lam,
+                                normalization=normalization), 1e-4)   # its stage is made
+    # evolve hands its record to march; take it from there
+    monkeypatch.setattr(curve_flow, "march", lambda state, t_end, dt, advance, record, **_: record)
+    record = evolve(state, 1.0, 1e-4)
+    forward, inverse = _counting(monkeypatch, np.fft, "rfft"), _counting(monkeypatch, np.fft, "irfft")
+    row = record(state)
+    # the four xi-derivatives of phi take one rfft and one irfft each; the area of an
+    # unscaled curve takes none, and only a scaled copy is transformed again
+    assert (len(forward), len(inverse)) == (transforms, transforms)
+    assert (state.log_scale != 0.0) == (transforms == 5)
+    assert row[COLUMNS.index("area")] == enclosed_area_of(state.physical_curve.points)
 
 
 def test_march_computes_each_state_velocity_once(monkeypatch):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from centroflow.curve import (ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
+from centroflow.curve import (SIGN_TOL, ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
                               random_star_convex, shifted_ellipse, star_convex)
+from centroflow.curve_flow import _geometry_velocity
 from centroflow.errors import (DegenerateMetric, NonConstantSign,
                                NotStarShaped)
 from centroflow.invariants import (_metric_curvature, centro_affine,
                                    centro_equiaffine, energy, perimeter,
                                    phi_from_mu, sobolev_norm, xi_derivative)
 from centroflow.spectral import antiderivative, derivative, periodic_integral
+from conftest import overflowing_m3_image
 
 TWO_PI = 2 * np.pi
 
@@ -334,3 +338,109 @@ def test_error_types_in_either_call_order(affine_first):
         with pytest.raises(NotStarShaped):
             fn(outside)
     assert "equiaffine" not in outside._memo
+
+
+# ---------------------------------------------------------------------------
+# the metric's guards read the ratio's extremes: the same verdicts as the scans
+
+
+def _reference_guards(points, derivs):
+    # reference: the guards as np.all, np.sign and .max() scans, in the kernel's order
+    cp, cpp = derivs[:, 0], derivs[:, 1]
+    den = bracket(points, cp)
+    tol = SIGN_TOL * np.abs(den).max()
+    if not (np.all(den > tol) or np.all(den < -tol)):
+        return NotStarShaped, "[C, C_p] changes sign: curve is not star-shaped"
+    ratio = bracket(cp, cpp) / den
+    signs = np.sign(ratio)
+    if signs.max() != signs.min():
+        return NonConstantSign, "sign of [C_p, C_pp]/[C, C_p] varies over the grid"
+    eps = int(signs[0])
+    radicand = eps * ratio
+    if np.any(radicand <= SIGN_TOL * radicand.max()):
+        return DegenerateMetric, "metric radicand [C_p, C_pp]/[C, C_p] vanishes on the grid"
+    return np.sign(den[0]), eps, np.sqrt(radicand)
+
+
+def _assert_same_guards(points, derivs):
+    want = _reference_guards(points, derivs)
+    for kernel in (_metric_curvature, _geometry_velocity):
+        try:
+            got = kernel(points, derivs)
+        except (NotStarShaped, NonConstantSign, DegenerateMetric) as exc:
+            assert (type(exc), str(exc)) == want
+            continue
+        assert not isinstance(want[0], type), f"{kernel.__name__} passed, the reference raised {want}"
+        if kernel is _metric_curvature:
+            assert got[3] == want[1] and np.array_equal(got[4], want[2])
+        else:
+            assert got[0] == want[0] and np.array_equal(got[1], want[2])
+
+
+def _circle_arrays(n=16):
+    # exact samples and derivatives of the unit circle, built without transforms
+    p = 2 * np.pi * np.arange(n) / n
+    c, s = np.cos(p), np.sin(p)
+    points = np.stack([c, s], axis=1)
+    derivs = np.stack([np.stack(pair, axis=1) for pair in ((-s, c), (-c, -s), (s, -c))], axis=1)
+    return points, derivs
+
+
+def _scale_cpp(points, derivs, factor, node=slice(None)):
+    # C_pp times factor at the nodes: -1 everywhere flips eps, 1e-13 at one node makes its
+    # radicand vanish against the largest, 0 makes every ratio 0
+    derivs = derivs.copy()
+    derivs[node, 1] *= factor
+    return points, derivs
+
+
+def _arrays_of(curve):
+    return curve.points, curve._derivatives()
+
+
+# case -> (arrays, the reference's verdict: its exception type, or eps when it passes)
+_GUARD_CASES = {
+    "origin outside": (lambda: _arrays_of(shifted_ellipse(1, 1, 2.0, 0.0)), NotStarShaped),
+    "not convex": (lambda: _arrays_of(perturbed_ellipse(1, 1, 0.5, 8, require_convex=False)),
+                   NonConstantSign),
+    "vanishing radicand": (lambda: _scale_cpp(*_circle_arrays(), 1e-13, 3), DegenerateMetric),
+    "vanishing radicand, eps -1": (
+        lambda: _scale_cpp(*_scale_cpp(*_circle_arrays(), -1.0), 1e-13, 3), DegenerateMetric),
+    "zero ratio": (lambda: _scale_cpp(*_circle_arrays(), 0.0), DegenerateMetric),
+    "eps -1": (lambda: _scale_cpp(*_circle_arrays(), -1.0), -1),
+    "overflow to NaN": (overflowing_m3_image, NonConstantSign),
+}
+
+
+@pytest.mark.parametrize("case", list(_GUARD_CASES))
+def test_metric_guards_match_the_scans(case):
+    make, verdict = _GUARD_CASES[case]
+    arrays = make()
+    with np.errstate(all="ignore"):
+        want = _reference_guards(*arrays)
+        assert (want[0] if isinstance(want[0], type) else want[1]) == verdict
+        _assert_same_guards(*arrays)
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                            1e-300, 1e300, -1e300])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(scale=st.sampled_from([1.0, -1.0, 1e-160, 1e154, 5e-324]),
+       flip=st.booleans(),
+       edits=st.lists(st.tuples(st.integers(0, 16 * 8 - 1), _SPECIAL | st.floats()),
+                      max_size=4))
+def test_metric_guards_match_the_scans_on_drawn_arrays(scale, flip, edits):
+    # a circle's arrays, scaled, with a few entries replaced by NaN, infinities, zeros,
+    # subnormals or any float
+    points, derivs = _circle_arrays()
+    if flip:
+        points, derivs = _scale_cpp(points, derivs, -1.0)
+    points, derivs = points * scale, derivs * scale
+    flat = np.concatenate([points.ravel(), derivs.ravel()])
+    for index, value in edits:
+        flat[index] = value
+    points, derivs = flat[:32].reshape(16, 2), flat[32:].reshape(16, 3, 2)
+    with np.errstate(all="ignore"):
+        _assert_same_guards(points, derivs)
