@@ -10,6 +10,7 @@ remeshing. Explicit RK4 with a diffusion CFL guard; the cubic term is
 projected by the 2/3 rule, as the curve flow projects phi.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .curve import ClosedCurve
 from .errors import BlowUp, DegenerateMetric, StabilityViolation
-from .invariants import InvariantField, centro_affine
+from .invariants import InvariantField, _check_metric, _xi_derivative, centro_affine
 from .spectral import _tables, _trim
 from .trajectory import FlowTrajectory, march, record_from_fields
 
@@ -39,9 +40,14 @@ class CurvatureFlowState:
         phi = np.asarray(self.phi, dtype=float)
         if g.shape != phi.shape or g.ndim != 1:
             raise ValueError("g and phi must be 1-d arrays of equal length")
-        if not (np.isfinite(g).all() and np.isfinite(phi).all()):
+        # a NaN makes a reduction NaN, which fails every comparison; with the initial
+        # values an empty state builds
+        g_lo = np.minimum.reduce(g, initial=math.inf)
+        g_hi = np.maximum.reduce(g, initial=-math.inf)
+        if not (-math.inf < g_lo and g_hi < math.inf
+                and np.maximum.reduce(np.abs(phi), initial=0.0) < math.inf):
             raise ValueError("state fields must be finite")
-        if np.any(g <= 0):
+        if g_lo <= 0:
             raise DegenerateMetric("metric g must be positive")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "phi", phi)
@@ -68,21 +74,23 @@ class CurvatureFlowState:
 def _stage(g: np.ndarray, phi: np.ndarray):
     """One RK4 stage on bare arrays: (g_dot, phi_dot, phi_xi, phi_xixi).
 
-    One rfft of phi serves both the trimmed first derivative and the 2/3-rule
-    projection of the cubic. Each output equals, bit for bit, what
+    One rfft of phi and one irfft of a (2, N/2+1) spectrum give the trimmed first
+    derivative and the 2/3-rule projection of the cubic; phi_xixi is the xi-derivative
+    kernel of phi_xi. Four transforms in all, and each output equals, bit for bit, what
     xi_derivative(phi, g, 1 or 2) and dealias compute on the same arrays.
     """
-    if np.any(g <= 0):
-        raise DegenerateMetric("metric g must be positive for xi-derivatives")
+    _check_metric(g)
     n = len(phi)
-    mult = _tables(n).mults[:, 0, 0]
     spec = np.fft.rfft(phi)
-    phi_xi = np.fft.irfft(_trim(spec.copy()) * mult, n=n) / g
-    phi_xixi = np.fft.irfft(_trim(np.fft.rfft(phi_xi)) * mult, n=n) / g
-    spec[n // 3:] = 0.0
-    cubed = np.fft.irfft(spec, n=n) ** 3
+    rows = np.empty((2, len(spec)), dtype=complex)
+    rows[1] = spec
+    rows[1, n // 3:] = 0.0
+    np.multiply(_trim(spec), _tables(n).mults[:, 0, 0], out=rows[0])
+    phi_xi, projected = np.fft.irfft(rows, n=n)
+    phi_xi /= g
+    phi_xixi = _xi_derivative(phi_xi, g)
     g_dot = 0.5 * phi**2 * g
-    phi_dot = 0.5 * phi_xixi - 0.5 * cubed + 2.0 * phi
+    phi_dot = 0.5 * phi_xixi - 0.5 * projected**3 + 2.0 * phi
     return g_dot, phi_dot, phi_xi, phi_xixi
 
 
@@ -98,9 +106,14 @@ def cfl_limit(g: np.ndarray) -> float:
     return CFL * float((np.minimum.reduce(g) * 2.0 * np.pi / n) ** 2)
 
 
-def _judge(phi: np.ndarray, t: float) -> None:
-    """BlowUp at time t when max|phi| exceeds PHI_CEILING."""
-    if np.maximum.reduce(np.abs(phi)) > PHI_CEILING:
+def _peak(values: np.ndarray) -> float:
+    """max|values|: inf or NaN unless every value is finite."""
+    return np.maximum.reduce(np.abs(values), axis=None)
+
+
+def _judge(peak: float, t: float) -> None:
+    """BlowUp at time t when peak, a state's max|phi|, exceeds PHI_CEILING."""
+    if peak > PHI_CEILING:
         raise BlowUp(f"max|phi| exceeded ceiling {PHI_CEILING:g}", time=t)
 
 
@@ -113,7 +126,7 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
-    _judge(state.phi, state.t)
+    _judge(_peak(state.phi), state.t)
 
     g, phi = state.g, state.phi
     k1g, k1p, _, _ = state.stage
@@ -124,9 +137,10 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     phi_new = phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
     t_new = state.t + dt
-    if not (np.isfinite(phi_new).all() and np.isfinite(g_new).all()):
+    peak = _peak(phi_new)  # the non-finite check and the ceiling share it
+    if not (peak < math.inf and _peak(g_new) < math.inf):
         raise BlowUp("non-finite state after step", time=t_new)
-    _judge(phi_new, t_new)
+    _judge(peak, t_new)
     return CurvatureFlowState(t=t_new, g=g_new, phi=phi_new)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import curvature_flow
 from .curve import ClosedCurve, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp, StabilityViolation
-from .invariants import _metric_curvature, xi_derivative
+from .invariants import _metric_curvature, _xi_derivative
 from .spectral import antiderivative, dealias
 from .curvature_flow import cfl_limit
 from .trajectory import FlowTrajectory, march, record_from_fields
@@ -84,7 +84,7 @@ def _judge(state: CurveFlowState) -> None:
     """BlowUp when the state's projected max|phi| exceeds PHI_CEILING; this and any
     geometry error of its curve carry the state's time."""
     try:
-        curvature_flow._judge(state.stage[3], state.t)
+        curvature_flow._judge(curvature_flow._peak(state.stage[3]), state.t)
     except MARCH_ERRORS as exc:
         exc.time = state.t
         raise
@@ -108,7 +108,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     new = pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     t_new = state.t + dt
-    peak = np.maximum.reduce(np.abs(new), axis=None)  # inf or NaN unless all are finite
+    peak = curvature_flow._peak(new)
     if not peak < math.inf:
         raise BlowUp("non-finite coordinates after step", time=t_new)
     log_scale = state.log_scale
@@ -139,11 +139,11 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
     def record(current):
         _, g, phi, _, cp, _ = current.stage
-        phi_xi = xi_derivative(phi, g, 1)
+        phi_xi = _xi_derivative(phi, g)
         # unscaled, the curve's area is read from the stage's C_p without a transform
         area = (enclosed_area_of(current.curve.points, cp) if current.log_scale == 0.0
                 else current.physical_curve.enclosed_area())
-        return record_from_fields(current.t, g, phi, phi_xi, xi_derivative(phi_xi, g, 1),
+        return record_from_fields(current.t, g, phi, phi_xi, _xi_derivative(phi_xi, g),
                                   area=area)
 
     def snapshot(current):

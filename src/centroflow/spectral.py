@@ -10,7 +10,13 @@ antiderivative's divisor and the grid) are built once per grid size by
 _tables and shared read-only; each call then costs its transforms and a few
 elementwise products. At N = 256 a numpy call costs more than its arithmetic, so
 the guards in curve, invariants and the flows read an array's extremes with one
-ufunc.reduce each (np.any, np.all and .max() cost two to three times as much).
+ufunc.reduce each (np.any, np.all and .max() cost two to three times as much),
+transforms are batched where their inputs are at hand together (the scalar flow's
+stage makes one inverse transform of a two-row spectrum for its first xi-derivative
+and its projected phi), one first-derivative kernel (invariants._xi_derivative)
+serves every d/d(xi), and a record takes its nine integrals with one reduction
+over their stacked integrands. Each of these gives the same bits as the separate
+calls it replaces.
 """
 
 from functools import lru_cache

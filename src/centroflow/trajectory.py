@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MARCH_ERRORS
-from .invariants import xi_derivative
-from .spectral import periodic_integral
+from .invariants import _xi_derivative
 
 
 # A record is one row of these columns: the CSV columns, then the integrals of
@@ -27,16 +26,25 @@ def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndar
     FlowTrajectory.finalize_residuals fills them; area is the Euclidean
     enclosed area of the evolving curve, NaN for scalar-flow trajectories (no
     curve exists there).
+
+    The nine integrals are periodic_integral's arithmetic on the rows of one
+    (9, N) stack of integrands, each the product of its factors with g last, so one
+    reduction gives them bit for bit.
     """
-    L = periodic_integral(g)
-    phi_3 = xi_derivative(phi_xixi, g, 1)
-    phi_4 = xi_derivative(phi_3, g, 1)
-    return np.array([
-        t, L, periodic_integral(phi**2 * g), phi.min(), phi.max(),
-        periodic_integral(phi * g) / L,
-        *(periodic_integral(f**2 * g) for f in (phi_xi, phi_xixi, phi_3, phi_4)),
-        math.nan, math.nan, area,
-        periodic_integral(phi**4 * g), periodic_integral(phi**2 * phi_xi**2 * g)])
+    phi_3 = _xi_derivative(phi_xixi, g)
+    phi_4 = _xi_derivative(phi_3, g)
+    rows = np.empty((9, len(g)))
+    rows[0] = 1.0                                  # L
+    rows[1] = phi                                  # mean_phi, times L
+    for row, f in enumerate((phi, phi_xi, phi_xixi, phi_3, phi_4), 2):
+        np.square(f, out=rows[row])                # E, H1..H4
+    rows[7] = phi**4                               # quartic
+    np.multiply(rows[2], rows[3], out=rows[8])     # mixed
+    rows *= g
+    L, mass, E, h1, h2, h3, h4, quartic, mixed = (
+        2.0 * np.pi * (np.add.reduce(rows, axis=1) / rows.shape[1])).tolist()
+    return np.array([t, L, E, np.minimum.reduce(phi), np.maximum.reduce(phi), mass / L,
+                     h1, h2, h3, h4, math.nan, math.nan, area, quartic, mixed])
 
 
 @dataclass
@@ -83,12 +91,17 @@ class FlowTrajectory:
 
 
 def plan_steps(t0: float, t_end: float, dt: float) -> int:
-    """Number of dt steps from t0 to t_end; ValueError unless it is a positive whole number."""
+    """Number of dt steps from t0 to t_end; ValueError unless it is a positive whole number
+    and the float clock resolves one step of dt all the way to the horizon."""
     if t_end <= t0:
         raise ValueError("t_end must exceed the state's time")
     steps = (t_end - t0) / dt
     if not math.isfinite(steps):
         raise ValueError(f"horizon {t_end - t0:g} is too long to plan in steps of dt = {dt:g}")
+    clock = max(abs(t0), abs(t_end))
+    if math.ulp(clock) >= dt:
+        raise ValueError(f"the float clock near t = {clock:g} cannot resolve steps of "
+                         f"dt = {dt:g}")
     n_steps = round(steps)
     if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"horizon {t_end - t0:g} is not an integer multiple of dt = {dt:g}")

@@ -42,3 +42,12 @@ def overflowing_m3_image():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends each call's arguments to the list
+    it returns, then calls the original."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+    return calls

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from conftest import counting
 
 from centroflow import curvature_flow
 from centroflow.curvature_flow import CurvatureFlowState, cfl_limit, evolve, rhs, step
-from centroflow.curve import origin_ellipse, perturbed_ellipse
+from centroflow.curve import ClosedCurve, origin_ellipse, perturbed_ellipse
 from centroflow.errors import (BlowUp, DegenerateMetric, NonConstantSign,
                                StabilityViolation)
 from centroflow.invariants import xi_derivative
 from centroflow.spectral import dealias, derivative, grid, periodic_integral
-from centroflow.trajectory import COLUMNS
+from centroflow.trajectory import COLUMNS, plan_steps
 
 
 def flat_state(phi, g=None, t=0.0):
@@ -120,6 +121,17 @@ def test_evolve_requires_integer_steps():
         evolve(state, 0.1, 3e-4)
 
 
+def test_plan_steps_needs_a_clock_that_resolves_dt():
+    # at t = 1e300 one float step is 1.5e284: the clock would never reach the horizon
+    with pytest.raises(ValueError, match="float clock near t = 1e\\+300 cannot resolve"):
+        plan_steps(0.0, 1e300, 1e-4)
+    # the bound is the spacing at the horizon: 2**-12 at 2**40
+    with pytest.raises(ValueError, match="cannot resolve steps of dt"):
+        plan_steps(0.0, 2.0**40, 2.0**-12)
+    assert plan_steps(0.0, 2.0**40, 2.0**-11) == 2**51
+    assert plan_steps(0.0, 1e11, 1e-4) == 10**15
+
+
 def test_evolve_annotates_failure_time(monkeypatch):
     n = 64
     state = flat_state(1.9 * np.sin(grid(n)))
@@ -225,9 +237,17 @@ def _rough_state():
                               0.2 * np.sin(2 * p) + 0.1 * np.cos(3 * p))
 
 
-@pytest.mark.parametrize("use_dealias", [True])
-def test_step_bit_identical_to_reference(use_dealias):
-    state = want = _rough_state()
+def _m3_image_state():
+    # the benchmark's grid: (g, phi) of a GL(2) image of m3 at N 256
+    mat = np.array([[1.3, 0.4], [-0.2, 0.8]])
+    return CurvatureFlowState.from_curve(
+        ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=256).points @ mat.T))
+
+
+@pytest.mark.parametrize("use_dealias,start", [(True, _rough_state), (True, _m3_image_state)],
+                         ids=["True", "m3 image N 256"])
+def test_step_bit_identical_to_reference(use_dealias, start):
+    state = want = start()
     for _ in range(50):
         state = step(state, 1e-4)
         want = _reference_step(want, 1e-4, use_dealias)
@@ -238,9 +258,12 @@ def test_step_bit_identical_to_reference(use_dealias):
     assert np.array_equal(g_dot, want_g_dot) and np.array_equal(phi_dot, want_phi_dot)
 
 
-@pytest.mark.parametrize("use_dealias,record_stride", [(True, 1), (True, 3)])
-def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride):
-    state = _rough_state()
+@pytest.mark.parametrize("use_dealias,record_stride,start", [
+    (True, 1, _rough_state), (True, 3, _rough_state),
+    (True, 1, _m3_image_state), (True, 3, _m3_image_state)],
+    ids=["True-1", "True-3", "m3 image N 256-1", "m3 image N 256-3"])
+def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride, start):
+    state = start()
     traj = evolve(state, 30e-4, 1e-4, record_stride=record_stride)
     want = []
     current = state
@@ -304,3 +327,68 @@ def test_geometry_error_mid_march_carries_step_time(monkeypatch):
     with pytest.raises(NonConstantSign) as info:
         evolve(_rough_state(), 10e-4, 1e-4)
     assert info.value.time == pytest.approx(2e-4)
+
+
+# ---------------------------------------------------------------- lean guards
+# The guards read an array's extremes with one reduction each; they must reject
+# what the elementwise scans (np.isfinite(...).all(), np.any(g <= 0)) rejected,
+# with the same error, in the same order.
+
+@pytest.mark.parametrize("field", ["g", "phi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_state_rejects_a_non_finite_field(field, bad):
+    fields = {"g": np.ones(32), "phi": np.zeros(32)}
+    fields[field][5] = bad
+    with pytest.raises(ValueError, match="^state fields must be finite$"):
+        CurvatureFlowState(0.0, **fields)
+    # finiteness is judged before the sign of g
+    fields["g"][9] = 0.0
+    with pytest.raises(ValueError, match="^state fields must be finite$"):
+        CurvatureFlowState(0.0, **fields)
+
+
+def test_state_of_empty_fields_builds():
+    assert CurvatureFlowState(0.0, np.zeros(0), np.zeros(0)).n == 0
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -2.0])
+def test_a_metric_sample_at_or_below_zero_is_degenerate(value):
+    g = np.ones(32)
+    g[7] = value
+    with pytest.raises(DegenerateMetric, match="^metric g must be positive$"):
+        CurvatureFlowState(0.0, g, np.zeros(32))
+    # a NaN elsewhere does not hide it from the stage's or xi_derivative's guard
+    for beside in (1.0, np.nan):
+        g[20] = beside
+        for call in (lambda: curvature_flow._stage(g, np.zeros(32)),
+                     lambda: xi_derivative(np.zeros(32), g)):
+            with pytest.raises(DegenerateMetric, match="^metric g must be positive for xi-"):
+                call()
+
+
+def test_xi_derivative_passes_a_nan_metric_through():
+    p = grid(32)
+    g = np.ones(32)
+    g[3] = np.nan
+    got = xi_derivative(np.sin(p), g)
+    assert np.isnan(got[3]) and np.isfinite(np.delete(got, 3)).all()
+    assert np.isnan(xi_derivative(np.sin(p), np.full(32, np.nan))).all()
+
+
+# ---------------------------------------------------------------- transform counts
+
+def test_transform_counts_of_a_stage_and_a_march(monkeypatch):
+    state = _m3_image_state()
+    forward = counting(monkeypatch, np.fft, "rfft")
+    inverse = counting(monkeypatch, np.fft, "irfft")
+    curvature_flow._stage(state.g, state.phi)
+    # phi forward; one inverse for phi_xi and the projected phi; phi_xixi's pair
+    assert (len(forward), len(inverse)) == (2, 2)
+    for k in (1, 3):
+        start = _m3_image_state()
+        del forward[:], inverse[:]
+        evolve(start, k * 1e-4, 1e-4, record_stride=1)
+        # 1 + 4k stages of 2 and 2; each of the k + 1 records takes H3 and H4 by 2 and 2
+        assert len(forward) == len(inverse) == 2 * (1 + 4 * k) + 2 * (k + 1)
+    # with its record, a step is 20 transforms
+    assert len(forward) + len(inverse) == 8 + 20 * k

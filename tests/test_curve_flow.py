@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import counting
 
 from centroflow.curvature_flow import CurvatureFlowState
 from centroflow.curvature_flow import rhs as scalar_rhs
@@ -228,15 +229,8 @@ def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(traj.records, want.records))
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or original(*a, **k))
-    return calls
-
-
 def test_step_k1_reads_the_kept_spectrum(monkeypatch):
-    forward = _counting(monkeypatch, np.fft, "rfft")
+    forward = counting(monkeypatch, np.fft, "rfft")
     points = perturbed_ellipse(1, 1, 0.05, 3, n=64).points
     states, counts = [], []
     for keep in (False, True):
@@ -250,7 +244,7 @@ def test_step_k1_reads_the_kept_spectrum(monkeypatch):
     # with the spectrum kept, the stage makes no forward transform of the points
     assert counts[1] == counts[0] - 1
     assert np.array_equal(states[0].stage[-1], states[1].stage[-1])
-    stages = _counting(monkeypatch, curve_flow, "_geometry_velocity")
+    stages = counting(monkeypatch, curve_flow, "_geometry_velocity")
     results = [step(state, 1e-3) for state in states]
     # k1 is the state's stage: each step computes k2-k4 and the produced state's stage
     assert len(stages) == 8
@@ -266,7 +260,7 @@ def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, t
     # evolve hands its record to march; take it from there
     monkeypatch.setattr(curve_flow, "march", lambda state, t_end, dt, advance, record, **_: record)
     record = evolve(state, 1.0, 1e-4)
-    forward, inverse = _counting(monkeypatch, np.fft, "rfft"), _counting(monkeypatch, np.fft, "irfft")
+    forward, inverse = counting(monkeypatch, np.fft, "rfft"), counting(monkeypatch, np.fft, "irfft")
     row = record(state)
     # the four xi-derivatives of phi take one rfft and one irfft each; the area of an
     # unscaled curve takes none, and only a scaled copy is transformed again
@@ -276,8 +270,8 @@ def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, t
 
 
 def test_march_computes_each_state_velocity_once(monkeypatch):
-    stages = _counting(monkeypatch, curve_flow, "_geometry_velocity")
-    kernels = _counting(monkeypatch, curve_flow, "_metric_curvature")
+    stages = counting(monkeypatch, curve_flow, "_geometry_velocity")
+    kernels = counting(monkeypatch, curve_flow, "_metric_curvature")
     state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64), lam=0.7)
     evolve(state, 0.005, 1e-3, record_stride=1)
     # the initial stage, then per step k2-k4 and the produced state's stage: each
