@@ -11,7 +11,7 @@ projected by the 2/3 rule, as the curve flow projects phi.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +29,13 @@ PHI_CEILING = 10.0  # bound on max|phi| of the state a step starts from and of i
 
 @dataclass(frozen=True)
 class CurvatureFlowState:
-    """Flow time plus the (g, phi) samples."""
+    """Flow time plus the (g, phi) samples; peak is max|phi|, taken once when the state
+    is built, for the PHI_CEILING judgements of the step that makes it and the next."""
 
     t: float
     g: np.ndarray
     phi: np.ndarray
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -44,13 +46,14 @@ class CurvatureFlowState:
         # values an empty state builds
         g_lo = np.minimum.reduce(g, initial=math.inf)
         g_hi = np.maximum.reduce(g, initial=-math.inf)
-        if not (-math.inf < g_lo and g_hi < math.inf
-                and np.maximum.reduce(np.abs(phi), initial=0.0) < math.inf):
+        peak = np.maximum.reduce(np.abs(phi), initial=0.0)
+        if not (-math.inf < g_lo and g_hi < math.inf and peak < math.inf):
             raise ValueError("state fields must be finite")
         if g_lo <= 0:
             raise DegenerateMetric("metric g must be positive")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "peak", peak)
 
     @property
     def n(self) -> int:
@@ -90,7 +93,7 @@ def _stage(g: np.ndarray, phi: np.ndarray):
     phi_xi /= g
     phi_xixi = _xi_derivative(phi_xi, g)
     g_dot = 0.5 * phi**2 * g
-    phi_dot = 0.5 * phi_xixi - 0.5 * projected**3 + 2.0 * phi
+    phi_dot = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
     return g_dot, phi_dot, phi_xi, phi_xixi
 
 
@@ -126,7 +129,7 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
-    _judge(_peak(state.phi), state.t)
+    _judge(state.peak, state.t)
 
     g, phi = state.g, state.phi
     k1g, k1p, _, _ = state.stage
@@ -137,11 +140,16 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     phi_new = phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
     t_new = state.t + dt
-    peak = _peak(phi_new)  # the non-finite check and the ceiling share it
-    if not (peak < math.inf and _peak(g_new) < math.inf):
-        raise BlowUp("non-finite state after step", time=t_new)
-    _judge(peak, t_new)
-    return CurvatureFlowState(t=t_new, g=g_new, phi=phi_new)
+    # the result's one scan judges it: not finite, then the ceiling, then the metric
+    try:
+        new = CurvatureFlowState(t=t_new, g=g_new, phi=phi_new)
+    except DegenerateMetric:
+        _judge(_peak(phi_new), t_new)
+        raise
+    except ValueError:
+        raise BlowUp("non-finite state after step", time=t_new) from None
+    _judge(new.peak, t_new)
+    return new
 
 
 def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,

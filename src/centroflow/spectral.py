@@ -16,7 +16,10 @@ stage makes one inverse transform of a two-row spectrum for its first xi-derivat
 and its projected phi), one first-derivative kernel (invariants._xi_derivative)
 serves every d/d(xi), and a record takes its nine integrals with one reduction
 over their stacked integrands. Each of these gives the same bits as the separate
-calls it replaces.
+calls it replaces. No signed field is raised to a power other than 2: numpy's
+power falls back to a scalar pow per sample on mixed signs, about ten times the
+cost of IEEE multiplies, so the scalar stage's cube is p * p * p and a record's
+quartic is (phi^2)^2. These products differ from pow in the last bit.
 """
 
 from functools import lru_cache

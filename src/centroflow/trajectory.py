@@ -38,7 +38,7 @@ def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndar
     rows[1] = phi                                  # mean_phi, times L
     for row, f in enumerate((phi, phi_xi, phi_xixi, phi_3, phi_4), 2):
         np.square(f, out=rows[row])                # E, H1..H4
-    rows[7] = phi**4                               # quartic
+    np.square(rows[2], out=rows[7])                # quartic, (phi^2)^2
     np.multiply(rows[2], rows[3], out=rows[8])     # mixed
     rows *= g
     L, mass, E, h1, h2, h3, h4, quartic, mixed = (

@@ -169,7 +169,10 @@ def test_snapshots_recorded():
 # The scalar march as it was written before its stage kernel: a validated
 # state per RK4 stage, the xi-derivatives by repeated spectral.derivative, the
 # cubic's projection by spectral.dealias, and every record recomputing its
-# xi-derivatives. The lean path must reproduce it bit for bit.
+# xi-derivatives. The lean path must reproduce it bit for bit. The cube and the
+# quartic are IEEE products, p * p * p and (phi^2)^2 (numpy's **2 is np.square);
+# with power=True they are numpy's power, the arithmetic the march had before,
+# which agrees with the products to roundoff only.
 
 def _reference_xi_derivative(values, g, order):
     out = values
@@ -178,16 +181,17 @@ def _reference_xi_derivative(values, g, order):
     return out
 
 
-def _reference_rhs(state, use_dealias):
+def _reference_rhs(state, use_dealias, power=False):
     g, phi = state.g, state.phi
     phi_xx = _reference_xi_derivative(phi, g, 2)
-    cubed = dealias(phi) ** 3 if use_dealias else phi**3
+    p = dealias(phi) if use_dealias else phi
+    cubed = p**3 if power else p * p * p
     return 0.5 * phi**2 * g, 0.5 * phi_xx - 0.5 * cubed + 2.0 * phi
 
 
-def _reference_step(state, dt, use_dealias):
+def _reference_step(state, dt, use_dealias, power=False):
     def f(g, phi):
-        return _reference_rhs(CurvatureFlowState(state.t, g, phi), use_dealias)
+        return _reference_rhs(CurvatureFlowState(state.t, g, phi), use_dealias, power)
 
     g, phi = state.g, state.phi
     k1g, k1p = f(g, phi)
@@ -199,7 +203,7 @@ def _reference_step(state, dt, use_dealias):
                               phi=phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _reference_record(t, g, phi):
+def _reference_record(t, g, phi, power=False):
     norms, f = [], phi
     for _ in range(4):
         f = _reference_xi_derivative(f, g, 1)
@@ -210,7 +214,7 @@ def _reference_record(t, g, phi):
                phi_max=float(phi.max()), mean_phi=periodic_integral(phi * g) / L,
                H1=norms[0], H2=norms[1], H3=norms[2], H4=norms[3],
                energy_residual=np.nan, h1_residual=np.nan, area=np.nan,
-               quartic=periodic_integral(phi**4 * g),
+               quartic=periodic_integral((phi**4 if power else (phi**2)**2) * g),
                mixed=periodic_integral(phi**2 * phi_xi**2 * g))
     return np.array([row[name] for name in COLUMNS])
 
@@ -278,6 +282,39 @@ def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride, s
         assert np.array_equal(got, ref, equal_nan=True), (got, ref)
     assert np.array_equal(traj.final.g, current.g)
     assert np.array_equal(traj.final.phi, current.phi)
+
+
+def test_stage_cubes_the_projected_phi_by_products():
+    # a mixed-sign phi of amplitude 2.5, where the cubic dominates phi_dot, so a
+    # last-bit change in the cube shows in the stage's phi_dot
+    p = grid(64)
+    g = 1.0 + 0.3 * np.cos(p)
+    phi = 2.5 * (np.sin(p) + 0.4 * np.cos(2 * p) - 0.3 * np.sin(5 * p))
+    _, phi_dot, _, phi_xixi = curvature_flow._stage(g, phi)
+    q = dealias(phi)
+    assert np.array_equal(phi_dot, 0.5 * phi_xixi - 0.5 * (q * q * q) + 2.0 * phi)
+
+
+def test_products_agree_with_the_power_march_to_roundoff():
+    # the march as it was with numpy's power for the cube and the quartic: the
+    # products move the records by roundoff only
+    state = _m3_image_state()
+    got = np.array(evolve(state, 30e-4, 1e-4, record_stride=1).records)
+    want, current = [], state
+    for i in range(31):
+        if i:
+            current = _reference_step(current, 1e-4, True, power=True)
+        want.append(_reference_record(current.t, current.g, current.phi, power=True))
+    _reference_residuals(want)
+    want = np.array(want)
+    for name in ("L", "E", "phi_min", "phi_max", "H1", "H2", "H3", "H4", "quartic", "mixed"):
+        i = COLUMNS.index(name)
+        assert np.all(np.abs(got[:, i] - want[:, i]) <= 1e-13 * np.abs(want[:, i])), name
+    for name in ("mean_phi", "energy_residual", "h1_residual"):
+        i = COLUMNS.index(name)
+        # the residuals are NaN at both ends, on both sides
+        assert np.array_equal(np.isnan(got[:, i]), np.isnan(want[:, i])), name
+        assert np.nanmax(np.abs(got[:, i] - want[:, i])) <= 1e-12, name
 
 
 def test_non_finite_stage_ends_as_blowup_with_time(monkeypatch):
@@ -373,6 +410,34 @@ def test_xi_derivative_passes_a_nan_metric_through():
     got = xi_derivative(np.sin(p), g)
     assert np.isnan(got[3]) and np.isfinite(np.delete(got, 3)).all()
     assert np.isnan(xi_derivative(np.sin(p), np.full(32, np.nan))).all()
+
+
+@pytest.mark.parametrize("g_end,phi_end,error,message,at_end", [
+    (-1.0, 0.5, DegenerateMetric, "^metric g must be positive$", False),
+    (-1.0, 20.0, BlowUp, "^max\\|phi\\| exceeded ceiling 10$", True),
+    (-1.0, np.inf, BlowUp, "^non-finite state after step$", True),
+    (np.nan, 20.0, BlowUp, "^non-finite state after step$", True),
+], ids=["metric", "ceiling before metric", "non-finite phi first", "non-finite g first"])
+def test_a_produced_state_is_judged_in_order(monkeypatch, g_end, phi_end, error, message,
+                                             at_end):
+    # every stage returns the same rates, which carry sample 5 to about (g_end, phi_end)
+    # in one step: finiteness, then the ceiling, then the metric
+    dt = 1e-3
+    g_dot, phi_dot = np.zeros(32), np.zeros(32)
+    g_dot[5], phi_dot[5] = (g_end - 1.0) / dt, phi_end / dt
+    monkeypatch.setattr(curvature_flow, "_stage", lambda g, phi: (g_dot, phi_dot, None, None))
+    with pytest.raises(error, match=message) as info:
+        step(flat_state(np.zeros(32)), dt)
+    assert info.value.time == (dt if at_end else None)
+
+
+def test_a_step_reads_the_peak_its_states_keep(monkeypatch):
+    # a state's build takes max|phi| once; the ceiling judgements of the step that
+    # makes it and of the next read it, and no step scans phi again
+    peaks = counting(monkeypatch, curvature_flow, "_peak")
+    traj = evolve(_rough_state(), 10e-4, 1e-4)
+    assert peaks == []
+    assert traj.final.peak == np.abs(traj.final.phi).max()
 
 
 # ---------------------------------------------------------------- transform counts
