@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import spectral
 from .curve import ClosedCurve
 from .errors import BlowUp, DegenerateMetric, StabilityViolation
 from .invariants import InvariantField, _check_metric, _xi_derivative, centro_affine
@@ -29,13 +30,15 @@ PHI_CEILING = 10.0  # bound on max|phi| of the state a step starts from and of i
 
 @dataclass(frozen=True)
 class CurvatureFlowState:
-    """Flow time plus the (g, phi) samples; peak is max|phi|, taken once when the state
-    is built, for the PHI_CEILING judgements of the step that makes it and the next."""
+    """Flow time plus the (g, phi) samples. peak is max|phi| and g_min is min(g), both
+    taken once when the state is built: peak for the PHI_CEILING judgements of the
+    step that makes it and the next, g_min for the next step's CFL bound."""
 
     t: float
     g: np.ndarray
     phi: np.ndarray
     peak: float = field(init=False, repr=False, compare=False)
+    g_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -54,6 +57,7 @@ class CurvatureFlowState:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "g_min", g_lo)
 
     @property
     def n(self) -> int:
@@ -77,19 +81,21 @@ class CurvatureFlowState:
 def _stage(g: np.ndarray, phi: np.ndarray):
     """One RK4 stage on bare arrays: (g_dot, phi_dot, phi_xi, phi_xixi).
 
-    One rfft of phi and one irfft of a (2, N/2+1) spectrum give the trimmed first
+    One rfft of phi and one irfft of an (N/2+1, 2) spectrum give the trimmed first
     derivative and the 2/3-rule projection of the cubic; phi_xixi is the xi-derivative
     kernel of phi_xi. Four transforms in all, and each output equals, bit for bit, what
     xi_derivative(phi, g, 1 or 2) and dealias compute on the same arrays.
     """
     _check_metric(g)
     n = len(phi)
-    spec = np.fft.rfft(phi)
+    spec = spectral._rfft(phi)
     rows = np.empty((2, len(spec)), dtype=complex)
     rows[1] = spec
     rows[1, n // 3:] = 0.0
     np.multiply(_trim(spec), _tables(n).mults[:, 0, 0], out=rows[0])
-    phi_xi, projected = np.fft.irfft(rows, n=n)
+    # the transposed view is a column-major (N/2+1, 2) spectrum, so each row of the
+    # transposed result is one contiguous field
+    phi_xi, projected = spectral._irfft(rows.T, n).T
     phi_xi /= g
     phi_xixi = _xi_derivative(phi_xi, g)
     g_dot = 0.5 * phi**2 * g
@@ -103,10 +109,10 @@ def rhs(state: CurvatureFlowState):
     return g_dot, phi_dot
 
 
-def cfl_limit(g: np.ndarray) -> float:
-    """Largest admissible dt: CFL * min(g * 2*pi/N)^2 (diffusion coefficient 1/2)."""
-    n = len(g)
-    return CFL * float((np.minimum.reduce(g) * 2.0 * np.pi / n) ** 2)
+def cfl_limit(g_min: float, n: int) -> float:
+    """Largest admissible dt on n nodes whose least metric is g_min:
+    CFL * (g_min * 2*pi/n)^2 (diffusion coefficient 1/2)."""
+    return CFL * float((g_min * 2.0 * np.pi / n) ** 2)
 
 
 def _peak(values: np.ndarray) -> float:
@@ -125,7 +131,7 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     starts from and the state it produces against PHI_CEILING."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dt_max = cfl_limit(state.g)
+    dt_max = cfl_limit(state.g_min, state.n)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)

@@ -66,7 +66,13 @@ class ClosedCurve:
     def _spectrum(self) -> np.ndarray:
         spec = self._memo.get("spectrum")
         if spec is None:
-            spec = self._memo["spectrum"] = _trimmed_spectrum(self.points)
+            spec = _trimmed_spectrum(self.points)
+            # the trim zeroes every coefficient of a nonzero curve only when the spectrum
+            # norm it is relative to overflows
+            if not spec.any() and self.points.any():
+                raise DegenerateMetric("curve spectrum norm overflows: coordinates up to "
+                                       f"{np.abs(self.points).max():g} are beyond the float range")
+            self._memo["spectrum"] = spec
             spec.setflags(write=False)
         return spec
 

@@ -67,16 +67,16 @@ class CurveFlowState:
 
 
 def _geometry_velocity(points: np.ndarray, derivs=None):
-    """(sign, g, raw phi, projected phi, C_p, velocity): the gauge-invariant velocity,
-    the sign of [C, C_p] (one strict sign, as the metric requires) and the fields the
-    step and the record read; derivs as in _metric_curvature.
+    """(sign, g, raw phi, projected phi, C_p, min(g), velocity): the gauge-invariant
+    velocity, the sign of [C, C_p] (one strict sign, as the metric requires) and what
+    the step and the record read; derivs as in _metric_curvature.
 
     The velocity is combined on the component-major views (2, N) and returned as the
     transposed view, so no field is broadcast along a new axis."""
-    cp, _, den, _, g, raw = _metric_curvature(points, derivs)
+    cp, _, den, _, g, raw, least = _metric_curvature(points, derivs)
     phi = dealias(raw)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
-    return (math.copysign(1.0, den[0]), g, raw, phi, cp,
+    return (math.copysign(1.0, den[0]), g, raw, phi, cp, math.sqrt(least),
             (potential * points.T + 0.5 * phi / g * cp.T).T)
 
 
@@ -95,8 +95,8 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     pts = state.curve.points
-    sign, g, _, _, _, k1 = state.stage
-    dt_max = cfl_limit(g)
+    sign, _, _, _, _, g_min, k1 = state.stage
+    dt_max = cfl_limit(g_min, len(pts))
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
@@ -138,7 +138,7 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
     """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
     def record(current):
-        _, g, phi, _, cp, _ = current.stage
+        _, g, phi, _, cp, _, _ = current.stage
         phi_xi = _xi_derivative(phi, g)
         # unscaled, the curve's area is read from the stage's C_p without a transform
         area = (enclosed_area_of(current.curve.points, cp) if current.log_scale == 0.0

@@ -18,7 +18,8 @@ class NotStarShaped(CentroflowError):
 
 
 class DegenerateMetric(CentroflowError):
-    """The metric radicand or a curvature denominator is zero or negative."""
+    """The metric radicand or a curvature denominator is zero or negative, or a curve's
+    spectrum or curvature mu is beyond the float range."""
 
 
 class NonConstantSign(CentroflowError):

@@ -11,10 +11,12 @@ common sign of the ratio, and the centro-affine curvature is
 phi_from_mu provides an independent route, phi = -(eps/2)(eps*mu)^(-3/2) mu_sigma.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .curve import SIGN_TOL, ClosedCurve, _one_strict_sign, bracket
 from .errors import DegenerateMetric, NonConstantSign, NotStarShaped
 from .spectral import (_derivative_batch, _tables, _trim, _trimmed_spectrum, antiderivative,
@@ -26,21 +28,31 @@ class InvariantField:
     """All differential invariants of one curve, sampled on its grid.
 
     epsilon: common sign of [C_p,C_pp]/[C,C_p] (+1 for every valid closed curve);
-    sigma_density: d(sigma)/dp; mu: centro-equiaffine curvature;
     g: centro-affine metric d(xi)/dp; xi: arc length anchored at p = 0;
-    phi: centro-affine curvature.
+    phi: centro-affine curvature; curve: the curve they were taken from.
+    sigma_density (d(sigma)/dp) and mu (the centro-equiaffine curvature) are the
+    curve's kept parts, read through centro_equiaffine: mu scales as the inverse
+    fourth power of the curve's size and can overflow where g and phi, which are
+    scale-invariant, do not, so only reading it raises.
     """
 
     epsilon: int
-    sigma_density: np.ndarray
-    mu: np.ndarray
     g: np.ndarray
     xi: np.ndarray
     phi: np.ndarray
+    curve: ClosedCurve = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.g)
+
+    @property
+    def sigma_density(self) -> np.ndarray:
+        return centro_equiaffine(self.curve)[0]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return centro_equiaffine(self.curve)[1]
 
 
 def _star_density(points: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -74,12 +86,19 @@ def _equiaffine(curve: ClosedCurve, derivs=None):
 
 
 def centro_equiaffine(curve: ClosedCurve):
-    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine."""
-    return _equiaffine(curve)
+    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine.
+
+    DegenerateMetric when mu is not finite, as on a curve near 1e-80 in size."""
+    s, mu = _equiaffine(curve)
+    if not np.maximum.reduce(np.abs(mu)) < math.inf:
+        raise DegenerateMetric("centro-equiaffine curvature mu is not finite on the grid")
+    return s, mu
 
 
 def _metric_curvature(points: np.ndarray, derivs=None):
-    """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi).
+    """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi, least), where
+    least is the radicand's minimum, so sqrt(least) is min(g) bit for bit (sqrt is
+    monotone and correctly rounded).
 
     derivs is the curve's derivative batch (ClosedCurve._derivatives); without
     it, as in the curve-flow stages, one forward and one batched inverse
@@ -115,19 +134,19 @@ def _metric_curvature(points: np.ndarray, derivs=None):
     # sqrt(eps*den/num) is 1/g; no extra radicand to guard
     phi = (1.0 / g) * (1.5 * (x * ypp - y * xpp) / den          # [C, C_pp]
                        - 0.5 * (xp * yppp - yp * xppp) / num)   # [C_p, C_ppp]
-    return cp, cpp, den, eps, g, phi
+    return cp, cpp, den, eps, g, phi, least
 
 
 def centro_affine(curve: ClosedCurve) -> InvariantField:
     """Full invariant field of a star-shaped curve with one-signed [C_p, C_pp].
 
-    sigma_density and mu are the arrays _equiaffine keeps on the curve.
+    The curve's (sigma_density, mu) are made here from the derivative batch the
+    metric reads, so reading them later costs no transform.
     """
     derivs = curve._derivatives()
-    _, _, _, eps, g, phi = _metric_curvature(curve.points, derivs)
-    s, mu = _equiaffine(curve, derivs)
-    return InvariantField(epsilon=eps, sigma_density=s, mu=mu, g=g, xi=antiderivative(g),
-                          phi=phi)
+    _, _, _, eps, g, phi, _ = _metric_curvature(curve.points, derivs)
+    _equiaffine(curve, derivs)
+    return InvariantField(epsilon=eps, g=g, xi=antiderivative(g), phi=phi, curve=curve)
 
 
 def phi_from_mu(curve: ClosedCurve) -> np.ndarray:
@@ -141,7 +160,9 @@ def phi_from_mu(curve: ClosedCurve) -> np.ndarray:
     if np.any(mu <= SIGN_TOL * np.abs(mu).max()):
         raise DegenerateMetric("mu is not positive: eps = +1 relation not applicable")
     mu_sigma = derivative(mu) / s
-    return -0.5 * mu**-1.5 * mu_sigma
+    # mu^(-3/2) as 1/(mu sqrt(mu)): exact IEEE operations, where numpy's power gives
+    # bits that depend on the loop the CPU dispatches
+    return -0.5 * mu_sigma / (mu * np.sqrt(mu))
 
 
 def perimeter(field: InvariantField) -> float:
@@ -166,9 +187,9 @@ def _xi_derivative(values: np.ndarray, g: np.ndarray) -> np.ndarray:
     bit, from one rfft and one irfft. The one first-derivative kernel of
     xi_derivative, the scalar flow's stage and the record."""
     n = len(values)
-    spec = _trim(np.fft.rfft(values))
+    spec = _trim(spectral._rfft(values))
     spec *= _tables(n).mults[:, 0, 0]
-    return np.fft.irfft(spec, n=n) / g
+    return spectral._irfft(spec, n) / g
 
 
 def xi_derivative(values: np.ndarray, g: np.ndarray, order: int = 1) -> np.ndarray:

@@ -20,12 +20,38 @@ calls it replaces. No signed field is raised to a power other than 2: numpy's
 power falls back to a scalar pow per sample on mixed signs, about ten times the
 cost of IEEE multiplies, so the scalar stage's cube is p * p * p and a record's
 quartic is (phi^2)^2. These products differ from pow in the last bit.
+
+Every transform of the package goes through one kernel pair along axis 0, _rfft
+and _irfft, and no other module names np.fft. They call numpy's pocketfft gufuncs,
+the code behind np.fft.rfft and np.fft.irfft, with the factors numpy's wrapper
+passes (1 forward, 1/n inverse) and an output laid out as the wrapper lays it out,
+so they give its bits. At N = 256 the wrapper's dtype, axis and norm handling
+costs about as much as the transform; the pair skips it. The gufuncs are numpy's
+private module, so a numpy without them fails at import, and the tests compare
+the pair with np.fft on every layout the package passes.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
+
+_RFFT_EVEN, _RFFT_ODD, _IRFFT = _pocketfft.rfft_n_even, _pocketfft.rfft_n_odd, _pocketfft.irfft
+_AXES = [(0,), (), (0,)]  # the gufuncs' core axes: the input's axis 0, the factor, the output's
+
+
+def _rfft(values: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(values, axis=0) bit for bit, for real float64 samples."""
+    n = values.shape[0]
+    out = np.empty_like(values, shape=(n // 2 + 1,) + values.shape[1:], dtype=complex)
+    return (_RFFT_ODD if n % 2 else _RFFT_EVEN)(values, 1.0, axes=_AXES, out=out)
+
+
+def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
+    """np.fft.irfft(spec, n=n, axis=0) bit for bit: modes beyond spec's length are zero."""
+    out = np.empty_like(spec, shape=(n,) + spec.shape[1:], dtype=float)
+    return _IRFFT(spec, 1.0 / n, axes=_AXES, out=out)
 
 
 def grid(n: int) -> np.ndarray:
@@ -80,7 +106,7 @@ def _trim(spec: np.ndarray) -> np.ndarray:
 
 
 def _trimmed_spectrum(values: np.ndarray):
-    return _trim(np.fft.rfft(values, axis=0))
+    return _trim(_rfft(values))
 
 
 def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -98,7 +124,7 @@ def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     mult = tables.mults[:, order - 1] if order <= 3 else _multiplier(tables.k, order, n)
     spec = _trimmed_spectrum(values)
     shape = (len(mult),) + (1,) * (values.ndim - 1)
-    return np.fft.irfft(spec * mult.reshape(shape), n=n, axis=0)
+    return _irfft(spec * mult.reshape(shape), n)
 
 
 def _derivative_batch(spec: np.ndarray, n: int) -> np.ndarray:
@@ -107,7 +133,7 @@ def _derivative_batch(spec: np.ndarray, n: int) -> np.ndarray:
 
     The product is laid out component-major (Fortran order), so the transform and
     every derivative component it gives are contiguous along the grid."""
-    return np.fft.irfft(np.multiply(spec[:, None], _tables(n).mults, order="F"), n=n, axis=0)
+    return _irfft(np.multiply(spec[:, None], _tables(n).mults, order="F"), n)
 
 
 def antiderivative(values: np.ndarray) -> np.ndarray:
@@ -120,13 +146,13 @@ def antiderivative(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     tables = _tables(n)
-    spec = np.fft.rfft(values)
+    spec = _rfft(values)
     mean = spec[0].real / n
     spec /= tables.divisor
     spec[0] = 0.0  # mode 0 is the linear term
     if n % 2 == 0:
         spec[-1] = 0.0
-    periodic = np.fft.irfft(spec, n=n)
+    periodic = _irfft(spec, n)
     periodic -= periodic[0]
     periodic += mean * tables.grid
     return periodic
@@ -143,6 +169,4 @@ def dealias(values: np.ndarray) -> np.ndarray:
     """Zero the top third of spectral modes (2/3-rule projection)."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    spec = np.fft.rfft(values, axis=0)
-    spec[n // 3:] = 0.0
-    return np.fft.irfft(spec, n=n, axis=0)
+    return _irfft(_rfft(values)[:n // 3], n)

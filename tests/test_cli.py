@@ -11,7 +11,7 @@ import pytest
 
 from centroflow import curvature_flow, curve_flow, diagnostics, scenario
 from centroflow.cli import main
-from centroflow.curve import origin_ellipse, shifted_ellipse, star_convex
+from centroflow.curve import ClosedCurve, origin_ellipse, shifted_ellipse, star_convex
 from centroflow.io import write_curve_json
 from centroflow.scenario import ScenarioConfig, run_scenario, run_sweep
 from centroflow.errors import BlowUp, ConfigError, NonConstantSign, NotStarShaped
@@ -396,6 +396,20 @@ def test_the_process_exits_with_the_readme_code_and_no_traceback(tmp_path, overr
     else:
         assert written == [out / "proc.report.json"]
         assert json.loads(written[0].read_text())["error"]["type"] == "BlowUp"
+
+
+def test_invariants_process_names_an_overflowing_spectrum(tmp_path):
+    curve_path = tmp_path / "huge.json"
+    write_curve_json(ClosedCurve(origin_ellipse(1.0, 0.5, n=64).points * 1e160, "huge"),
+                     curve_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "centroflow.cli", "invariants", str(curve_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith(
+        "INADMISSIBLE CURVE DegenerateMetric: curve spectrum norm overflows")
 
 
 @pytest.mark.parametrize("flow,module,kernel,error", [

@@ -9,9 +9,10 @@ from centroflow.curve import (SIGN_TOL, ClosedCurve, _one_strict_sign, bracket, 
                               check_star_shaped, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, preset, random_star_convex,
                               shifted_ellipse, star_convex)
+from centroflow import spectral
 from centroflow.errors import DegenerateMetric, NotStarShaped
 from centroflow.spectral import derivative
-from conftest import fd_bracket_signs, overflowing_m3_image
+from conftest import counting, fd_bracket_signs, overflowing_m3_image
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 small = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -168,9 +169,7 @@ def test_curve_derivatives_and_area_bit_identical(n):
 
 def test_curve_transforms_itself_once(monkeypatch):
     curve = _gl_image(64)
-    forward = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: forward.append(1) or rfft(*a, **k))
+    forward = counting(monkeypatch, spectral, "_rfft")
     for order in (1, 2, 3):
         curve.derivative(order)
     curve.enclosed_area()
@@ -191,18 +190,30 @@ def test_new_and_scaled_curves_start_with_an_empty_cache():
     assert not (memo.init or memo.repr or memo.compare)
 
 
+def test_a_spectrum_norm_that_overflows_is_named():
+    # at 1e160 the trim's norm overflows and zeroes every coefficient, which would read
+    # as a curve that is not star-shaped
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateMetric, match="curve spectrum norm overflows"):
+            perturbed_ellipse(1e160, 1e160, 0.05, 3, n=64)
+        curve = ClosedCurve(origin_ellipse(1.0, 0.5, n=64).points * 1e160)
+        with pytest.raises(DegenerateMetric, match="coordinates up to 1e\\+160"):
+            curve.derivative(1)
+    assert curve._memo == {}
+    # the zero curve's spectrum is zero without an overflow
+    assert not check_star_shaped(ClosedCurve(np.zeros((64, 2))))
+
+
 def test_preset_builds_and_validates_one_curve(monkeypatch):
     built = []
     original = ClosedCurve.__post_init__
 
-    def counting(self):
+    def recording(self):
         built.append(self)
         original(self)
 
-    monkeypatch.setattr(ClosedCurve, "__post_init__", counting)
-    inverse = []
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: inverse.append(1) or irfft(*a, **k))
+    monkeypatch.setattr(ClosedCurve, "__post_init__", recording)
+    inverse = counting(monkeypatch, spectral, "_irfft")
     curve = random_star_convex(4, n=64)
     assert built == [curve]
     assert curve.name == "random_star_convex(seed=4)"

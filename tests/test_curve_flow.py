@@ -11,7 +11,7 @@ from conftest import counting
 from centroflow.curvature_flow import CurvatureFlowState
 from centroflow.curvature_flow import rhs as scalar_rhs
 from centroflow.curvature_flow import step as scalar_step
-from centroflow import curvature_flow, curve_flow
+from centroflow import curvature_flow, curve_flow, spectral
 from centroflow.curve import (ClosedCurve, bracket, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, shifted_ellipse, star_convex)
 from centroflow.curve_flow import CurveFlowState, consistency_check, evolve, step
@@ -140,6 +140,24 @@ def test_step_bit_identical_to_reference(normalization, image):
     assert (state.log_scale != 0.0) == (normalization == "none")
 
 
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_cfl_bound_is_the_least_metrics_bit_for_bit(flow):
+    # each flow keeps min(g) from a scan it already makes; the bound stays
+    # CFL * (min(g) * 2 pi / N)^2 bit for bit: a step of exactly the bound passes, and
+    # one a float beyond it fails with the bound in its message, at the state's time
+    curve = shifted_ellipse(1.2, 0.7, 0.2, -0.1, n=64)
+    g = centro_affine(curve).g
+    bound = curvature_flow.CFL * float((np.minimum.reduce(g) * 2.0 * np.pi / 64) ** 2)
+    state = (CurveFlowState(0.25, curve) if flow is curve_flow
+             else CurvatureFlowState.from_curve(curve, t=0.25))
+    flow.step(state, bound)
+    beyond = float(np.nextafter(bound, 1.0))
+    with pytest.raises(StabilityViolation) as info:
+        flow.step(state, beyond)
+    assert str(info.value) == f"dt = {beyond:g} exceeds stability bound {bound:g}"
+    assert info.value.time == 0.25
+
+
 def test_cfl_guard_and_failure_time():
     state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3), lam=0.0)
     with pytest.raises(StabilityViolation):
@@ -230,7 +248,7 @@ def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
 
 
 def test_step_k1_reads_the_kept_spectrum(monkeypatch):
-    forward = counting(monkeypatch, np.fft, "rfft")
+    forward = counting(monkeypatch, spectral, "_rfft")
     points = perturbed_ellipse(1, 1, 0.05, 3, n=64).points
     states, counts = [], []
     for keep in (False, True):
@@ -260,7 +278,8 @@ def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, t
     # evolve hands its record to march; take it from there
     monkeypatch.setattr(curve_flow, "march", lambda state, t_end, dt, advance, record, **_: record)
     record = evolve(state, 1.0, 1e-4)
-    forward, inverse = counting(monkeypatch, np.fft, "rfft"), counting(monkeypatch, np.fft, "irfft")
+    forward = counting(monkeypatch, spectral, "_rfft")
+    inverse = counting(monkeypatch, spectral, "_irfft")
     row = record(state)
     # the four xi-derivatives of phi take one rfft and one irfft each; the area of an
     # unscaled curve takes none, and only a scaled copy is transformed again

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centroflow import spectral
 from centroflow.curve import (SIGN_TOL, ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
                               random_star_convex, shifted_ellipse, star_convex)
 from centroflow.curve_flow import _geometry_velocity
@@ -203,14 +204,14 @@ def test_metric_curvature_derivatives_bit_identical(n, monkeypatch):
     # the one batched inverse transform must give spectral.derivative's bits
     points = random_star_convex(7, n=n).points
     inverses = []
-    irfft = np.fft.irfft
+    irfft = spectral._irfft
 
     def recording_irfft(*args, **kwargs):
         out = irfft(*args, **kwargs)
         inverses.append(out)
         return out
 
-    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    monkeypatch.setattr(spectral, "_irfft", recording_irfft)
     cp, cpp, *_ = _metric_curvature(points)
     monkeypatch.undo()
     assert len(inverses) == 1
@@ -252,7 +253,7 @@ def _old_centro_affine(curve):
 
 def _old_phi_from_mu(curve):
     s, mu = _old_centro_equiaffine(curve)
-    return -0.5 * mu**-1.5 * (derivative(mu) / s)
+    return -0.5 * (derivative(mu) / s) / (mu * np.sqrt(mu))
 
 
 def _sweep_curves(n):
@@ -300,16 +301,30 @@ def test_equiaffine_parts_are_the_fields_arrays_and_read_only():
     field.phi[0] = field.phi[0]
 
 
+def test_mu_beyond_the_float_range_raises_where_it_is_read():
+    # mu scales as size^-4 and overflows at 1e-160, where g and phi, scale-invariant,
+    # stay finite: the field builds, and every reader of mu raises naming it
+    curve = perturbed_ellipse(1e-160, 1e-160, 0.05, 3, n=64)
+    with np.errstate(all="ignore"):
+        field = centro_affine(curve)
+        assert np.isfinite(field.g).all() and np.isfinite(field.phi).all()
+        readers = (lambda: field.mu, lambda: field.sigma_density,
+                   lambda: centro_equiaffine(curve), lambda: phi_from_mu(curve))
+        for read in readers:
+            with pytest.raises(DegenerateMetric, match="mu is not finite"):
+                read()
+
+
 def _counting_transforms(monkeypatch):
     calls = []
     for name in ("rfft", "irfft"):
-        original = getattr(np.fft, name)
+        original = getattr(spectral, f"_{name}")
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(spectral, f"_{name}", counted)
     return calls
 
 

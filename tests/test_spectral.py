@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from centroflow import spectral
 from centroflow.spectral import (antiderivative, dealias, derivative, grid,
                                  periodic_integral)
 
@@ -96,3 +97,24 @@ def test_dealias_zeroes_top_third():
 def test_dealias_keeps_constants():
     f = np.full(64, 2.0)
     assert np.abs(dealias(f) - 2.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 255])
+def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
+    # every layout the package hands the kernel pair, against np.fft's own wrapper
+    line, curve = rng.standard_normal(n), rng.standard_normal((n, 2))
+    for values in (line, curve):
+        assert np.array_equal(spectral._rfft(values), np.fft.rfft(values, axis=0))
+    spec, curve_spec = np.fft.rfft(line), np.fft.rfft(curve, axis=0)
+    # the derivative batch: a column-major (n/2+1, 3, 2) product
+    batch = np.multiply(curve_spec[:, None], spectral._tables(n).mults, order="F")
+    # the scalar stage's two rows, handed over as their column-major transpose
+    rows = np.stack([spec, 1j * spec])
+    truncated = spec.copy()
+    truncated[n // 3:] = 0.0
+    cases = [(spec, spec), (curve_spec, curve_spec), (batch, batch), (rows.T, rows.T),
+             (spec[:n // 3], truncated)]    # dealias: the modes past its slice are zero
+    for given, full in cases:
+        got, want = spectral._irfft(given, n), np.fft.irfft(full, n=n, axis=0)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
