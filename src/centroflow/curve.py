@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetric, NotStarShaped
-from .spectral import _derivative_batch, _trimmed_spectrum, derivative, grid, periodic_integral
+from .spectral import (_derivative_batch, _harmonic, _trimmed_spectrum, derivative, grid,
+                       periodic_integral)
 
 # relative tolerance for "one strict sign" in the bracket sign scans
 SIGN_TOL = 1e-12
@@ -130,17 +131,16 @@ def origin_ellipse(a: float, b: float, n: int = DEFAULT_N) -> ClosedCurve:
     """Ellipse (a cos p, b sin p) centered at the origin."""
     if a <= 0 or b <= 0:
         raise ValueError("ellipse axes must be positive")
-    p = grid(n)
-    return ClosedCurve(np.stack([a * np.cos(p), b * np.sin(p)], axis=1),
-                       name=f"origin_ellipse({a},{b})")
+    cos, sin = _harmonic(n, 1)
+    return ClosedCurve(np.stack([a * cos, b * sin], axis=1), name=f"origin_ellipse({a},{b})")
 
 
 def shifted_ellipse(a: float, b: float, x0: float, y0: float, n: int = DEFAULT_N) -> ClosedCurve:
     """Ellipse with center displaced to (x0, y0). Not validated: the origin may be exterior."""
     if a <= 0 or b <= 0:
         raise ValueError("ellipse axes must be positive")
-    p = grid(n)
-    return ClosedCurve(np.stack([x0 + a * np.cos(p), y0 + b * np.sin(p)], axis=1),
+    cos, sin = _harmonic(n, 1)
+    return ClosedCurve(np.stack([x0 + a * cos, y0 + b * sin], axis=1),
                        name=f"shifted_ellipse({a},{b},{x0},{y0})")
 
 
@@ -155,11 +155,11 @@ def perturbed_ellipse(a: float, b: float, amplitude: float, mode: int,
         raise ValueError("ellipse axes must be positive")
     if mode < 1 or mode > n // 8:
         raise ValueError(f"perturbation mode must be in [1, N/8] = [1, {n // 8}], got {mode}")
-    p = grid(n)
-    r = 1.0 + amplitude * np.cos(mode * p)
+    r = 1.0 + amplitude * _harmonic(n, mode)[0]
     if r.min() <= 0:
         raise NotStarShaped("perturbation amplitude drives the radius through zero")
-    curve = ClosedCurve(np.stack([r * a * np.cos(p), r * b * np.sin(p)], axis=1),
+    cos, sin = _harmonic(n, 1)
+    curve = ClosedCurve(np.stack([r * a * cos, r * b * sin], axis=1),
                         name=f"perturbed_ellipse({a},{b},{amplitude},{mode})")
     _validate_preset(curve, require_convex)
     return curve
@@ -185,13 +185,14 @@ def _star(cos_coeffs, sin_coeffs, r0: float, n: int, require_convex: bool,
         raise ValueError("cos and sin coefficient lists must have equal length")
     if len(cos_coeffs) > n // 8:
         raise ValueError("radius modes must stay below N/8")
-    p = grid(n)
     r = np.full(n, float(r0))
     for k, (a, b) in enumerate(zip(cos_coeffs, sin_coeffs), start=1):
-        r += a * np.cos(k * p) + b * np.sin(k * p)
+        cos, sin = _harmonic(n, k)
+        r += a * cos + b * sin
     if r.min() <= 0:
         raise NotStarShaped("radius function is not positive")
-    curve = ClosedCurve(np.stack([r * np.cos(p), r * np.sin(p)], axis=1), name=name)
+    cos, sin = _harmonic(n, 1)
+    curve = ClosedCurve(np.stack([r * cos, r * sin], axis=1), name=name)
     _validate_preset(curve, require_convex)
     return curve
 

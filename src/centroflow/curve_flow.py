@@ -140,9 +140,10 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     def record(current):
         _, g, phi, _, cp, _, _ = current.stage
         phi_xi = _xi_derivative(phi, g)
-        # unscaled, the curve's area is read from the stage's C_p without a transform
-        area = (enclosed_area_of(current.curve.points, cp) if current.log_scale == 0.0
-                else current.physical_curve.enclosed_area())
+        # the stored curve's area from the stage's C_p, times the gauge factor (finite:
+        # step checks it) on each side, so no product overflows before the area does
+        scale = math.exp(current.log_scale)
+        area = scale * enclosed_area_of(current.curve.points, cp) * scale
         return record_from_fields(current.t, g, phi, phi_xi, _xi_derivative(phi_xi, g),
                                   area=area)
 

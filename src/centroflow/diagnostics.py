@@ -12,7 +12,7 @@ import numpy as np
 
 from .curve import ClosedCurve
 from .invariants import InvariantField, centro_affine, perimeter, xi_derivative
-from .spectral import grid, periodic_integral
+from .spectral import _harmonic, periodic_integral
 from .trajectory import FlowTrajectory
 
 TWO_PI = 2.0 * math.pi
@@ -92,15 +92,15 @@ def check_curvature_bounds(traj: FlowTrajectory, phi0_min: float, phi0_max: floa
 def check_energy_identities(traj: FlowTrajectory) -> tuple:
     """Residuals of the energy law and its first-derivative analogue.
 
-    Uses the scale-normalized centered-difference residuals already
-    finalized on the trajectory; the worst interior value must stay within
-    1e-4 for each identity. A run with fewer than MIN_IDENTITY_RECORDS
-    records fails both: too short to check them is not a pass.
+    Uses the scale-normalized Simpson residuals already finalized on the
+    trajectory; the worst interior value must stay within 1e-4 for each
+    identity. A run with fewer than MIN_IDENTITY_RECORDS records fails both:
+    too short to check them is not a pass.
     """
     names = ("energy_identity", "h1_identity")
     count = len(traj.records)
     if count < MIN_IDENTITY_RECORDS:
-        context = (f"need at least {MIN_IDENTITY_RECORDS} records for centered differencing, "
+        context = (f"need at least {MIN_IDENTITY_RECORDS} records for Simpson stencils, "
                    f"have {count}")
         return tuple(Verdict(name, False, count, MIN_IDENTITY_RECORDS, 0.0, context=context)
                      for name in names)
@@ -114,16 +114,17 @@ def check_energy_identities(traj: FlowTrajectory) -> tuple:
 
 
 def check_monotone_L_and_integralE(traj: FlowTrajectory) -> tuple:
-    """(a) L nondecreasing with E = 2 dL/dt (trapezoid consistency);
+    """(a) L nondecreasing with E = 2 dL/dt (Simpson consistency);
     (b) accumulated integral of E bounded by 4*pi.
 
-    Trapezoid form of the rate identity: L(t_{i+1}) - L(t_i) is the integral
-    of E/2, so 4 dL / dt_interval matches E_i + E_{i+1}.
+    Simpson form of the rate identity over each pair of record intervals:
+    L(t+) - L(t-) is the integral of E/2, so 4 (L+ - L-) / (t+ - t-) matches
+    (E- + 4 E0 + E+) / 3, normalized by 2 E0 + 1.
     """
     t, L, E = (traj.column(name) for name in ("t", "L", "E"))
     monotone = bool(np.all(np.diff(L) >= -1e-12 * L[:-1]))
-    pair_e = E[:-1] + E[1:]
-    resid = np.abs(4.0 * np.diff(L) / np.diff(t) - pair_e) / (pair_e + 1.0)
+    simpson = (E[:-2] + 4.0 * E[1:-1] + E[2:]) / 3.0
+    resid = np.abs(4.0 * (L[2:] - L[:-2]) / (t[2:] - t[:-2]) - simpson) / (2.0 * E[1:-1] + 1.0)
     worst = resid.max(initial=0.0)
     v1 = Verdict("L_monotone_energy_rate", monotone and worst <= 1e-4, worst, 0.0, 1e-4,
                  context=f"monotone={monotone}, residual of E = 2 dL/dt")
@@ -183,8 +184,8 @@ def explicit_ellipse_family(a0: float, b0: float, t: float, n: int = 256) -> Clo
     if a0 <= 0 or b0 <= 0:
         raise ValueError("family axes must be positive")
     scale = (a0 * b0) ** ((math.exp(2.0 * t) - 1.0) / 2.0)
-    p = grid(n)
-    pts = scale * np.stack([a0 * np.cos(p), b0 * np.sin(p)], axis=1)
+    cos, sin = _harmonic(n, 1)
+    pts = scale * np.stack([a0 * cos, b0 * sin], axis=1)
     return ClosedCurve(pts, name=f"family({a0},{b0},t={t})")
 
 

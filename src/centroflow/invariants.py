@@ -13,6 +13,7 @@ phi_from_mu provides an independent route, phi = -(eps/2)(eps*mu)^(-3/2) mu_sigm
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,23 +29,29 @@ class InvariantField:
     """All differential invariants of one curve, sampled on its grid.
 
     epsilon: common sign of [C_p,C_pp]/[C,C_p] (+1 for every valid closed curve);
-    g: centro-affine metric d(xi)/dp; xi: arc length anchored at p = 0;
-    phi: centro-affine curvature; curve: the curve they were taken from.
-    sigma_density (d(sigma)/dp) and mu (the centro-equiaffine curvature) are the
-    curve's kept parts, read through centro_equiaffine: mu scales as the inverse
-    fourth power of the curve's size and can overflow where g and phi, which are
+    g: centro-affine metric d(xi)/dp; phi: centro-affine curvature; curve: the
+    curve they were taken from. xi is made on its first read. sigma_density
+    (d(sigma)/dp) and mu (the centro-equiaffine curvature) are the curve's kept
+    parts, read through centro_equiaffine: mu scales as the inverse fourth power
+    of the curve's size and can overflow where g and phi, which are
     scale-invariant, do not, so only reading it raises.
     """
 
     epsilon: int
     g: np.ndarray
-    xi: np.ndarray
     phi: np.ndarray
     curve: ClosedCurve = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.g)
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Arc length anchored at p = 0, antiderivative(g): made on first read, read-only."""
+        xi = antiderivative(self.g)
+        xi.setflags(write=False)
+        return xi
 
     @property
     def sigma_density(self) -> np.ndarray:
@@ -85,14 +92,20 @@ def _equiaffine(curve: ClosedCurve, derivs=None):
     return parts
 
 
-def centro_equiaffine(curve: ClosedCurve):
-    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine.
-
-    DegenerateMetric when mu is not finite, as on a curve near 1e-80 in size."""
+def _finite_equiaffine(curve: ClosedCurve):
+    """(s, mu, max|mu|); DegenerateMetric when mu is not finite, as on a curve near
+    1e-80 in size."""
     s, mu = _equiaffine(curve)
-    if not np.maximum.reduce(np.abs(mu)) < math.inf:
+    peak = np.maximum.reduce(np.abs(mu))
+    if not peak < math.inf:
         raise DegenerateMetric("centro-equiaffine curvature mu is not finite on the grid")
-    return s, mu
+    return s, mu, peak
+
+
+def centro_equiaffine(curve: ClosedCurve):
+    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine and
+    _finite_equiaffine."""
+    return _finite_equiaffine(curve)[:2]
 
 
 def _metric_curvature(points: np.ndarray, derivs=None):
@@ -146,7 +159,7 @@ def centro_affine(curve: ClosedCurve) -> InvariantField:
     derivs = curve._derivatives()
     _, _, _, eps, g, phi, _ = _metric_curvature(curve.points, derivs)
     _equiaffine(curve, derivs)
-    return InvariantField(epsilon=eps, g=g, xi=antiderivative(g), phi=phi, curve=curve)
+    return InvariantField(epsilon=eps, g=g, phi=phi, curve=curve)
 
 
 def phi_from_mu(curve: ClosedCurve) -> np.ndarray:
@@ -156,8 +169,9 @@ def phi_from_mu(curve: ClosedCurve) -> np.ndarray:
     with mu_sigma = mu_p / sigma_density (the eps = +1 branch; mu must be
     positive everywhere).
     """
-    s, mu = centro_equiaffine(curve)
-    if np.any(mu <= SIGN_TOL * np.abs(mu).max()):
+    s, mu, peak = _finite_equiaffine(curve)
+    # mu is finite here, so its minimum decides as a scan of every sample would
+    if np.minimum.reduce(mu) <= SIGN_TOL * peak:
         raise DegenerateMetric("mu is not positive: eps = +1 relation not applicable")
     mu_sigma = derivative(mu) / s
     # mu^(-3/2) as 1/(mu sqrt(mu)): exact IEEE operations, where numpy's power gives

@@ -5,30 +5,14 @@ All fields live on p_k = 2*pi*k/N, k = 0..N-1, and are interpreted as
 first axis so that both scalar fields (N,) and curve samples (N, 2) share
 one code path.
 
-The per-N constants (wavenumbers, the derivative multipliers of orders 1-3,
-antiderivative's divisor and the grid) are built once per grid size by
-_tables and shared read-only; each call then costs its transforms and a few
-elementwise products. At N = 256 a numpy call costs more than its arithmetic, so
-the guards in curve, invariants and the flows read an array's extremes with one
-ufunc.reduce each (np.any, np.all and .max() cost two to three times as much),
-transforms are batched where their inputs are at hand together (the scalar flow's
-stage makes one inverse transform of a two-row spectrum for its first xi-derivative
-and its projected phi), one first-derivative kernel (invariants._xi_derivative)
-serves every d/d(xi), and a record takes its nine integrals with one reduction
-over their stacked integrands. Each of these gives the same bits as the separate
-calls it replaces. No signed field is raised to a power other than 2: numpy's
-power falls back to a scalar pow per sample on mixed signs, about ten times the
-cost of IEEE multiplies, so the scalar stage's cube is p * p * p and a record's
-quartic is (phi^2)^2. These products differ from pow in the last bit.
-
-Every transform of the package goes through one kernel pair along axis 0, _rfft
-and _irfft, and no other module names np.fft. They call numpy's pocketfft gufuncs,
-the code behind np.fft.rfft and np.fft.irfft, with the factors numpy's wrapper
-passes (1 forward, 1/n inverse) and an output laid out as the wrapper lays it out,
-so they give its bits. At N = 256 the wrapper's dtype, axis and norm handling
-costs about as much as the transform; the pair skips it. The gufuncs are numpy's
-private module, so a numpy without them fails at import, and the tests compare
-the pair with np.fft on every layout the package passes.
+Every transform of the package goes through one kernel pair along axis 0,
+_rfft and _irfft: numpy's pocketfft gufuncs, called as np.fft.rfft and
+np.fft.irfft call them, so they give its bits without its per-call dispatch.
+The gufuncs are numpy's private module, so a numpy without them fails at
+import. Coefficients at the FFT noise floor are trimmed before a derivative
+(see TRIM_FACTOR). The per-N constants (wavenumbers, derivative multipliers,
+the grid) and the harmonics (cos kp, sin kp) the presets sample are built
+once per grid and shared read-only.
 """
 
 from functools import lru_cache
@@ -93,6 +77,16 @@ def _tables(n: int) -> _Tables:
     for array in tables:
         array.setflags(write=False)
     return tables
+
+
+@lru_cache(maxsize=128)
+def _harmonic(n: int, k: int):
+    """Read-only (cos kp, sin kp) on the n-grid, np.cos(k * grid(n)) bit for bit."""
+    p = grid(n)
+    pair = (np.cos(k * p), np.sin(k * p))
+    for array in pair:
+        array.setflags(write=False)
+    return pair
 
 
 def _trim(spec: np.ndarray) -> np.ndarray:

@@ -67,26 +67,27 @@ class FlowTrajectory:
         return np.array([row[i] for row in self.records])
 
     def finalize_residuals(self) -> None:
-        """Fill the identity residuals of interior records by centered differencing.
+        """Fill the identity residuals of interior records by Simpson's rule.
 
         Energy law:  dE/dt = -H1 - quartic/2 + 4E, normalized by (H1 + E + 1).
         H1 law:      dH1/dt = -H2 + 4 H1 - 3.5 mixed, normalized by (H2 + H1 + 1).
-        The time derivatives are estimated from the recorded values only, so
-        the checks stay two-sided; the endpoints keep NaN (no centered stencil).
+        Over each pair of record intervals, X(t+) - X(t-) is compared with
+        (t+ - t-)/6 (R- + 4 R0 + R+), R the law's right side, per unit of t+ - t-
+        and normalized at the middle record: fourth order in the record spacing.
+        The endpoints keep NaN (no stencil).
         """
         if len(self.records) < 3:
             return
         table = np.array(self.records)
         t, E, h1, h2, quartic, mixed = (
             table[:, COLUMNS.index(name)] for name in ("t", "E", "H1", "H2", "quartic", "mixed"))
-        dt2 = t[2:] - t[:-2]
-        dE = (E[2:] - E[:-2]) / dt2
-        dh1 = (h1[2:] - h1[:-2]) / dt2
-        E, h1, h2, quartic, mixed = E[1:-1], h1[1:-1], h2[1:-1], quartic[1:-1], mixed[1:-1]
-        table[1:-1, COLUMNS.index("energy_residual")] = (
-            np.abs(dE - (-h1 - 0.5 * quartic + 4.0 * E)) / (h1 + E + 1.0))
-        table[1:-1, COLUMNS.index("h1_residual")] = (
-            np.abs(dh1 - (-h2 + 4.0 * h1 - 3.5 * mixed)) / (h2 + h1 + 1.0))
+        span = t[2:] - t[:-2]
+        for name, x, rate, norm in (
+                ("energy_residual", E, -h1 - 0.5 * quartic + 4.0 * E, h1 + E + 1.0),
+                ("h1_residual", h1, -h2 + 4.0 * h1 - 3.5 * mixed, h2 + h1 + 1.0)):
+            simpson = (rate[:-2] + 4.0 * rate[1:-1] + rate[2:]) / 6.0
+            table[1:-1, COLUMNS.index(name)] = (
+                np.abs((x[2:] - x[:-2]) / span - simpson) / norm[1:-1])
         self.records[:] = table
 
 

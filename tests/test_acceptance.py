@@ -169,9 +169,9 @@ def test_criterion_4_flow_identities(identity_runs):
     v1, v2 = check_energy_identities(coarse)
     w1, w2 = check_energy_identities(fine)
     # the reduction factor compares the runs over a common window away from
-    # t = 0: records whose centered-difference stencil touches the initial
-    # transient carry a window-placement effect rather than pure dt-scaling
-    # (the pointwise matched-time ratio is 4.000 everywhere)
+    # t = 0: records whose Simpson stencil touches the initial transient carry
+    # a window-placement effect rather than pure dt-scaling. The residual is
+    # fourth order in the record spacing, so halving dt divides it by about 16
     def tail_max(traj, name):
         t, residual = traj.column("t")[1:-1], traj.column(name)[1:-1]
         return residual[t >= 1e-3].max()

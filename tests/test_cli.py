@@ -22,8 +22,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def small_scenario(tmp_path, name="small", **overrides):
-    # record every step: the identity residuals scale with the square of the
-    # record spacing, so coarse sampling would fail them spuriously
+    # record every step, so that the identity residuals, fourth order in the
+    # record spacing, sit far inside their tolerance
     spec = {
         "name": name,
         "curve": {"kind": "perturbed_ellipse", "a": 1.0, "b": 1.0,

@@ -221,17 +221,22 @@ def _reference_record(t, g, phi, power=False):
 
 
 def _reference_residuals(rows):
-    # finalize_residuals as the per-record loop it was, one centred stencil at a time
+    # finalize_residuals as a per-record loop, one Simpson stencil at a time
     t, E, h1, h2, quartic, mixed, res_e, res_h = (COLUMNS.index(name) for name in (
         "t", "E", "H1", "H2", "quartic", "mixed", "energy_residual", "h1_residual"))
+
+    def energy_rate(row):
+        return -row[h1] - 0.5 * row[quartic] + 4.0 * row[E]
+
+    def h1_rate(row):
+        return -row[h2] + 4.0 * row[h1] - 3.5 * row[mixed]
+
     for prev, row, nxt in zip(rows, rows[1:], rows[2:]):
-        dt2 = nxt[t] - prev[t]
-        dE = (nxt[E] - prev[E]) / dt2
-        row[res_e] = abs(dE - (-row[h1] - 0.5 * row[quartic] + 4.0 * row[E]))
-        row[res_e] /= row[h1] + row[E] + 1.0
-        dh1 = (nxt[h1] - prev[h1]) / dt2
-        row[res_h] = abs(dh1 - (-row[h2] + 4.0 * row[h1] - 3.5 * row[mixed]))
-        row[res_h] /= row[h2] + row[h1] + 1.0
+        span = nxt[t] - prev[t]
+        for res, x, rate, norm in ((res_e, E, energy_rate, row[h1] + row[E] + 1.0),
+                                   (res_h, h1, h1_rate, row[h2] + row[h1] + 1.0)):
+            simpson = (rate(prev) + 4.0 * rate(row) + rate(nxt)) / 6.0
+            row[res] = abs((nxt[x] - prev[x]) / span - simpson) / norm
 
 
 def _rough_state():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from centroflow.curve import (SIGN_TOL, ClosedCurve, _one_strict_sign, bracket, 
                               perturbed_ellipse, preset, random_star_convex,
                               shifted_ellipse, star_convex)
 from centroflow import spectral
+from centroflow.diagnostics import explicit_ellipse_family
 from centroflow.errors import DegenerateMetric, NotStarShaped
 from centroflow.spectral import derivative
 from conftest import counting, fd_bracket_signs, overflowing_m3_image
@@ -85,6 +87,44 @@ def test_preset_sampling_matches_formulas():
     r = 1 + 0.05 * np.cos(3 * p)
     assert np.allclose(perturbed_ellipse(1, 1, 0.05, 3, n).points,
                        np.stack([r * np.cos(p), r * np.sin(p)], axis=1))
+
+
+def _star_points(n, cos_coeffs, sin_coeffs, r0=1.0):
+    # the star presets as they were sampled before the per-grid harmonics
+    p = spectral.grid(n)
+    r = np.full(n, float(r0))
+    for k, (a, b) in enumerate(zip(cos_coeffs, sin_coeffs), start=1):
+        r += a * np.cos(k * p) + b * np.sin(k * p)
+    return np.stack([r * np.cos(p), r * np.sin(p)], axis=1)
+
+
+def _random_star_points(seed, n, modes=5, margin=0.4):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, modes), rng.uniform(-1.0, 1.0, modes)
+    k = np.arange(1, modes + 1)
+    weight = np.sum((1.0 + k**2) * (np.abs(a) + np.abs(b)))
+    return _star_points(n, a * (margin / weight), b * (margin / weight))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_presets_bit_identical_to_their_formulas(n):
+    p = spectral.grid(n)
+    cos, sin = np.cos(p), np.sin(p)
+    r = 1.0 + 0.05 * np.cos(3 * p)
+    scale = (2.0 * 0.7) ** ((math.exp(2.0 * -1.5) - 1.0) / 2.0)
+    pairs = [
+        (origin_ellipse(2, 0.5, n), np.stack([2 * cos, 0.5 * sin], axis=1)),
+        (shifted_ellipse(1.3, 0.7, 0.25, -0.1, n), np.stack([0.25 + 1.3 * cos, -0.1 + 0.7 * sin],
+                                                           axis=1)),
+        (perturbed_ellipse(1.2, 0.9, 0.05, 3, n), np.stack([r * 1.2 * cos, r * 0.9 * sin], axis=1)),
+        (star_convex([0.02, -0.01], [0.01, 0.005], 1.1, n),
+         _star_points(n, [0.02, -0.01], [0.01, 0.005], 1.1)),
+        (explicit_ellipse_family(2.0, 0.7, -1.5, n),
+         scale * np.stack([2.0 * cos, 0.7 * sin], axis=1)),
+    ]
+    pairs += [(random_star_convex(seed, n=n), _random_star_points(seed, n)) for seed in range(4)]
+    for curve, want in pairs:
+        assert np.array_equal(curve.points, want), curve.name
 
 
 def test_star_and_convex_checks_on_ellipse():

@@ -220,6 +220,11 @@ def test_consistency_check_perturbed_short():
     assert gap <= 1e-4
 
 
+# relative gap allowed between a scaled record's area and its scaled copy's area,
+# about 45 ulp; at most 5.6e-16 was seen over 156 records at N 64 and 256
+AREA_RTOL = 1e-14
+
+
 def _reference_record(state):
     # reference: the invariants of a fresh curve and the physical curve's own area
     field = centro_affine(ClosedCurve(state.curve.points))
@@ -244,7 +249,13 @@ def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
     want.finalize_residuals()
     assert (current.log_scale != 0.0) == (normalization == "none")
     assert len(traj.records) == len(want.records)
-    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(traj.records, want.records))
+    area = COLUMNS.index("area")
+    for got, ref in zip(traj.records, want.records):
+        if normalization == "none":
+            # a scaled curve's area is its gauge factor squared times the stored curve's
+            assert abs(got[area] - ref[area]) <= AREA_RTOL * abs(ref[area])
+            got, ref = np.delete(got, area), np.delete(ref, area)
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 def test_step_k1_reads_the_kept_spectrum(monkeypatch):
@@ -271,7 +282,7 @@ def test_step_k1_reads_the_kept_spectrum(monkeypatch):
 
 
 @pytest.mark.parametrize("normalization,lam,transforms", [
-    ("unit_area_scale", 0.7, 4), ("none", 0.0, 4), ("none", 0.7, 5)])
+    ("unit_area_scale", 0.7, 4), ("none", 0.0, 4), ("none", 0.7, 4)])
 def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, transforms):
     state = step(CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=256), lam=lam,
                                 normalization=normalization), 1e-4)   # its stage is made
@@ -281,11 +292,16 @@ def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, t
     forward = counting(monkeypatch, spectral, "_rfft")
     inverse = counting(monkeypatch, spectral, "_irfft")
     row = record(state)
-    # the four xi-derivatives of phi take one rfft and one irfft each; the area of an
-    # unscaled curve takes none, and only a scaled copy is transformed again
+    # the four xi-derivatives of phi take one rfft and one irfft each; the area takes
+    # none, scaled or not
     assert (len(forward), len(inverse)) == (transforms, transforms)
-    assert (state.log_scale != 0.0) == (transforms == 5)
-    assert row[COLUMNS.index("area")] == enclosed_area_of(state.physical_curve.points)
+    assert (state.log_scale != 0.0) == (normalization == "none" and lam != 0.0)
+    area, want = row[COLUMNS.index("area")], enclosed_area_of(state.physical_curve.points)
+    if state.log_scale == 0.0:
+        assert area == want
+    else:
+        # the gauge factor squared times the stored curve's area, against the scaled copy's
+        assert abs(area - want) <= AREA_RTOL * abs(want)
 
 
 def test_march_computes_each_state_velocity_once(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from centroflow import curvature_flow
 from centroflow.curvature_flow import CurvatureFlowState, evolve
 from centroflow.curve import origin_ellipse, perturbed_ellipse, shifted_ellipse
 from centroflow.curve_flow import CurveFlowState
@@ -85,7 +86,29 @@ def test_energy_identity_verdicts_and_stride_guard():
     short = FlowTrajectory(records=traj.records[:3])
     for v, name in zip(check_energy_identities(short), ("energy_identity", "h1_identity")):
         assert (v.name, v.passed, v.measured, v.bound, v.tolerance) == (name, False, 3, 5, 0)
-        assert v.context == "need at least 5 records for centered differencing, have 3"
+        assert v.context == "need at least 5 records for Simpson stencils, have 3"
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_identity_residuals_judge_sparse_records_and_catch_a_wrong_law(monkeypatch, stride):
+    # Simpson's rule passes a correct run recorded every 10th step; with a linear
+    # coefficient of 2.1 in place of 2 the energy law fails at either stride
+    curve = perturbed_ellipse(1, 1, 0.05, 3, n=128)
+
+    def march():
+        return evolve(CurvatureFlowState.from_curve(curve), 0.05, 1e-4, record_stride=stride)
+
+    v1, v2 = check_energy_identities(march())
+    assert v1.passed and v2.passed
+    original = curvature_flow._stage
+
+    def altered(g, phi):
+        g_dot, phi_dot, phi_xi, phi_xixi = original(g, phi)
+        return g_dot, phi_dot + 0.1 * phi, phi_xi, phi_xixi
+
+    monkeypatch.setattr(curvature_flow, "_stage", altered)
+    v1, _ = check_energy_identities(march())
+    assert not v1.passed and v1.measured > 1e-3
 
 
 def test_monotone_and_integral_bounds():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centroflow import spectral
+from centroflow import invariants, spectral
 from centroflow.curve import (SIGN_TOL, ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
                               random_star_convex, shifted_ellipse, star_convex)
 from centroflow.curve_flow import _geometry_velocity
@@ -13,7 +13,7 @@ from centroflow.invariants import (_metric_curvature, centro_affine,
                                    centro_equiaffine, energy, perimeter,
                                    phi_from_mu, sobolev_norm, xi_derivative)
 from centroflow.spectral import antiderivative, derivative, periodic_integral
-from conftest import overflowing_m3_image
+from conftest import counting, overflowing_m3_image
 
 TWO_PI = 2 * np.pi
 
@@ -331,12 +331,29 @@ def _counting_transforms(monkeypatch):
 def test_centro_affine_and_phi_from_mu_share_the_curve_transforms(monkeypatch):
     curve = ClosedCurve(random_star_convex(2, n=64).points)
     calls = _counting_transforms(monkeypatch)
-    centro_affine(curve)
+    field = centro_affine(curve)
     phi_from_mu(curve)
     centro_equiaffine(curve)
-    # one spectrum and one derivative batch of the points; s_p, xi and mu_p
-    # take one forward and one inverse transform each
+    # one spectrum and one derivative batch of the points; s_p and mu_p take one
+    # forward and one inverse transform each
+    assert calls.count("rfft") == 3 and calls.count("irfft") == 3
+    # xi is made on its first read only: one forward and one inverse transform of g
+    field.xi
+    field.xi
     assert calls.count("rfft") == 4 and calls.count("irfft") == 4
+
+
+def test_xi_is_made_once_on_first_read_and_read_only(monkeypatch):
+    field = centro_affine(random_star_convex(3, n=64))
+    assert "xi" not in vars(field)
+    anti = counting(monkeypatch, invariants, "antiderivative")
+    xi = field.xi
+    assert field.xi is xi and len(anti) == 1
+    assert np.array_equal(xi, antiderivative(field.g))
+    with pytest.raises(ValueError):
+        xi[0] = 1.0
+    with pytest.raises(AttributeError):
+        field.xi = xi
 
 
 @pytest.mark.parametrize("affine_first", [True, False])
@@ -347,6 +364,11 @@ def test_error_types_in_either_call_order(affine_first):
     for fn, error in (checks if affine_first else checks[::-1]):
         with pytest.raises(error):
             fn(curve)
+    # the guard's verdict is the scan's: mu has a sample at or below the tolerance
+    _, mu = centro_equiaffine(curve)
+    assert np.any(mu <= SIGN_TOL * np.abs(mu).max())
+    with pytest.raises(DegenerateMetric, match="mu is not positive"):
+        phi_from_mu(curve)
     # not star-shaped: every route says so, and nothing is kept
     outside = shifted_ellipse(1, 1, 2.0, 0.0)
     for fn in (centro_equiaffine, phi_from_mu, centro_affine, phi_from_mu):

@@ -118,3 +118,14 @@ def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
         got, want = spectral._irfft(given, n), np.fft.irfft(full, n=n, axis=0)
         assert np.array_equal(got, want)
         assert got.strides == want.strides
+
+
+def test_harmonics_are_kept_read_only_and_bounded():
+    for n, k in ((64, 1), (256, 3), (1024, 5)):
+        cos, sin = spectral._harmonic(n, k)
+        assert np.array_equal(cos, np.cos(k * grid(n))) and np.array_equal(sin, np.sin(k * grid(n)))
+        assert spectral._harmonic(n, k)[0] is cos
+        for array in (cos, sin):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    assert spectral._harmonic.cache_info().maxsize is not None
