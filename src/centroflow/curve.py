@@ -29,11 +29,13 @@ def enclosed_area_of(points: np.ndarray, cp=None) -> float:
 class ClosedCurve:
     """Uniformly sampled closed curve: points[k] = C(2*pi*k/N).
 
-    Immutable value; derived curves are new instances. Star-shapedness is
-    *not* enforced here (the checks below and the invariant pipeline decide
-    admissibility), only grid size and finiteness. Its trimmed spectrum is
-    computed on first use and kept, read-only, for its derivatives of orders
-    1-3, its area and its invariants.
+    Immutable value; derived curves are new instances. The (N, 2) points are
+    stored component-major (Fortran order), so each coordinate, the kept
+    spectrum and the arrays computed from them are contiguous along the grid.
+    Star-shapedness is *not* enforced here (the checks below and the invariant
+    pipeline decide admissibility), only grid size and finiteness. Its trimmed
+    spectrum is computed on first use and kept, read-only, for its derivatives
+    of orders 1-3, its area and its invariants.
     """
 
     points: np.ndarray
@@ -52,7 +54,7 @@ class ClosedCurve:
             raise ValueError(f"grid size must be even, got {n}")
         if not np.isfinite(pts).all():
             raise ValueError("curve samples must be finite")
-        pts = pts.copy()
+        pts = np.array(pts, order="F")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -16,7 +16,7 @@ feedback loop among those modes destabilizes the march at any usable dt.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,8 +71,9 @@ def _geometry_velocity(points: np.ndarray, derivs=None):
     velocity, the sign of [C, C_p] (one strict sign, as the metric requires) and what
     the step and the record read; derivs as in _metric_curvature.
 
-    The velocity is combined on the component-major views (2, N) and returned as the
-    transposed view, so no field is broadcast along a new axis."""
+    The points and derivatives are component-major, so their transposed views (2, N)
+    have contiguous rows: the velocity is combined on them, no field is broadcast along
+    a new axis, and the transposed result is component-major too."""
     cp, _, den, _, g, raw, least = _metric_curvature(points, derivs)
     phi = dealias(raw)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
@@ -128,8 +129,8 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
             raise BlowUp(f"gauge factor e^{log_scale:g} overflowed", time=t_new) from None
         if physical_max > COORD_CEILING:
             raise BlowUp(f"coordinates exceeded ceiling {COORD_CEILING:g}", time=t_new)
-    produced = replace(state, t=t_new, curve=ClosedCurve(new, name=state.curve.name),
-                       log_scale=log_scale)
+    produced = CurveFlowState(t_new, ClosedCurve(new, name=state.curve.name), state.lam,
+                              state.normalization, log_scale)
     _judge(produced)
     return produced
 

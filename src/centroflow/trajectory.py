@@ -91,9 +91,14 @@ class FlowTrajectory:
         self.records[:] = table
 
 
+# the most steps one plan may take; read at call time. 1250 times the 80 000 steps of
+# the longest bundled plan, and about half a day of curve steps at N 256
+MAX_STEPS = 10**8
+
+
 def plan_steps(t0: float, t_end: float, dt: float) -> int:
-    """Number of dt steps from t0 to t_end; ValueError unless it is a positive whole number
-    and the float clock resolves one step of dt all the way to the horizon."""
+    """Number of dt steps from t0 to t_end; ValueError unless it is a whole number from 1
+    to MAX_STEPS and the float clock resolves one step of dt all the way to the horizon."""
     if t_end <= t0:
         raise ValueError("t_end must exceed the state's time")
     steps = (t_end - t0) / dt
@@ -104,6 +109,9 @@ def plan_steps(t0: float, t_end: float, dt: float) -> int:
         raise ValueError(f"the float clock near t = {clock:g} cannot resolve steps of "
                          f"dt = {dt:g}")
     n_steps = round(steps)
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"horizon {t_end - t0:g} takes {n_steps} steps of dt = {dt:g}, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
     if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"horizon {t_end - t0:g} is not an integer multiple of dt = {dt:g}")
     return n_steps

@@ -328,7 +328,9 @@ def test_sweep_reports_a_bad_file_and_runs_the_rest(tmp_path):
     ({"dt": math.nan}, "field 'dt' must be finite"),
     ({"lambda": math.nan, "normalization": "none"}, "field 'lambda' must be finite"),
     ({"t_end": 1e300}, "the float clock near t = 1e+300 cannot resolve steps of dt = 0.0001"),
-], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN", "t_end 1e300"])
+    ({"t_end": 1e11}, "horizon 1e+11 takes 1000000000000000 steps of dt = 0.0001, "
+                      "more than MAX_STEPS = 100000000"),
+], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN", "t_end 1e300", "t_end 1e11"])
 def test_numbers_that_cannot_run_are_config_errors(tmp_path, capsys, overrides, message):
     cfg = small_scenario(tmp_path, name="numeric", **{"N": 64, "t_end": 3e-4, **overrides})
     out = tmp_path / "out"
@@ -375,8 +377,9 @@ _PROCESS_BASE = {"name": "proc", "curve": {"kind": "perturbed_ellipse", "a": 1.0
     ({"lambda": 1e308, "normalization": "none"}, 3),
     ({"name": "g/../../escaped"}, 1),
     ({"t_end": 1e300}, 1),
+    ({"t_end": 1e11}, 1),
 ], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN", "lambda 1e308",
-        "escaping name", "t_end 1e300"])
+        "escaping name", "t_end 1e300", "t_end 1e11"])
 def test_the_process_exits_with_the_readme_code_and_no_traceback(tmp_path, overrides, code):
     # what a user sees: the interpreter's own exit status and stderr, not main()'s return
     cfg = tmp_path / "scenarios" / "proc.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import counting
 
-from centroflow import curvature_flow, spectral
+from centroflow import curvature_flow, spectral, trajectory
 from centroflow.curvature_flow import CurvatureFlowState, cfl_limit, evolve, rhs, step
 from centroflow.curve import ClosedCurve, origin_ellipse, perturbed_ellipse
 from centroflow.errors import (BlowUp, DegenerateMetric, NonConstantSign,
@@ -122,15 +122,28 @@ def test_evolve_requires_integer_steps():
         evolve(state, 0.1, 3e-4)
 
 
-def test_plan_steps_needs_a_clock_that_resolves_dt():
+def test_plan_steps_needs_a_clock_that_resolves_dt(monkeypatch):
     # at t = 1e300 one float step is 1.5e284: the clock would never reach the horizon
     with pytest.raises(ValueError, match="float clock near t = 1e\\+300 cannot resolve"):
         plan_steps(0.0, 1e300, 1e-4)
     # the bound is the spacing at the horizon: 2**-12 at 2**40
     with pytest.raises(ValueError, match="cannot resolve steps of dt"):
         plan_steps(0.0, 2.0**40, 2.0**-12)
+    # a horizon the clock resolves but no run can finish
+    with pytest.raises(ValueError, match="horizon 1e\\+11 takes 1000000000000000 steps of "
+                                         "dt = 0.0001, more than MAX_STEPS = 100000000"):
+        plan_steps(0.0, 1e11, 1e-4)
+    monkeypatch.setattr(trajectory, "MAX_STEPS", 2**51)   # read at call time
     assert plan_steps(0.0, 2.0**40, 2.0**-11) == 2**51
-    assert plan_steps(0.0, 1e11, 1e-4) == 10**15
+
+
+def test_plan_steps_caps_the_steps_at_max_steps():
+    dt = 2.0**-10   # every horizon below is a float multiple of dt
+    assert trajectory.MAX_STEPS == 10**8
+    assert plan_steps(0.0, 10**8 * dt, dt) == 10**8
+    assert plan_steps(1.0, 1.0 + 10**8 * dt, dt) == 10**8
+    with pytest.raises(ValueError, match="takes 100000001 steps"):
+        plan_steps(0.0, (10**8 + 1) * dt, dt)
 
 
 def test_evolve_annotates_failure_time(monkeypatch):

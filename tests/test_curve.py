@@ -11,8 +11,11 @@ from centroflow.curve import (SIGN_TOL, ClosedCurve, _one_strict_sign, bracket, 
                               perturbed_ellipse, preset, random_star_convex,
                               shifted_ellipse, star_convex)
 from centroflow import spectral
+from centroflow.curve_flow import CurveFlowState, _geometry_velocity, evolve, step
 from centroflow.diagnostics import explicit_ellipse_family
 from centroflow.errors import DegenerateMetric, NotStarShaped
+from centroflow.invariants import _metric_curvature, centro_affine
+from centroflow.io import read_curve_json, write_curve_json
 from centroflow.spectral import derivative
 from conftest import counting, fd_bracket_signs, overflowing_m3_image
 
@@ -205,6 +208,53 @@ def test_curve_derivatives_and_area_bit_identical(n):
         assert curve.enclosed_area() == enclosed_area_of(curve.points)
     with pytest.raises(ValueError):
         curve.derivative(0)
+
+
+def _presets(n):
+    # every preset kind, and GL(2) images of two of them, one with a reflection
+    curves = [origin_ellipse(2, 0.5, n), shifted_ellipse(1.3, 0.7, 0.25, -0.1, n),
+              perturbed_ellipse(1.2, 0.9, 0.05, 3, n),
+              star_convex([0.02, -0.01], [0.01, 0.005], 1.1, n), random_star_convex(3, n=n),
+              explicit_ellipse_family(2.0, 0.7, -1.5, n)]
+    flip = np.array([[0.9, 0.5], [0.6, -1.1]])
+    return curves + [_gl_image(n), ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n).points @ flip)]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_every_curve_holds_component_major_read_only_points(tmp_path, n):
+    curves = _presets(n)
+    write_curve_json(curves[2], tmp_path / "c.json")
+    curves.append(read_curve_json(tmp_path / "c.json"))
+    state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n), lam=0.7)
+    curves.append(step(state, 4e-6).curve)   # within the CFL bound at N 1024
+    traj = evolve(CurveFlowState(0.0, state.curve, lam=0.7, normalization="none"), 8e-6, 4e-6,
+                  snapshot_stride=1)
+    curves += [snap for _, snap in traj.snapshots] + [curves[0].scaled(2.5)]
+    for curve in curves:
+        assert curve.points.flags.f_contiguous and not curve.points.flags.writeable, curve.name
+        x, y = curve.points.T
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert curve._spectrum().flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_c_and_f_ordered_points_give_the_same_bits(n):
+    # each coordinate's transform is the same whatever the layout, and no trim decision
+    # turns on the last bits of the column norms
+    for curve in _presets(n):
+        c_pts = np.ascontiguousarray(curve.points)
+        f_pts = np.asfortranarray(c_pts)
+        assert c_pts.flags.c_contiguous and f_pts.flags.f_contiguous
+        specs = [spectral._trimmed_spectrum(pts) for pts in (c_pts, f_pts)]
+        assert np.array_equal(*specs)
+        assert np.array_equal(*(spectral._derivative_batch(spec, n) for spec in specs))
+        for got, want in zip(*(_metric_curvature(pts) for pts in (c_pts, f_pts))):
+            assert np.array_equal(got, want)
+        for got, want in zip(*(_geometry_velocity(pts) for pts in (c_pts, f_pts))):
+            assert np.array_equal(got, want)
+        fields = [centro_affine(ClosedCurve(pts)) for pts in (c_pts, f_pts)]
+        for name in ("g", "phi", "xi", "mu"):
+            assert np.array_equal(getattr(fields[0], name), getattr(fields[1], name))
 
 
 def test_curve_transforms_itself_once(monkeypatch):

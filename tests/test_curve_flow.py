@@ -281,6 +281,24 @@ def test_step_k1_reads_the_kept_spectrum(monkeypatch):
     assert np.array_equal(results[0].curve.points, results[1].curve.points)
 
 
+@pytest.mark.parametrize("normalization,transforms", [("unit_area_scale", 13), ("none", 12)])
+def test_a_step_makes_its_transforms_on_contiguous_coordinates(monkeypatch, normalization,
+                                                               transforms):
+    state = CurveFlowState(0.0, _m3_image()[0], lam=0.7, normalization=normalization)
+    state.stage   # k1, made before the step
+    forward = counting(monkeypatch, spectral, "_rfft")
+    inverse = counting(monkeypatch, spectral, "_irfft")
+    produced = step(state, 1e-4)
+    # k2-k4 and the produced state's stage take 3 and 3 each; the unit-area rescaling
+    # takes the area's derivative, one of each more
+    assert (len(forward), len(inverse)) == (transforms, transforms)
+    # every transform of the points or of a velocity reads component-major coordinates
+    curves = [args[0] for args in forward if args[0].ndim == 2]
+    assert len(curves) == 4 + (normalization == "unit_area_scale")
+    assert all(pts.flags.f_contiguous for pts in curves)
+    assert produced.stage[-1].flags.f_contiguous
+
+
 @pytest.mark.parametrize("normalization,lam,transforms", [
     ("unit_area_scale", 0.7, 4), ("none", 0.0, 4), ("none", 0.7, 4)])
 def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, transforms):
