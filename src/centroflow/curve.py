@@ -1,6 +1,7 @@
 """Closed plane curves on the uniform periodic grid, with presets and shape checks."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,18 +31,15 @@ class ClosedCurve:
     """Uniformly sampled closed curve: points[k] = C(2*pi*k/N).
 
     Immutable value; derived curves are new instances. The (N, 2) points are
-    stored component-major (Fortran order), so each coordinate, the kept
-    spectrum and the arrays computed from them are contiguous along the grid.
+    stored component-major (Fortran order), so each coordinate, its spectrum
+    and the arrays computed from them are contiguous along the grid.
     Star-shapedness is *not* enforced here (the checks below and the invariant
-    pipeline decide admissibility), only grid size and finiteness. Its trimmed
-    spectrum is computed on first use and kept, read-only, for its derivatives
-    of orders 1-3, its area and its invariants.
+    pipeline decide admissibility), only grid size and finiteness. It keeps one
+    derived array, _derivatives.
     """
 
     points: np.ndarray
     name: str = ""
-    # "spectrum" and invariants' "equiaffine" (s, mu): computed once, read-only
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -66,28 +64,27 @@ class ClosedCurve:
     def p(self) -> np.ndarray:
         return grid(self.n)
 
-    def _spectrum(self) -> np.ndarray:
-        spec = self._memo.get("spectrum")
-        if spec is None:
-            spec = _trimmed_spectrum(self.points)
-            # the trim zeroes every coefficient of a nonzero curve only when the spectrum
-            # norm it is relative to overflows
-            if not spec.any() and self.points.any():
-                raise DegenerateMetric("curve spectrum norm overflows: coordinates up to "
-                                       f"{np.abs(self.points).max():g} are beyond the float range")
-            self._memo["spectrum"] = spec
-            spec.setflags(write=False)
-        return spec
-
+    @cached_property
     def _derivatives(self) -> np.ndarray:
-        """(N, 3, 2): C_p, C_pp, C_ppp from one inverse transform of the spectrum."""
-        return _derivative_batch(self._spectrum(), self.n)
+        """(N, 3, 2): C_p, C_pp, C_ppp from one forward and one inverse transform, made on
+        first read and kept, read-only: its derivatives of orders 1-3, its area, its
+        shape checks and its invariants all read it."""
+        spec = _trimmed_spectrum(self.points)
+        # the trim zeroes every coefficient of a nonzero curve only when the spectrum
+        # norm it is relative to overflows
+        if not spec.any() and self.points.any():
+            raise DegenerateMetric("curve spectrum norm overflows: coordinates up to "
+                                   f"{np.abs(self.points).max():g} are beyond the float range")
+        derivs = _derivative_batch(spec, self.n)
+        derivs.setflags(write=False)
+        return derivs
 
     def derivative(self, order: int = 1) -> np.ndarray:
-        """Componentwise spectral derivative d^order C / dp^order."""
+        """Componentwise spectral derivative d^order C / dp^order; orders 1-3 are
+        read-only views of the kept derivative batch."""
         if not 1 <= order <= 3:
             return derivative(self.points, order)
-        return self._derivatives()[:, order - 1]
+        return self._derivatives[:, order - 1]
 
     def enclosed_area(self) -> float:
         """Signed Euclidean area 1/2 * integral of [C, C_p]; positive for CCW curves."""
@@ -108,7 +105,7 @@ def _one_strict_sign(values: np.ndarray) -> bool:
 
 def _shape(curve: ClosedCurve):
     """(star-shaped, convex): sign scans of [C, C_p] and [C_p, C_pp] from one derivative batch."""
-    derivs = curve._derivatives()
+    derivs = curve._derivatives
     return (_one_strict_sign(bracket(curve.points, derivs[:, 0])),
             _one_strict_sign(bracket(derivs[:, 0], derivs[:, 1])))
 

@@ -63,7 +63,7 @@ class CurveFlowState:
     def stage(self):
         """_geometry_velocity at the state's own curve, computed once: its step's k1,
         the guards and its record (C_p for the area included) share it."""
-        return _geometry_velocity(self.curve.points, self.curve._derivatives())
+        return _geometry_velocity(self.curve.points, self.curve._derivatives)
 
 
 def _geometry_velocity(points: np.ndarray, derivs=None):
@@ -149,7 +149,7 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
                                   area=area)
 
     def snapshot(current):
-        # a bare copy, so the trajectory does not hold the stepped curve's kept spectrum
+        # a bare copy, so the trajectory does not hold the stepped curve's derivative batch
         curve = current.physical_curve
         return ClosedCurve(curve.points, curve.name)
 

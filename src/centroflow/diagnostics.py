@@ -35,16 +35,6 @@ class Verdict:
         object.__setattr__(self, "bound", float(self.bound))
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "bound": self.bound,
-            "tolerance": self.tolerance,
-            "context": self.context,
-        }
-
 
 def verdict_line(v: Verdict) -> str:
     """The one-line PASS/FAIL form every command prints."""

@@ -31,20 +31,16 @@ class InvariantField:
     epsilon: common sign of [C_p,C_pp]/[C,C_p] (+1 for every valid closed curve);
     g: centro-affine metric d(xi)/dp; phi: centro-affine curvature; curve: the
     curve they were taken from. xi is made on its first read. sigma_density
-    (d(sigma)/dp) and mu (the centro-equiaffine curvature) are the curve's kept
-    parts, read through centro_equiaffine: mu scales as the inverse fourth power
-    of the curve's size and can overflow where g and phi, which are
-    scale-invariant, do not, so only reading it raises.
+    (d(sigma)/dp) and mu (the centro-equiaffine curvature) are computed from the
+    curve on each read, through centro_equiaffine: mu scales as the inverse
+    fourth power of the curve's size and can overflow where g and phi, which
+    are scale-invariant, do not, so only reading it raises.
     """
 
     epsilon: int
     g: np.ndarray
     phi: np.ndarray
     curve: ClosedCurve = field(repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.g)
 
     @cached_property
     def xi(self) -> np.ndarray:
@@ -70,32 +66,20 @@ def _star_density(points: np.ndarray, cp: np.ndarray) -> np.ndarray:
     return s
 
 
-def _equiaffine(curve: ClosedCurve, derivs=None):
-    """(s, mu) of a star-shaped curve, computed once and kept on it, read-only.
+def _equiaffine(curve: ClosedCurve):
+    """(s, mu, max|mu|) of a star-shaped curve from its derivative batch; DegenerateMetric
+    when mu is not finite, as on a curve near 1e-80 in size.
 
-    derivs, when given, is the curve's own derivative batch. mu is evaluated by
-    the chain rule through the free parameter: C_sigma = C_p/s,
+    mu is evaluated by the chain rule through the free parameter: C_sigma = C_p/s,
     C_sigmasigma = (C_pp - (s_p/s) C_p)/s^2 with s = [C, C_p].
     """
-    parts = curve._memo.get("equiaffine")
-    if parts is None:
-        if derivs is None:
-            derivs = curve._derivatives()
-        cp, cpp = derivs[:, 0], derivs[:, 1]
-        s = _star_density(curve.points, cp)
-        s_p = derivative(s)
-        c_sigma = cp / s[:, None]
-        c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
-        parts = curve._memo["equiaffine"] = (s, bracket(c_sigma, c_sigma2))
-        for array in parts:
-            array.setflags(write=False)
-    return parts
-
-
-def _finite_equiaffine(curve: ClosedCurve):
-    """(s, mu, max|mu|); DegenerateMetric when mu is not finite, as on a curve near
-    1e-80 in size."""
-    s, mu = _equiaffine(curve)
+    derivs = curve._derivatives
+    cp, cpp = derivs[:, 0], derivs[:, 1]
+    s = _star_density(curve.points, cp)
+    s_p = derivative(s)
+    c_sigma = cp / s[:, None]
+    c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
+    mu = bracket(c_sigma, c_sigma2)
     peak = np.maximum.reduce(np.abs(mu))
     if not peak < math.inf:
         raise DegenerateMetric("centro-equiaffine curvature mu is not finite on the grid")
@@ -103,9 +87,8 @@ def _finite_equiaffine(curve: ClosedCurve):
 
 
 def centro_equiaffine(curve: ClosedCurve):
-    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine and
-    _finite_equiaffine."""
-    return _finite_equiaffine(curve)[:2]
+    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine."""
+    return _equiaffine(curve)[:2]
 
 
 def _metric_curvature(points: np.ndarray, derivs=None):
@@ -151,14 +134,9 @@ def _metric_curvature(points: np.ndarray, derivs=None):
 
 
 def centro_affine(curve: ClosedCurve) -> InvariantField:
-    """Full invariant field of a star-shaped curve with one-signed [C_p, C_pp].
-
-    The curve's (sigma_density, mu) are made here from the derivative batch the
-    metric reads, so reading them later costs no transform.
-    """
-    derivs = curve._derivatives()
-    _, _, _, eps, g, phi, _ = _metric_curvature(curve.points, derivs)
-    _equiaffine(curve, derivs)
+    """Full invariant field of a star-shaped curve with one-signed [C_p, C_pp], from
+    the curve's derivative batch."""
+    _, _, _, eps, g, phi, _ = _metric_curvature(curve.points, curve._derivatives)
     return InvariantField(epsilon=eps, g=g, phi=phi, curve=curve)
 
 
@@ -169,7 +147,7 @@ def phi_from_mu(curve: ClosedCurve) -> np.ndarray:
     with mu_sigma = mu_p / sigma_density (the eps = +1 branch; mu must be
     positive everywhere).
     """
-    s, mu, peak = _finite_equiaffine(curve)
+    s, mu, peak = _equiaffine(curve)
     # mu is finite here, so its minimum decides as a scan of every sample would
     if np.minimum.reduce(mu) <= SIGN_TOL * peak:
         raise DegenerateMetric("mu is not positive: eps = +1 relation not applicable")

@@ -7,6 +7,7 @@ round-trip repr), so identical runs produce byte-identical files.
 """
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ def write_report(scenario_name: str, verdicts, path, *, error: dict | None = Non
                  extra: dict | None = None) -> None:
     """JSON report: {"scenario": ..., "verdicts": [...]} plus optional error/extras."""
     payload = {"scenario": scenario_name,
-               "verdicts": [v.as_dict() for v in verdicts]}
+               "verdicts": [asdict(v) for v in verdicts]}
     if extra:
         payload.update(extra)
     if error is not None:

@@ -166,7 +166,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     """
     default_dir = Path(out_dir or os.environ.get(ENV_OUTDIR, "."))
     report_path = _resolve(config.report_path, default_dir, f"{config.name}.report.json")
-    csv_path = _resolve(config.csv_path, default_dir, f"{config.name}.csv")
     extra = {"flow": config.flow, "dt": config.dt, "t_end": config.t_end, "lambda": config.lam}
 
     try:
@@ -221,7 +220,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
             context="final curvature gap, curve flow vs curvature flow"))
 
     if not verdicts_only:
-        write_csv(primary, csv_path)
+        write_csv(primary, _resolve(config.csv_path, default_dir, f"{config.name}.csv"))
         if config.svg_dir:
             _emit_svgs(_resolve(None, default_dir, config.svg_dir), config,
                        curve0, curve_traj, final_curve)

@@ -97,8 +97,11 @@ MAX_STEPS = 10**8
 
 
 def plan_steps(t0: float, t_end: float, dt: float) -> int:
-    """Number of dt steps from t0 to t_end; ValueError unless it is a whole number from 1
-    to MAX_STEPS and the float clock resolves one step of dt all the way to the horizon."""
+    """Number of dt steps from t0 to t_end; ValueError unless dt is positive, and the
+    number is a whole number from 1 to MAX_STEPS and the float clock resolves one step of
+    dt all the way to the horizon."""
+    if not dt > 0:  # NaN included
+        raise ValueError("dt must be positive")
     if t_end <= t0:
         raise ValueError("t_end must exceed the state's time")
     steps = (t_end - t0) / dt

@@ -36,7 +36,7 @@ def overflowing_m3_image():
     mat = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]]) @ [[1, shear], [0, 1]]
     curve = ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=64).points @ mat.T)
     scale = 10.0**153.75
-    return curve.points * scale, curve._derivatives() * scale
+    return curve.points * scale, curve._derivatives * scale
 
 
 @pytest.fixture

@@ -173,6 +173,17 @@ def test_verify_writes_report_only(tmp_path):
     assert not (tmp_path / "verify-only.csv").exists()
 
 
+def test_verify_creates_no_directory_for_the_csv(tmp_path):
+    cfg = small_scenario(tmp_path, name="nested", t_end=0.002,
+                         outputs={"csv": "deep/nested/v.csv", "report": "nested.report.json"})
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg), "--out-dir", str(out)]) == 0
+    # every path under the output directory, directories included
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["nested.report.json"]
+    assert main(["evolve", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "deep" / "nested" / "v.csv").is_file()
+
+
 def test_verify_sweep_writes_reports_only(tmp_path, capsys):
     sweep_dir = tmp_path / "batch"
     sweep_dir.mkdir()

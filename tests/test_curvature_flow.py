@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import counting
 
-from centroflow import curvature_flow, spectral, trajectory
+from centroflow import curvature_flow, curve_flow, spectral, trajectory
 from centroflow.curvature_flow import CurvatureFlowState, cfl_limit, evolve, rhs, step
 from centroflow.curve import ClosedCurve, origin_ellipse, perturbed_ellipse
 from centroflow.errors import (BlowUp, DegenerateMetric, NonConstantSign,
@@ -135,6 +135,18 @@ def test_plan_steps_needs_a_clock_that_resolves_dt(monkeypatch):
         plan_steps(0.0, 1e11, 1e-4)
     monkeypatch.setattr(trajectory, "MAX_STEPS", 2**51)   # read at call time
     assert plan_steps(0.0, 2.0**40, 2.0**-11) == 2**51
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-4, float("nan")], ids=["zero", "negative", "nan"])
+def test_both_evolves_reject_a_dt_that_is_not_positive(dt):
+    # the plan rejects it before it divides by it, or reads it as a clock or horizon fault
+    curve = perturbed_ellipse(1, 1, 0.05, 3, n=64)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        plan_steps(0.0, 1e-3, dt)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        evolve(CurvatureFlowState.from_curve(curve), 1e-3, dt)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        curve_flow.evolve(curve_flow.CurveFlowState(0.0, curve), 1e-3, dt)
 
 
 def test_plan_steps_caps_the_steps_at_max_steps():

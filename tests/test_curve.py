@@ -192,7 +192,7 @@ def test_enclosed_area_of_ellipse():
 
 
 # ---------------------------------------------------------------------------
-# the kept spectrum
+# the kept derivative batch
 
 def _gl_image(n):
     # a GL+(2) image of a star: spectra with coefficients at the noise floor
@@ -234,7 +234,7 @@ def test_every_curve_holds_component_major_read_only_points(tmp_path, n):
         assert curve.points.flags.f_contiguous and not curve.points.flags.writeable, curve.name
         x, y = curve.points.T
         assert x.flags.c_contiguous and y.flags.c_contiguous
-        assert curve._spectrum().flags.f_contiguous
+        assert curve._derivatives.flags.f_contiguous
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -269,15 +269,44 @@ def test_curve_transforms_itself_once(monkeypatch):
 
 def test_new_and_scaled_curves_start_with_an_empty_cache():
     curve = _gl_image(64)
-    assert curve._memo == {}
+    assert "_derivatives" not in vars(curve)
     curve.derivative(1)
-    assert set(curve._memo) == {"spectrum"}
-    assert curve._memo["spectrum"].flags.writeable is False
+    assert set(vars(curve)) == {"points", "name", "_derivatives"}
+    assert curve._derivatives.flags.writeable is False
     for fresh in (curve.scaled(2.5), ClosedCurve(curve.points), replace(curve, name="x")):
-        assert fresh._memo == {}
+        assert "_derivatives" not in vars(fresh)
         assert np.array_equal(fresh.derivative(1), derivative(fresh.points, 1))
-    memo = next(f for f in fields(ClosedCurve) if f.name == "_memo")
-    assert not (memo.init or memo.repr or memo.compare)
+    # the batch is no field: it is not an argument, nor in the repr, nor compared
+    assert [f.name for f in fields(ClosedCurve)] == ["points", "name"]
+
+
+def test_the_derivative_batch_is_kept_and_read_only():
+    curve = _gl_image(64)
+    derivs = curve._derivatives
+    assert curve._derivatives is derivs and derivs.shape == (64, 3, 2)
+    for order in (1, 2, 3):
+        view = curve.derivative(order)
+        assert view.base is derivs and np.array_equal(view, derivative(curve.points, order))
+        with pytest.raises(ValueError):
+            view[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        derivs[0, 0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        curve._derivatives = derivs.copy()
+    with pytest.raises(AttributeError):
+        del curve._derivatives
+    assert curve._derivatives is derivs
+
+
+def test_a_preset_and_everything_read_from_it_make_one_inverse_transform(monkeypatch):
+    inverse = counting(monkeypatch, spectral, "_irfft")
+    curve = random_star_convex(4, n=64)
+    assert check_star_shaped(curve) and check_convex(curve)
+    centro_affine(curve)
+    curve.enclosed_area()
+    for order in (1, 2, 3):
+        curve.derivative(order)
+    assert len(inverse) == 1
 
 
 def test_a_spectrum_norm_that_overflows_is_named():
@@ -289,7 +318,7 @@ def test_a_spectrum_norm_that_overflows_is_named():
         curve = ClosedCurve(origin_ellipse(1.0, 0.5, n=64).points * 1e160)
         with pytest.raises(DegenerateMetric, match="coordinates up to 1e\\+160"):
             curve.derivative(1)
-    assert curve._memo == {}
+    assert "_derivatives" not in vars(curve)
     # the zero curve's spectrum is zero without an overflow
     assert not check_star_shaped(ClosedCurve(np.zeros((64, 2))))
 
@@ -307,9 +336,9 @@ def test_preset_builds_and_validates_one_curve(monkeypatch):
     curve = random_star_convex(4, n=64)
     assert built == [curve]
     assert curve.name == "random_star_convex(seed=4)"
-    # both sign scans come from one derivative batch; the spectrum stays for later
+    # both sign scans come from one derivative batch, which stays for later
     assert len(inverse) == 1
-    assert set(curve._memo) == {"spectrum"}
+    assert "_derivatives" in vars(curve)
     assert check_star_shaped(curve) and check_convex(curve)
 
 
@@ -320,7 +349,7 @@ def _reference_one_strict_sign(values):
 
 
 def _brackets(curve):
-    derivs = curve._derivatives()
+    derivs = curve._derivatives
     return bracket(curve.points, derivs[:, 0]), bracket(derivs[:, 0], derivs[:, 1])
 
 

@@ -207,7 +207,7 @@ def test_evolve_snapshots_are_curves():
     assert len(traj.snapshots) == 3
     for _, snap in traj.snapshots:
         assert snap.points.shape == (64, 2)
-        assert snap._memo == {}  # snapshots do not keep the stepped curves' spectra
+        assert "_derivatives" not in vars(snap)  # snapshots do not keep the stepped curves' batches
 
 
 def test_consistency_check_trivial_on_ellipse():

@@ -288,17 +288,16 @@ def test_invariants_bit_identical_to_reference(n, mu_first):
         assert np.array_equal(s2, s) and np.array_equal(mu2, mu)
 
 
-def test_equiaffine_parts_are_the_fields_arrays_and_read_only():
+def test_equiaffine_parts_match_the_fields_and_the_batch_is_read_only():
     curve = ClosedCurve(random_star_convex(5, n=64).points)
     field = centro_affine(curve)
     s, mu = centro_equiaffine(curve)
-    assert s is field.sigma_density and mu is field.mu
-    for array in (s, mu, curve._memo["spectrum"]):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-    # the fields a caller owns stay writable
-    field.g[0] = field.g[0]
-    field.phi[0] = field.phi[0]
+    assert np.array_equal(s, field.sigma_density) and np.array_equal(mu, field.mu)
+    with pytest.raises(ValueError):
+        curve._derivatives[0, 0, 0] = 0.0
+    # the arrays a caller owns stay writable; (s, mu) are made afresh on each read
+    for array in (s, mu, field.g, field.phi):
+        array[0] = array[0]
 
 
 def test_mu_beyond_the_float_range_raises_where_it_is_read():
@@ -331,16 +330,18 @@ def _counting_transforms(monkeypatch):
 def test_centro_affine_and_phi_from_mu_share_the_curve_transforms(monkeypatch):
     curve = ClosedCurve(random_star_convex(2, n=64).points)
     calls = _counting_transforms(monkeypatch)
+    # on a fresh curve: one spectrum and one derivative batch of the points, kept on it
     field = centro_affine(curve)
+    assert calls.count("rfft") == 1 and calls.count("irfft") == 1
+    # (s, mu) are not kept: s_p and mu_p take one forward and one inverse transform each
     phi_from_mu(curve)
-    centro_equiaffine(curve)
-    # one spectrum and one derivative batch of the points; s_p and mu_p take one
-    # forward and one inverse transform each
     assert calls.count("rfft") == 3 and calls.count("irfft") == 3
+    centro_equiaffine(curve)
+    assert calls.count("rfft") == 4 and calls.count("irfft") == 4
     # xi is made on its first read only: one forward and one inverse transform of g
     field.xi
     field.xi
-    assert calls.count("rfft") == 4 and calls.count("irfft") == 4
+    assert calls.count("rfft") == 5 and calls.count("irfft") == 5
 
 
 def test_xi_is_made_once_on_first_read_and_read_only(monkeypatch):
@@ -369,12 +370,12 @@ def test_error_types_in_either_call_order(affine_first):
     assert np.any(mu <= SIGN_TOL * np.abs(mu).max())
     with pytest.raises(DegenerateMetric, match="mu is not positive"):
         phi_from_mu(curve)
-    # not star-shaped: every route says so, and nothing is kept
+    # not star-shaped: every route says so, and the curve keeps its derivative batch only
     outside = shifted_ellipse(1, 1, 2.0, 0.0)
     for fn in (centro_equiaffine, phi_from_mu, centro_affine, phi_from_mu):
         with pytest.raises(NotStarShaped):
             fn(outside)
-    assert "equiaffine" not in outside._memo
+    assert set(vars(outside)) == {"points", "name", "_derivatives"}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +433,7 @@ def _scale_cpp(points, derivs, factor, node=slice(None)):
 
 
 def _arrays_of(curve):
-    return curve.points, curve._derivatives()
+    return curve.points, curve._derivatives
 
 
 # case -> (arrays, the reference's verdict: its exception type, or eps when it passes)
