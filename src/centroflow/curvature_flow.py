@@ -79,7 +79,7 @@ class CurvatureFlowState:
 
 
 def _stage(g: np.ndarray, phi: np.ndarray):
-    """One RK4 stage on bare arrays: (g_dot, phi_dot, phi_xi, phi_xixi).
+    """One RK4 stage on bare arrays: ((g_dot, phi_dot) as one array, phi_xi, phi_xixi).
 
     One rfft of phi and one irfft of an (N/2+1, 2) spectrum give the trimmed first
     derivative and the 2/3-rule projection of the cubic; phi_xixi is the xi-derivative
@@ -98,15 +98,15 @@ def _stage(g: np.ndarray, phi: np.ndarray):
     phi_xi, projected = spectral._irfft(rows.T, n).T
     phi_xi /= g
     phi_xixi = _xi_derivative(phi_xi, g)
-    g_dot = 0.5 * phi**2 * g
-    phi_dot = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
-    return g_dot, phi_dot, phi_xi, phi_xixi
+    velocity = np.empty((2, n))
+    velocity[0] = 0.5 * phi**2 * g
+    velocity[1] = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
+    return velocity, phi_xi, phi_xixi
 
 
 def rhs(state: CurvatureFlowState):
-    """Right-hand sides (g_dot, phi_dot) of the curvature system."""
-    g_dot, phi_dot, _, _ = _stage(state.g, state.phi)
-    return g_dot, phi_dot
+    """Right-hand sides of the curvature system: the (2, N) rows g_dot and phi_dot."""
+    return _stage(state.g, state.phi)[0]
 
 
 def cfl_limit(g_min: float, n: int) -> float:
@@ -126,25 +126,31 @@ def _judge(peak: float, t: float) -> None:
         raise BlowUp(f"max|phi| exceeded ceiling {PHI_CEILING:g}", time=t)
 
 
-def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
-    """One classical RK4 step of the coupled (g, phi) system; it judges the state it
-    starts from and the state it produces against PHI_CEILING."""
-    if dt <= 0:
+def _rk4(state, dt: float, start, velocity) -> np.ndarray:
+    """y after one classical RK4 step of y' = velocity(y), y being 2 N numbers in either
+    flow. Guards, as both flows have them: dt > 0 (not NaN), then start(state) = (y, k1,
+    least metric, max|phi|), then cfl_limit and PHI_CEILING, both at state.t."""
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    dt_max = cfl_limit(state.g_min, state.n)
+    y, k1, g_min, peak = start(state)
+    dt_max = cfl_limit(g_min, y.size // 2)
     if dt > dt_max:
         raise StabilityViolation(
             f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
-    _judge(state.peak, state.t)
+    _judge(peak, state.t)
+    k2 = velocity(y + 0.5 * dt * k1)
+    k3 = velocity(y + 0.5 * dt * k2)
+    k4 = velocity(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    g, phi = state.g, state.phi
-    k1g, k1p, _, _ = state.stage
-    k2g, k2p, _, _ = _stage(g + 0.5 * dt * k1g, phi + 0.5 * dt * k1p)
-    k3g, k3p, _, _ = _stage(g + 0.5 * dt * k2g, phi + 0.5 * dt * k2p)
-    k4g, k4p, _, _ = _stage(g + dt * k3g, phi + dt * k3p)
-    g_new = g + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    phi_new = phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
+def _start(state: CurvatureFlowState):
+    return np.array((state.g, state.phi)), state.stage[0], state.g_min, state.peak
+
+
+def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
+    """One guarded RK4 step (_rk4) of the rows g and phi; it also judges its result."""
+    g_new, phi_new = _rk4(state, dt, _start, lambda y: _stage(*y)[0])
     t_new = state.t + dt
     # the result's one scan judges it: not finite, then the ceiling, then the metric
     try:
@@ -166,7 +172,7 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
     (see CurvatureFlowState.stage).
     """
     def record(current):
-        _, _, phi_xi, phi_xixi = current.stage
+        _, phi_xi, phi_xixi = current.stage
         return record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi)
 
     return march(state, t_end, dt, step, record,

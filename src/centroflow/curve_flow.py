@@ -23,10 +23,9 @@ import numpy as np
 
 from . import curvature_flow
 from .curve import ClosedCurve, enclosed_area_of
-from .errors import MARCH_ERRORS, BlowUp, StabilityViolation
+from .errors import MARCH_ERRORS, BlowUp
 from .invariants import _metric_curvature, _xi_derivative
 from .spectral import antiderivative, dealias
-from .curvature_flow import cfl_limit
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 NORMALIZATIONS = ("none", "unit_area_scale")
@@ -81,33 +80,20 @@ def _geometry_velocity(points: np.ndarray, derivs=None):
             (potential * points.T + 0.5 * phi / g * cp.T).T)
 
 
-def _judge(state: CurveFlowState) -> None:
-    """BlowUp when the state's projected max|phi| exceeds PHI_CEILING; this and any
-    geometry error of its curve carry the state's time."""
+def _start(state: CurveFlowState):
+    """(points, k1, least metric, projected max|phi|) of a state for curvature_flow._rk4;
+    a geometry error of its curve carries the state's time."""
     try:
-        curvature_flow._judge(curvature_flow._peak(state.stage[3]), state.t)
+        _, _, _, phi, _, g_min, k1 = state.stage
     except MARCH_ERRORS as exc:
         exc.time = state.t
         raise
+    return state.curve.points, k1, g_min, curvature_flow._peak(phi)
 
 
 def step(state: CurveFlowState, dt: float) -> CurveFlowState:
-    """One RK4 step of the gauge-invariant flow; the gauge accumulates in log_scale."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    pts = state.curve.points
-    sign, _, _, _, _, g_min, k1 = state.stage
-    dt_max = cfl_limit(g_min, len(pts))
-    if dt > dt_max:
-        raise StabilityViolation(
-            f"dt = {dt:g} exceeds stability bound {dt_max:g}", time=state.t)
-    _judge(state)
-
-    k2 = _geometry_velocity(pts + 0.5 * dt * k1)[-1]
-    k3 = _geometry_velocity(pts + 0.5 * dt * k2)[-1]
-    k4 = _geometry_velocity(pts + dt * k3)[-1]
-    new = pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
+    """One guarded RK4 step (curvature_flow._rk4); the gauge accumulates in log_scale."""
+    new = curvature_flow._rk4(state, dt, _start, lambda y: _geometry_velocity(y)[-1])
     t_new = state.t + dt
     peak = curvature_flow._peak(new)
     if not peak < math.inf:
@@ -117,7 +103,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
         # the gauge factor e^(lam dt) is cancelled exactly by this rescaling; the area is
         # oriented by the sign of [C, C_p] at the state stepped from, and one too small
         # for its factor sqrt(pi/area) to be a float has collapsed as well
-        area = float(sign * enclosed_area_of(new))
+        area = float(state.stage[0] * enclosed_area_of(new))
         if area <= 0 or math.pi / area == math.inf:
             raise BlowUp("enclosed area collapsed", time=t_new)
         new = new * math.sqrt(math.pi / area)
@@ -131,7 +117,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
             raise BlowUp(f"coordinates exceeded ceiling {COORD_CEILING:g}", time=t_new)
     produced = CurveFlowState(t_new, ClosedCurve(new, name=state.curve.name), state.lam,
                               state.normalization, log_scale)
-    _judge(produced)
+    curvature_flow._judge(_start(produced)[3], t_new)  # geometry errors, then the ceiling
     return produced
 
 

@@ -187,11 +187,13 @@ def family_area(a0: float, b0: float, t: float) -> float:
 def check_backward_limit_on_family(a0: float, b0: float, t_list, n: int = 256) -> Verdict:
     """Backward-limit witness on the explicit family only.
 
-    For each time in the strictly decreasing t_list: sup norms of phi and its
+    For each time in the finite, strictly decreasing t_list: sup norms of phi and its
     first two xi-derivatives stay below 1e-10, the sampled area matches the
     closed form to 1e-10, and |area - pi| is nonincreasing as t decreases.
     """
     t_list = list(t_list)
+    if not all(map(math.isfinite, t_list)):
+        raise ValueError("t_list must be finite")
     if len(t_list) < 2 or any(b >= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly decreasing with at least two entries")
     worst_phi = 0.0

@@ -22,6 +22,8 @@ def read_curve_json(path) -> ClosedCurve:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or "points" not in payload:
         raise ValueError(f"{path}: expected an object with a 'points' array")
     try:

@@ -114,6 +114,8 @@ class ScenarioConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+            raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")
         _check_fields(path, raw, _FIELD_TYPES)

@@ -238,7 +238,12 @@ def test_family_command(capsys):
     (["--a0", "2", "--b0", "1", "--times", "0,1"], "strictly decreasing"),
     (["--a0", "-2", "--b0", "1", "--times", "0,-1"], "axes must be positive"),
     (["--a0", "2", "--b0", "1", "--times", "0,abc"], "could not convert"),
-], ids=["increasing times", "negative axis", "not a number"])
+    (["--a0", "2", "--b0", "0.5", "--times", "nan,0"], "t_list must be finite"),
+    (["--a0", "2", "--b0", "0.5", "--times", "0,nan"], "t_list must be finite"),
+    (["--a0", "2", "--b0", "0.5", "--times", "inf,0"], "t_list must be finite"),
+    (["--a0", "2", "--b0", "1", "--times", "0,-inf"], "t_list must be finite"),
+], ids=["increasing times", "negative axis", "not a number", "nan first", "nan last",
+        "inf first", "-inf last"])
 def test_family_argument_errors_exit_one(capsys, argv, message):
     assert main(["family", *argv]) == 1
     err = capsys.readouterr().err
@@ -300,6 +305,40 @@ def test_evolve_sweep_flag(tmp_path, capsys):
 def test_evolve_without_config_or_sweep(capsys):
     assert main(["evolve"]) == 1
     assert "required" in capsys.readouterr().err
+
+
+def _unreadable_scenario(tmp_path, kind):
+    path = tmp_path / "unreadable.json"
+    if kind == "not utf-8":
+        path.write_bytes(b'{"name": "\xff"}')
+    elif kind == "directory":
+        path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "not utf-8", "directory"])
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_an_unreadable_scenario_file_exits_one(tmp_path, capsys, command, kind):
+    path = _unreadable_scenario(tmp_path, kind)
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err and "Error:" not in err
+
+
+@pytest.mark.parametrize("kind", ["not utf-8", "directory"])
+def test_sweep_reports_an_unreadable_scenario_file_and_runs_the_rest(tmp_path, kind):
+    sweep_dir = tmp_path / "mixed"
+    sweep_dir.mkdir()
+    small_scenario(sweep_dir, name="good", t_end=0.005)
+    path = _unreadable_scenario(sweep_dir, kind)
+    lines = []
+    assert run_sweep(sweep_dir, out_dir=tmp_path, printer=lines.append) == 1
+    assert (tmp_path / "good.csv").exists()
+    assert {"good: exit 0", "unreadable: exit 1"} <= set(lines)
+    assert [line for line in lines if line.startswith("config error:")] == [
+        line for line in lines if line.startswith(f"config error: {path}: ")]
+    assert not any(line.startswith("error:") for line in lines)
 
 
 def test_too_few_records_fail_the_identity_verdicts(tmp_path):
@@ -522,12 +561,13 @@ def test_every_command_prints_the_one_verdict_line(tmp_path, capsys):
     assert all(" bound=" in line and " tol=" in line for line in lines)
 
 
-@pytest.mark.parametrize("content", [None, json.dumps({"points": [[1, 0], [0, 1]]})],
-                         ids=["missing", "two points"])
+@pytest.mark.parametrize("content", [None, json.dumps({"points": [[1, 0], [0, 1]]}).encode(),
+                                     b'{"points": "\xff"}'],
+                         ids=["missing", "two points", "not utf-8"])
 def test_invariants_on_an_unreadable_curve_file_exits_one(tmp_path, capsys, content):
     curve_path = tmp_path / "curve.json"
     if content is not None:
-        curve_path.write_text(content)
+        curve_path.write_bytes(content)
     assert main(["invariants", str(curve_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: curve file") and str(curve_path) in err

@@ -147,6 +147,13 @@ def test_both_evolves_reject_a_dt_that_is_not_positive(dt):
         evolve(CurvatureFlowState.from_curve(curve), 1e-3, dt)
     with pytest.raises(ValueError, match="^dt must be positive$"):
         curve_flow.evolve(curve_flow.CurveFlowState(0.0, curve), 1e-3, dt)
+    # each step rejects it before anything else, the curve state's stage included
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        step(CurvatureFlowState.from_curve(curve), dt)
+    start = curve_flow.CurveFlowState(0.0, curve)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        curve_flow.step(start, dt)
+    assert "stage" not in vars(start)
 
 
 def test_plan_steps_caps_the_steps_at_max_steps():
@@ -321,7 +328,7 @@ def test_stage_cubes_the_projected_phi_by_products():
     p = grid(64)
     g = 1.0 + 0.3 * np.cos(p)
     phi = 2.5 * (np.sin(p) + 0.4 * np.cos(2 * p) - 0.3 * np.sin(5 * p))
-    _, phi_dot, _, phi_xixi = curvature_flow._stage(g, phi)
+    (_, phi_dot), _, phi_xixi = curvature_flow._stage(g, phi)
     q = dealias(phi)
     assert np.array_equal(phi_dot, 0.5 * phi_xixi - 0.5 * (q * q * q) + 2.0 * phi)
 
@@ -456,7 +463,8 @@ def test_a_produced_state_is_judged_in_order(monkeypatch, g_end, phi_end, error,
     dt = 1e-3
     g_dot, phi_dot = np.zeros(32), np.zeros(32)
     g_dot[5], phi_dot[5] = (g_end - 1.0) / dt, phi_end / dt
-    monkeypatch.setattr(curvature_flow, "_stage", lambda g, phi: (g_dot, phi_dot, None, None))
+    velocity = np.array((g_dot, phi_dot))
+    monkeypatch.setattr(curvature_flow, "_stage", lambda g, phi: (velocity, None, None))
     with pytest.raises(error, match=message) as info:
         step(flat_state(np.zeros(32)), dt)
     assert info.value.time == (dt if at_end else None)
