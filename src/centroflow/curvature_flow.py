@@ -16,11 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import spectral
 from .curve import ClosedCurve
 from .errors import BlowUp, DegenerateMetric, StabilityViolation
-from .invariants import InvariantField, _check_metric, _xi_derivative, centro_affine
-from .spectral import _tables, _trim
+from .invariants import InvariantField, _check_metric, centro_affine
+from .spectral import _derivative_dealias, derivative
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 # step guards, read at call time (tests monkeypatch them)
@@ -81,24 +80,16 @@ class CurvatureFlowState:
 def _stage(g: np.ndarray, phi: np.ndarray):
     """One RK4 stage on bare arrays: ((g_dot, phi_dot) as one array, phi_xi, phi_xixi).
 
-    One rfft of phi and one irfft of an (N/2+1, 2) spectrum give the trimmed first
-    derivative and the 2/3-rule projection of the cubic; phi_xixi is the xi-derivative
-    kernel of phi_xi. Four transforms in all, and each output equals, bit for bit, what
-    xi_derivative(phi, g, 1 or 2) and dealias compute on the same arrays.
+    One fused pass of phi (spectral._derivative_dealias, one rfft and one irfft) gives
+    its p-derivative and the 2/3-rule projection of the cubic; phi_xixi is
+    derivative(phi_xi) / g. Four transforms in all, and each output equals, bit for
+    bit, what xi_derivative(phi, g, 1 or 2) and dealias compute on the same arrays.
     """
     _check_metric(g)
-    n = len(phi)
-    spec = spectral._rfft(phi)
-    rows = np.empty((2, len(spec)), dtype=complex)
-    rows[1] = spec
-    rows[1, n // 3:] = 0.0
-    np.multiply(_trim(spec), _tables(n).mults[:, 0, 0], out=rows[0])
-    # the transposed view is a column-major (N/2+1, 2) spectrum, so each row of the
-    # transposed result is one contiguous field
-    phi_xi, projected = spectral._irfft(rows.T, n).T
+    phi_xi, projected = _derivative_dealias(phi)
     phi_xi /= g
-    phi_xixi = _xi_derivative(phi_xi, g)
-    velocity = np.empty((2, n))
+    phi_xixi = derivative(phi_xi) / g
+    velocity = np.empty((2, len(phi)))
     velocity[0] = 0.5 * phi**2 * g
     velocity[1] = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
     return velocity, phi_xi, phi_xixi

@@ -24,8 +24,8 @@ import numpy as np
 from . import curvature_flow
 from .curve import ClosedCurve, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp
-from .invariants import _metric_curvature, _xi_derivative
-from .spectral import antiderivative, dealias
+from .invariants import _metric_curvature
+from .spectral import antiderivative, dealias, derivative
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 NORMALIZATIONS = ("none", "unit_area_scale")
@@ -126,12 +126,12 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
     def record(current):
         _, g, phi, _, cp, _, _ = current.stage
-        phi_xi = _xi_derivative(phi, g)
+        phi_xi = derivative(phi) / g
         # the stored curve's area from the stage's C_p, times the gauge factor (finite:
         # step checks it) on each side, so no product overflows before the area does
         scale = math.exp(current.log_scale)
         area = scale * enclosed_area_of(current.curve.points, cp) * scale
-        return record_from_fields(current.t, g, phi, phi_xi, _xi_derivative(phi_xi, g),
+        return record_from_fields(current.t, g, phi, phi_xi, derivative(phi_xi) / g,
                                   area=area)
 
     def snapshot(current):

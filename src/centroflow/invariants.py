@@ -17,11 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import spectral
 from .curve import SIGN_TOL, ClosedCurve, _one_strict_sign, bracket
 from .errors import DegenerateMetric, NonConstantSign, NotStarShaped
-from .spectral import (_derivative_batch, _tables, _trim, _trimmed_spectrum, antiderivative,
-                       derivative, periodic_integral)
+from .spectral import (_derivative_batch, _trimmed_spectrum, antiderivative, derivative,
+                       periodic_integral)
 
 
 @dataclass(frozen=True)
@@ -174,16 +173,6 @@ def _check_metric(g: np.ndarray) -> None:
         raise DegenerateMetric("metric g must be positive for xi-derivatives")
 
 
-def _xi_derivative(values: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """d/d(xi) of 1-d samples on an unchecked metric g: derivative(values) / g bit for
-    bit, from one rfft and one irfft. The one first-derivative kernel of
-    xi_derivative, the scalar flow's stage and the record."""
-    n = len(values)
-    spec = _trim(spectral._rfft(values))
-    spec *= _tables(n).mults[:, 0, 0]
-    return spectral._irfft(spec, n) / g
-
-
 def xi_derivative(values: np.ndarray, g: np.ndarray, order: int = 1) -> np.ndarray:
     """Apply d/d(xi) = (1/g) d/dp `order` times."""
     if order < 1:
@@ -192,7 +181,7 @@ def xi_derivative(values: np.ndarray, g: np.ndarray, order: int = 1) -> np.ndarr
     _check_metric(g)
     out = np.asarray(values, dtype=float)
     for _ in range(order):
-        out = _xi_derivative(out, g)
+        out = derivative(out) / g
     return out
 
 

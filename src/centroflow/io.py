@@ -61,13 +61,13 @@ def write_report(scenario_name: str, verdicts, path, *, error: dict | None = Non
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def write_svg(curve: ClosedCurve, path, *, fitted_form: np.ndarray | None = None,
-              size: int = 480) -> None:
+def write_svg(curve: ClosedCurve, path, *, fitted_form: np.ndarray | None = None) -> None:
     """Closed polyline with the origin marked; optional fitted-ellipse overlay.
 
     The fitted form is the SPD matrix Q of the locus C^T Q C = 1. The y axis
     is flipped so the geometry appears in the usual orientation.
     """
+    size = 480  # the picture's width and height
     pts = curve.points
     span = float(np.abs(pts).max()) * 1.15
     span = max(span, 1e-12)

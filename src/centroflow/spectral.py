@@ -115,10 +115,10 @@ def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     tables = _tables(n)
-    mult = tables.mults[:, order - 1] if order <= 3 else _multiplier(tables.k, order, n)
     spec = _trimmed_spectrum(values)
-    shape = (len(mult),) + (1,) * (values.ndim - 1)
-    return _irfft(spec * mult.reshape(shape), n)
+    transposed = spec.T  # axis 0 last, so a multiplier along it broadcasts in any rank
+    transposed *= tables.mults[:, order - 1, 0] if order <= 3 else _multiplier(tables.k, order, n)
+    return _irfft(spec, n)
 
 
 def _derivative_batch(spec: np.ndarray, n: int) -> np.ndarray:
@@ -164,3 +164,19 @@ def dealias(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     return _irfft(_rfft(values)[:n // 3], n)
+
+
+def _derivative_dealias(values: np.ndarray) -> np.ndarray:
+    """(2, N): the rows derivative(values) and dealias(values) of 1-d samples, bit for
+    bit, from one rfft and one irfft. The inverse transform takes, as the two columns of
+    one spectrum, the trimmed spectrum times ik and the untrimmed one with its top third
+    zeroed."""
+    n = len(values)
+    spec = _rfft(values)
+    rows = np.empty((2, len(spec)), dtype=complex)
+    rows[1] = spec
+    rows[1, n // 3:] = 0.0
+    np.multiply(_trim(spec), _tables(n).mults[:, 0, 0], out=rows[0])
+    # the transposed view is a column-major (N/2+1, 2) spectrum, so each row of the
+    # transposed result is one contiguous field
+    return _irfft(rows.T, n).T

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MARCH_ERRORS
-from .invariants import _xi_derivative
+from .spectral import derivative
 
 
 # A record is one row of these columns: the CSV columns, then the integrals of
@@ -31,8 +31,8 @@ def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndar
     (9, N) stack of integrands, each the product of its factors with g last, so one
     reduction gives them bit for bit.
     """
-    phi_3 = _xi_derivative(phi_xixi, g)
-    phi_4 = _xi_derivative(phi_3, g)
+    phi_3 = derivative(phi_xixi) / g
+    phi_4 = derivative(phi_3) / g
     rows = np.empty((9, len(g)))
     rows[0] = 1.0                                  # L
     rows[1] = phi                                  # mean_phi, times L

@@ -380,13 +380,45 @@ def test_sweep_reports_a_bad_file_and_runs_the_rest(tmp_path):
     ({"t_end": 1e300}, "the float clock near t = 1e+300 cannot resolve steps of dt = 0.0001"),
     ({"t_end": 1e11}, "horizon 1e+11 takes 1000000000000000 steps of dt = 0.0001, "
                       "more than MAX_STEPS = 100000000"),
-], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN", "t_end 1e300", "t_end 1e11"])
+    ({"dt": 0}, "dt and t_end must be positive"),
+    ({"N": 15}, "N must be even and >= 16"),
+    ({"record_stride": 0}, "record_stride must be >= 1"),
+    ({"normalization": "sideways"}, "normalization must be one of ('none', 'unit_area_scale')"),
+    ({"check_convergence": True, "flow": "curvature"},
+     "check_convergence needs curve samples: use flow 'curve' or 'both'"),
+], ids=["t_end Infinity", "t_end 1e308", "dt NaN", "lambda NaN", "t_end 1e300", "t_end 1e11",
+        "dt 0", "N 15", "record_stride 0", "normalization sideways",
+        "check_convergence curvature"])
 def test_numbers_that_cannot_run_are_config_errors(tmp_path, capsys, overrides, message):
     cfg = small_scenario(tmp_path, name="numeric", **{"N": 64, "t_end": 3e-4, **overrides})
     out = tmp_path / "out"
     assert main(["verify", str(cfg), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     assert not out.exists()
+
+
+def test_a_document_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "array.json"
+    cfg.write_text(json.dumps([{"name": "array"}]))
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: top level must be an object\n"
+    assert not out.exists()
+
+
+def test_a_curve_spec_without_a_kind_is_a_config_error_with_a_report(tmp_path, capsys):
+    # the spec is read when the curve is built, so the report, which names the error,
+    # is written; the message names the field, not the file
+    cfg = small_scenario(tmp_path, name="kindless", N=64, t_end=3e-4,
+                         curve={"a": 1.0, "b": 1.0})
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: curve spec needs a 'kind' field\n"
+    report = json.loads((out / "kindless.report.json").read_text())
+    assert report["error"] == {"type": "ConfigError",
+                               "message": "curve spec needs a 'kind' field", "time": 0.0}
+    assert report["verdicts"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["kindless.report.json"]
 
 
 @pytest.mark.parametrize("overrides,message", [

@@ -156,6 +156,12 @@ def test_both_evolves_reject_a_dt_that_is_not_positive(dt):
     assert "stage" not in vars(start)
 
 
+def test_plan_steps_needs_a_horizon_past_the_start():
+    for t_end in (0.5, 1.0):
+        with pytest.raises(ValueError, match="^t_end must exceed the state's time$"):
+            plan_steps(1.0, t_end, 0.1)
+
+
 def test_plan_steps_caps_the_steps_at_max_steps():
     dt = 2.0**-10   # every horizon below is a float multiple of dt
     assert trajectory.MAX_STEPS == 10**8

@@ -170,6 +170,29 @@ def test_star_convex_preset_and_errors():
         star_convex([0.1], [0.0, 0.0])         # mismatched lengths
 
 
+@pytest.mark.parametrize("make", [origin_ellipse, lambda a, b: shifted_ellipse(a, b, 0.1, 0.0),
+                                  lambda a, b: perturbed_ellipse(a, b, 0.05, 3)],
+                         ids=["origin", "shifted", "perturbed"])
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, -1.0)])
+def test_ellipse_presets_need_positive_axes(make, a, b):
+    with pytest.raises(ValueError, match="^ellipse axes must be positive$"):
+        make(a, b)
+
+
+def test_star_convex_takes_at_most_n_over_8_modes():
+    assert check_convex(star_convex([0.0] * 8, [0.0] * 8, n=64))
+    with pytest.raises(ValueError, match="^radius modes must stay below N/8$"):
+        star_convex([0.0] * 9, [0.0] * 9, n=64)
+
+
+def test_a_positive_radius_can_still_fail_the_star_check():
+    # the radius keeps a minimum of 1e-6, so it passes the radius check; [C, C_p]
+    # then falls inside SIGN_TOL of zero, which the preset's own validation rejects
+    with pytest.raises(NotStarShaped,
+                       match=r"^preset perturbed_ellipse\(1,1,0\.999999,4\) is not star-shaped$"):
+        perturbed_ellipse(1, 1, 1 - 1e-6, 4)
+
+
 def test_random_star_convex_deterministic_and_convex():
     a = random_star_convex(7)
     b = random_star_convex(7)

@@ -15,7 +15,7 @@ from centroflow import curvature_flow, curve_flow, spectral
 from centroflow.curve import (ClosedCurve, bracket, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, shifted_ellipse, star_convex)
 from centroflow.curve_flow import CurveFlowState, consistency_check, evolve, step
-from centroflow.errors import BlowUp, FlowError, StabilityViolation
+from centroflow.errors import BlowUp, FlowError, NotStarShaped, StabilityViolation
 from centroflow.invariants import centro_affine, xi_derivative
 from centroflow.spectral import antiderivative, dealias, derivative, periodic_integral
 from centroflow.trajectory import COLUMNS, FlowTrajectory, record_from_fields
@@ -40,6 +40,12 @@ def test_rhs_matches_scalar_tendency():
     assert np.abs(fd - phi_dot).max() <= 1e-6 * max(1.0, np.abs(phi_dot).max() / 1e-6)
     # and the two flows agree after the step
     assert np.abs(phi_curve - sstate2.phi).max() <= 1e-8
+
+
+def test_a_state_names_a_known_normalization():
+    with pytest.raises(ValueError, match=r"^normalization must be one of \('none', "
+                                         r"'unit_area_scale'\)$"):
+        CurveFlowState(0.0, origin_ellipse(1, 1, n=64), normalization="sideways")
 
 
 def test_step_circle_fixed_point():
@@ -174,6 +180,50 @@ def test_blowup_on_coordinate_overflow(monkeypatch):
         evolve(state, 1.0, 2.5e-4)
     # e^(5t) crosses 10 near t = 0.46
     assert info.value.time == pytest.approx(math.log(10.0) / 5.0, abs=0.01)
+
+
+def test_a_produced_states_geometry_error_carries_the_produced_time(monkeypatch):
+    # the stage of the state that step 2 produces (the third stage made from a curve's
+    # derivative batch) raises: step stamps it with that state's time, 2 dt, where
+    # march alone would stamp the time of the state stepped from, dt
+    original = curve_flow._geometry_velocity
+    batched = []
+
+    def failing(points, derivs=None):
+        if derivs is not None:
+            batched.append(points)
+            if len(batched) == 3:
+                raise NotStarShaped("injected")
+        return original(points, derivs)
+
+    monkeypatch.setattr(curve_flow, "_geometry_velocity", failing)
+    dt = 1e-4
+    with pytest.raises(NotStarShaped, match="^injected$") as info:
+        evolve(CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64)), 5 * dt, dt)
+    assert info.value.time == 2 * dt
+
+
+@pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])
+def test_a_non_finite_stage_velocity_is_a_blowup_at_the_new_time(monkeypatch, normalization):
+    # k4, the third stage made from bare points, is infinite: the stepped coordinates
+    # are not finite, which step judges before its normalization
+    original = curve_flow._geometry_velocity
+    bare = []
+
+    def infinite_k4(points, derivs=None):
+        stage = original(points, derivs)
+        if derivs is None:
+            bare.append(points)
+            if len(bare) == 3:
+                return stage[:-1] + (np.full_like(stage[-1], math.inf),)
+        return stage
+
+    monkeypatch.setattr(curve_flow, "_geometry_velocity", infinite_k4)
+    state = CurveFlowState(0.25, perturbed_ellipse(1, 1, 0.05, 3, n=64),
+                           normalization=normalization)
+    with pytest.raises(BlowUp, match="^non-finite coordinates after step$") as info:
+        step(state, 1e-3)
+    assert info.value.time == 0.25 + 1e-3
 
 
 def test_clockwise_curve_marches_as_the_mirror_image():

@@ -482,3 +482,11 @@ def test_metric_guards_match_the_scans_on_drawn_arrays(scale, flip, edits):
     points, derivs = flat[:32].reshape(16, 2), flat[32:].reshape(16, 3, 2)
     with np.errstate(all="ignore"):
         _assert_same_guards(points, derivs)
+
+
+def test_xi_derivative_and_sobolev_orders_must_be_admissible():
+    field = centro_affine(perturbed_ellipse(1, 1, 0.05, 3, n=64))
+    with pytest.raises(ValueError, match="^xi-derivative order must be >= 1, got 0$"):
+        xi_derivative(field.phi, field.g, order=0)
+    with pytest.raises(ValueError, match="^sobolev order must be >= 0, got -1$"):
+        sobolev_norm(field, n=-1)

@@ -84,6 +84,8 @@ def test_svg_contents(tmp_path):
     path = tmp_path / "curve.svg"
     write_svg(origin_ellipse(1, 1), path)
     text = path.read_text()
+    assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
+                           'viewBox="0 0 480 480">\n<rect width="480" height="480" ')
     assert text.count("<path") == 1
     assert text.count("Z\"") == 1
     assert "<line" in text  # origin marker

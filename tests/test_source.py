@@ -1,7 +1,9 @@
 """Source checks that stand in for a linter.
 
 Each package module other than __init__.py must read every name that its
-module-level imports bind; an import nobody reads is a dead line.
+module-level imports bind; an import nobody reads is a dead line. No module
+but spectral.py may name the transform kernels and their helpers, so every
+transform and its trimming stay in spectral.
 """
 
 import ast
@@ -39,3 +41,34 @@ def test_the_import_check_finds_an_unread_name():
               "from . import curve\n\ndef f():\n    return math.pi + e + curve.n\n")
     assert _unread_imports(source) == ["PI (line 3)", "os (line 2)"]
     assert len(MODULES) >= 10
+
+
+SPECTRAL_INTERNALS = ("_rfft", "_irfft", "_trim", "_tables")
+
+
+def _spectral_internals_named(source: str) -> list:
+    """The SPECTRAL_INTERNALS that source names: as a name, an attribute or an import."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                named.update(alias.name.split("."))
+    return sorted(named.intersection(SPECTRAL_INTERNALS))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spectral.py"],
+                         ids=lambda p: p.name)
+def test_only_spectral_names_the_transform_kernels(path):
+    assert _spectral_internals_named(path.read_text()) == []
+
+
+def test_the_kernel_check_finds_a_name_an_attribute_and_an_import():
+    source = ("from . import spectral\nfrom .spectral import _trim as t, _trimmed_spectrum\n"
+              "import centroflow.spectral._tables\n\n"
+              "def f(v):\n    return _irfft(spectral._rfft(v))\n")
+    assert _spectral_internals_named(source) == ["_irfft", "_rfft", "_tables", "_trim"]
+    assert _spectral_internals_named("from .spectral import _trimmed_spectrum, derivative\n") == []

@@ -120,6 +120,19 @@ def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
         assert got.strides == want.strides
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_the_fused_pass_is_derivative_and_dealias_bit_for_bit(n, rng):
+    # a smooth field whose top coefficients sit at the noise floor, so the trim acts on
+    # the derivative's spectrum and not on the projection's; and one with none there
+    p = grid(n)
+    smooth = np.exp(np.sin(p) + 0.3 * np.cos(2 * p))
+    assert not spectral._trim(np.fft.rfft(smooth)).all()
+    for values in (smooth, rng.standard_normal(n)):
+        first, projected = spectral._derivative_dealias(values)
+        assert np.array_equal(first, derivative(values))
+        assert np.array_equal(projected, dealias(values))
+
+
 def test_harmonics_are_kept_read_only_and_bounded():
     for n, k in ((64, 1), (256, 3), (1024, 5)):
         cos, sin = spectral._harmonic(n, k)
