@@ -46,9 +46,14 @@ def _cmd_evolve(args, verdicts_only: bool = False) -> int:
     if not args.config:
         print("error: a config file (or --sweep DIR) is required", file=sys.stderr)
         return 1
-    config = ScenarioConfig.from_json(args.config)
-    return run_scenario(config, out_dir=args.out_dir, verdicts_only=verdicts_only,
-                        printer=print)
+    config = ScenarioConfig.from_json(args.config)  # its errors name the file
+    try:
+        return run_scenario(config, out_dir=args.out_dir, verdicts_only=verdicts_only,
+                            printer=print)
+    except ConfigError as exc:  # the curve's
+        if isinstance(config.curve, str):  # a curve file's errors name that file
+            raise
+        raise ConfigError(f"{args.config}: {exc}") from exc  # a spec's name its field only
 
 
 def _cmd_verify(args) -> int:

@@ -160,12 +160,9 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
     """March to t_end on trajectory.march; a snapshot is the state itself.
 
     A record and the next step's first stage share the state's xi-derivatives
-    (see CurvatureFlowState.stage).
+    (see CurvatureFlowState.stage): a record step gathers them, with t, g and phi,
+    for record_from_fields' block.
     """
-    def record(current):
-        _, phi_xi, phi_xixi = current.stage
-        return record_from_fields(current.t, current.g, current.phi, phi_xi, phi_xixi)
-
-    return march(state, t_end, dt, step, record,
-                 record_stride=record_stride, observer=observer, snapshot=lambda s: s,
-                 snapshot_stride=snapshot_stride)
+    return march(state, t_end, dt, step, lambda s: (s.t, s.g, s.phi, *s.stage[1:]),
+                 record_from_fields, record_stride=record_stride, observer=observer,
+                 snapshot=lambda s: s, snapshot_stride=snapshot_stride)

@@ -123,23 +123,27 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
 
 def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
-    """March the curve to t_end on trajectory.march, recording invariant diagnostics."""
-    def record(current):
+    """March the curve to t_end on trajectory.march, recording invariant diagnostics.
+
+    A record step gathers t, the stage's g and raw phi and the curve's area; each
+    block takes phi's two xi-derivatives by one derivative call per order."""
+    def gather(current):
         _, g, phi, _, cp, _, _ = current.stage
-        phi_xi = derivative(phi) / g
         # the stored curve's area from the stage's C_p, times the gauge factor (finite:
         # step checks it) on each side, so no product overflows before the area does
         scale = math.exp(current.log_scale)
-        area = scale * enclosed_area_of(current.curve.points, cp) * scale
-        return record_from_fields(current.t, g, phi, phi_xi, derivative(phi_xi) / g,
-                                  area=area)
+        return current.t, g, phi, scale * enclosed_area_of(current.curve.points, cp) * scale
+
+    def record(t, g, phi, area):
+        phi_xi = derivative(phi) / g
+        return record_from_fields(t, g, phi, phi_xi, derivative(phi_xi) / g, area=area)
 
     def snapshot(current):
         # a bare copy, so the trajectory does not hold the stepped curve's derivative batch
         curve = current.physical_curve
         return ClosedCurve(curve.points, curve.name)
 
-    return march(state, t_end, dt, step, record, record_stride=record_stride,
+    return march(state, t_end, dt, step, gather, record, record_stride=record_stride,
                  observer=observer, snapshot=snapshot, snapshot_stride=snapshot_stride)
 
 
@@ -153,10 +157,10 @@ def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
     """
     curve_phis, scalar_phis = [], []
     final = evolve(CurveFlowState(t=0.0, curve=curve0), t_end, dt, record_stride=record_stride,
-                   observer=lambda state, _: curve_phis.append(state.stage[2])).final
+                   observer=lambda state: curve_phis.append(state.stage[2])).final
     curve_phis.append(final.stage[2])
     final = curvature_flow.evolve(
         curvature_flow.CurvatureFlowState.from_curve(curve0), t_end, dt,
-        record_stride=record_stride, observer=lambda state, _: scalar_phis.append(state.phi)).final
+        record_stride=record_stride, observer=lambda state: scalar_phis.append(state.phi)).final
     scalar_phis.append(final.phi)
     return max(float(np.abs(a - b).max()) for a, b in zip(curve_phis, scalar_phis))

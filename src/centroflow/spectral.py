@@ -2,8 +2,8 @@
 
 All fields live on p_k = 2*pi*k/N, k = 0..N-1, and are interpreted as
 2*pi-periodic. Derivatives, antiderivatives and quadrature act along the
-first axis so that both scalar fields (N,) and curve samples (N, 2) share
-one code path.
+first axis so that scalar fields (N,), curve samples (N, 2) and the
+records' column-major (N, B) blocks share one code path.
 
 Every transform of the package goes through one kernel pair along axis 0,
 _rfft and _irfft: numpy's pocketfft gufuncs, called as np.fft.rfft and

@@ -16,35 +16,55 @@ CSV_COLUMNS = ("t", "L", "E", "phi_min", "phi_max", "mean_phi",
 COLUMNS = CSV_COLUMNS + ("quartic", "mixed")
 
 
-def record_from_fields(t: float, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
-                       phi_xixi: np.ndarray, area: float = math.nan) -> np.ndarray:
-    """One record, a row in COLUMNS order, from metric and curvature samples.
+def record_from_fields(t, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
+                       phi_xixi: np.ndarray, area=math.nan) -> np.ndarray:
+    """Records, rows in COLUMNS order, from metric and curvature samples.
 
-    phi_xi and phi_xixi are xi_derivative(phi, g, 1) and xi_derivative(phi_xi,
-    g, 1), which the caller has at hand; H3 and H4 continue from them. Hn is
+    The fields are a block's column-major (N, B) samples, one column per record,
+    and give B rows; t and area are a number or B of them. A 1-D field is a block
+    of one and gives its one row. phi_xi and phi_xixi are xi_derivative(phi, g, 1)
+    and xi_derivative(phi_xi, g, 1), which the caller has at hand; H3 and H4
+    continue from them, one derivative call per order for the whole block. Hn is
     the integral of (d^n phi/d xi^n)^2 d(xi). The residuals are NaN until
-    FlowTrajectory.finalize_residuals fills them; area is the Euclidean
-    enclosed area of the evolving curve, NaN for scalar-flow trajectories (no
-    curve exists there).
+    FlowTrajectory.finalize_residuals fills them; area is the Euclidean enclosed
+    area of the evolving curve, NaN for scalar-flow trajectories (no curve exists
+    there).
 
     The nine integrals are periodic_integral's arithmetic on the rows of one
-    (9, N) stack of integrands, each the product of its factors with g last, so one
-    reduction gives them bit for bit.
+    (B, 9, N) stack of integrands, each the product of its factors with g last, so
+    one reduction along the contiguous grid axis gives them bit for bit. The
+    derivative's trim takes a pairwise column norm too, so a C-ordered block is
+    copied column-major first: summed across its columns, the norm can differ in
+    its last bits.
     """
+    n, single = len(g), np.ndim(g) == 1
+    g, phi, phi_xi, phi_xixi = (np.asfortranarray(np.reshape(f, (n, -1)))
+                                for f in (g, phi, phi_xi, phi_xixi))
     phi_3 = derivative(phi_xixi) / g
     phi_4 = derivative(phi_3) / g
-    rows = np.empty((9, len(g)))
-    rows[0] = 1.0                                  # L
-    rows[1] = phi                                  # mean_phi, times L
-    for row, f in enumerate((phi, phi_xi, phi_xixi, phi_3, phi_4), 2):
-        np.square(f, out=rows[row])                # E, H1..H4
-    np.square(rows[2], out=rows[7])                # quartic, (phi^2)^2
-    np.multiply(rows[2], rows[3], out=rows[8])     # mixed
-    rows *= g
-    L, mass, E, h1, h2, h3, h4, quartic, mixed = (
-        2.0 * np.pi * (np.add.reduce(rows, axis=1) / rows.shape[1])).tolist()
-    return np.array([t, L, E, np.minimum.reduce(phi), np.maximum.reduce(phi), mass / L,
-                     h1, h2, h3, h4, math.nan, math.nan, area, quartic, mixed])
+    rows = np.empty((phi.shape[1], 9, n))
+    rows[:, 0] = 1.0                                     # L
+    np.square(phi.T, out=rows[:, 1])                     # E
+    rows[:, 2] = phi.T                                   # mean_phi, times L
+    for row, f in enumerate((phi_xi, phi_xixi, phi_3, phi_4), 3):
+        np.square(f.T, out=rows[:, row])                 # H1..H4
+    np.square(rows[:, 1], out=rows[:, 7])                # quartic, (phi^2)^2
+    np.multiply(rows[:, 1], rows[:, 3], out=rows[:, 8])  # mixed
+    rows *= g.T[:, None]
+    integrals = np.add.reduce(rows, axis=2)
+    integrals /= n
+    integrals *= 2.0 * np.pi
+    table = np.empty((len(integrals), len(COLUMNS)))
+    table[:, 0] = t
+    table[:, 1:3] = integrals[:, :2]                      # L, E
+    np.minimum.reduce(phi, out=table[:, 3])               # phi_min
+    np.maximum.reduce(phi, out=table[:, 4])               # phi_max
+    np.divide(integrals[:, 2], integrals[:, 0], out=table[:, 5])   # mean_phi
+    table[:, 6:10] = integrals[:, 3:7]                    # H1..H4
+    table[:, 10:12] = math.nan                            # the residuals
+    table[:, 12] = area
+    table[:, 13:] = integrals[:, 7:]                      # quartic, mixed
+    return table[0] if single else table
 
 
 @dataclass
@@ -120,23 +140,41 @@ def plan_steps(t0: float, t_end: float, dt: float) -> int:
     return n_steps
 
 
-def march(state, t_end: float, dt: float, advance, record, *, record_stride: int,
+# the most record steps whose inputs march holds before it turns them into rows; read
+# at call time. Measured on 2 cores at N 256 (the scalar-records bench): 16 was the
+# fastest of 8, 16 and 32, and 32 raised the run's peak memory by 2 %
+RECORD_BLOCK = 16
+
+
+def march(state, t_end: float, dt: float, advance, gather, record, *, record_stride: int,
           observer, snapshot, snapshot_stride: int) -> FlowTrajectory:
     """March state to t_end by advance(state, dt); the one loop of both flows' evolve.
 
-    Every record_stride steps, record(state) is kept and handed to the
-    observer with its state; every snapshot_stride steps (0: never),
-    snapshot(state). Flow and geometry errors from a step or a record are
-    re-raised with the failure time attached.
+    Every record_stride steps, gather(state) takes the record inputs of the state
+    (a tuple of a time, (N,) fields and numbers) and the observer, if any, is
+    called with the state. The inputs of at most RECORD_BLOCK record steps are
+    held, by reference; when the block fills and after the last step,
+    record(*columns) turns them into rows, each column the block's column-major
+    (N, B) field or its B numbers (record_from_fields' arguments). Every
+    snapshot_stride steps (0: never), snapshot(state) is kept. Flow and geometry
+    errors from a step or a record are re-raised with the failure time attached;
+    the inputs still held are dropped with the trajectory.
     """
     n_steps = plan_steps(state.t, t_end, dt)
+    block = RECORD_BLOCK
     traj = FlowTrajectory()
+    pending = []
+
+    def flush():
+        traj.records.extend(record(*(np.array(column).T for column in zip(*pending))))
+        pending.clear()
 
     def emit(current):
-        rec = record(current)
-        traj.records.append(rec)
+        pending.append(gather(current))
         if observer is not None:
-            observer(current, rec)
+            observer(current)
+        if len(pending) >= block:
+            flush()
 
     emit(state)
     if snapshot_stride:
@@ -153,6 +191,8 @@ def march(state, t_end: float, dt: float, advance, record, *, record_stride: int
             raise
         if snapshot_stride and i % snapshot_stride == 0:
             traj.snapshots.append((current.t, snapshot(current)))
+    if pending:
+        flush()
     traj.final = current
     traj.finalize_residuals()
     return traj

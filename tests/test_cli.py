@@ -406,19 +406,30 @@ def test_a_document_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_a_curve_spec_without_a_kind_is_a_config_error_with_a_report(tmp_path, capsys):
+def _check_curve_spec_error(tmp_path, capsys, curve, message):
     # the spec is read when the curve is built, so the report, which names the error,
-    # is written; the message names the field, not the file
-    cfg = small_scenario(tmp_path, name="kindless", N=64, t_end=3e-4,
-                         curve={"a": 1.0, "b": 1.0})
+    # is written; the printed error names the file, as a sweep's does, and the report's
+    # message the field
+    cfg = small_scenario(tmp_path, name="kindless", N=64, t_end=3e-4, curve=curve)
     out = tmp_path / "out"
     assert main(["verify", str(cfg), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == "config error: curve spec needs a 'kind' field\n"
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     report = json.loads((out / "kindless.report.json").read_text())
-    assert report["error"] == {"type": "ConfigError",
-                               "message": "curve spec needs a 'kind' field", "time": 0.0}
+    assert report["error"] == {"type": "ConfigError", "message": message, "time": 0.0}
     assert report["verdicts"] == []
     assert sorted(p.name for p in out.iterdir()) == ["kindless.report.json"]
+
+
+def test_a_curve_spec_without_a_kind_is_a_config_error_with_a_report(tmp_path, capsys):
+    _check_curve_spec_error(tmp_path, capsys, {"a": 1.0, "b": 1.0},
+                            "curve spec needs a 'kind' field")
+
+
+def test_an_unknown_preset_kind_is_a_config_error_with_a_report(tmp_path, capsys):
+    _check_curve_spec_error(tmp_path, capsys, {"kind": "triangle"},
+                            "curve spec invalid: unknown preset kind 'triangle'; known: "
+                            "['origin_ellipse', 'perturbed_ellipse', 'random_star_convex', "
+                            "'shifted_ellipse', 'star_convex']")
 
 
 @pytest.mark.parametrize("overrides,message", [

@@ -181,10 +181,13 @@ def test_evolve_annotates_failure_time(monkeypatch):
 
 
 def test_observer_called_each_record():
+    # the observer gets the state of each record step, in order
     seen = []
     state = flat_state(0.05 * np.sin(grid(64)))
-    evolve(state, 0.01, 1e-3, record_stride=2, observer=lambda s, r: seen.append(r))
+    traj = evolve(state, 0.01, 1e-3, record_stride=2, observer=seen.append)
     assert len(seen) == 1 + 10 // 2
+    assert all(isinstance(s, CurvatureFlowState) for s in seen)
+    assert [s.t for s in seen] == traj.column("t").tolist()
 
 
 def test_mean_zero_conserved_and_extrema_signs():
@@ -494,11 +497,13 @@ def test_transform_counts_of_a_stage_and_a_march(monkeypatch):
     curvature_flow._stage(state.g, state.phi)
     # phi forward; one inverse for phi_xi and the projected phi; phi_xixi's pair
     assert (len(forward), len(inverse)) == (2, 2)
-    for k in (1, 3):
+    for k, block, blocks in ((1, 16, 1), (3, 16, 1), (3, 2, 2)):
+        monkeypatch.setattr(trajectory, "RECORD_BLOCK", block)
         start = _m3_image_state()
         del forward[:], inverse[:]
         evolve(start, k * 1e-4, 1e-4, record_stride=1)
-        # 1 + 4k stages of 2 and 2; each of the k + 1 records takes H3 and H4 by 2 and 2
-        assert len(forward) == len(inverse) == 2 * (1 + 4 * k) + 2 * (k + 1)
-    # with its record, a step is 20 transforms
-    assert len(forward) + len(inverse) == 8 + 20 * k
+        # 1 + 4k stages of 2 and 2; each block of the k + 1 records takes H3 and H4
+        # by 2 and 2
+        assert len(forward) == len(inverse) == 2 * (1 + 4 * k) + 2 * blocks
+    # a step is 16 transforms, and the records' blocks 4 each
+    assert len(forward) + len(inverse) == 4 + 16 * k + 4 * blocks

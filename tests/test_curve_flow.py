@@ -354,12 +354,14 @@ def test_a_step_makes_its_transforms_on_contiguous_coordinates(monkeypatch, norm
 def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, transforms):
     state = step(CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=256), lam=lam,
                                 normalization=normalization), 1e-4)   # its stage is made
-    # evolve hands its record to march; take it from there
-    monkeypatch.setattr(curve_flow, "march", lambda state, t_end, dt, advance, record, **_: record)
-    record = evolve(state, 1.0, 1e-4)
+    # evolve hands its gather and block record to march; take them from there
+    monkeypatch.setattr(curve_flow, "march",
+                        lambda state, t_end, dt, advance, gather, record, **_: (gather, record))
+    gather, record = evolve(state, 1.0, 1e-4)
     forward = counting(monkeypatch, spectral, "_rfft")
     inverse = counting(monkeypatch, spectral, "_irfft")
-    row = record(state)
+    # a block of one, its columns as march builds them
+    (row,) = record(*(np.array([column]).T for column in gather(state)))
     # the four xi-derivatives of phi take one rfft and one irfft each; the area takes
     # none, scaled or not
     assert (len(forward), len(inverse)) == (transforms, transforms)
