@@ -17,7 +17,7 @@ import sys
 from . import diagnostics
 from .errors import GEOMETRY_ERRORS, CentroflowError, ConfigError
 from .invariants import centro_affine, energy, perimeter
-from .scenario import ScenarioConfig, read_curve_file, run_scenario, run_sweep
+from .scenario import ScenarioConfig, read_curve_file, run_scenario_file, run_sweep
 
 
 def _cmd_invariants(args) -> int:
@@ -47,13 +47,8 @@ def _cmd_evolve(args, verdicts_only: bool = False) -> int:
         print("error: a config file (or --sweep DIR) is required", file=sys.stderr)
         return 1
     config = ScenarioConfig.from_json(args.config)  # its errors name the file
-    try:
-        return run_scenario(config, out_dir=args.out_dir, verdicts_only=verdicts_only,
-                            printer=print)
-    except ConfigError as exc:  # the curve's
-        if isinstance(config.curve, str):  # a curve file's errors name that file
-            raise
-        raise ConfigError(f"{args.config}: {exc}") from exc  # a spec's name its field only
+    return run_scenario_file(args.config, config, args.out_dir, verdicts_only=verdicts_only,
+                             printer=print)
 
 
 def _cmd_verify(args) -> int:

@@ -88,7 +88,7 @@ def check_energy_identities(traj: FlowTrajectory) -> tuple:
     too short to check them is not a pass.
     """
     names = ("energy_identity", "h1_identity")
-    count = len(traj.records)
+    count = len(traj)
     if count < MIN_IDENTITY_RECORDS:
         context = (f"need at least {MIN_IDENTITY_RECORDS} records for Simpson stencils, "
                    f"have {count}")

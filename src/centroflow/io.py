@@ -41,12 +41,13 @@ def write_curve_json(curve: ClosedCurve, path) -> None:
 
 def write_csv(traj: FlowTrajectory, path) -> None:
     """One line per record, its CSV_COLUMNS prefix; header always present, so an
-    empty trajectory yields a header-only file."""
-    path = Path(path)
+    empty trajectory yields a header-only file. The lines are streamed to the
+    file one row at a time, so the whole file is never held in memory."""
     width = len(CSV_COLUMNS)
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(map(repr, row[:width].tolist())) for row in traj.records]
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as out:
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        out.writelines(",".join(map(repr, row[:width].tolist())) + "\n"
+                       for row in traj.records)
 
 
 def write_report(scenario_name: str, verdicts, path, *, error: dict | None = None,

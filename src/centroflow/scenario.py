@@ -245,6 +245,20 @@ def _emit_svgs(svg_dir: Path, config, curve0, curve_traj, final_curve) -> None:
         write_svg(final_curve, svg_dir / f"{config.name}.final.svg", fitted_form=fitted)
 
 
+def run_scenario_file(path, config: ScenarioConfig, out_dir=None, *,
+                      verdicts_only: bool = False, printer=None) -> int:
+    """run_scenario on config, read from the scenario file at path, as a single run and
+    a sweep run it. A preset spec's ConfigError is prefixed with path; a curve file's,
+    which names the curve file, is raised as it is.
+    """
+    try:
+        return run_scenario(config, out_dir, verdicts_only=verdicts_only, printer=printer)
+    except ConfigError as exc:
+        if isinstance(config.curve, str):
+            raise
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def run_sweep(directory, out_dir=None, *, verdicts_only: bool = False, printer=None) -> int:
     """Run every *.json scenario in the directory, one file after another in name order.
 
@@ -261,9 +275,9 @@ def run_sweep(directory, out_dir=None, *, verdicts_only: bool = False, printer=N
         config, error = None, None
         try:
             config = ScenarioConfig.from_json(path)
-            code = run_scenario(config, out_dir=out_dir, verdicts_only=verdicts_only)
-        except ConfigError as exc:  # from_json's errors name the file; a curve's do not
-            code, error = 1, f"config error: {exc if config is None else f'{path}: {exc}'}"
+            code = run_scenario_file(path, config, out_dir, verdicts_only=verdicts_only)
+        except ConfigError as exc:  # each names its file
+            code, error = 1, f"config error: {exc}"
         except (CentroflowError, ValueError, OSError) as exc:  # exit 3, as cli.main has it
             code, error = 3, f"error: {type(exc).__name__}: {exc}"
         if printer:

@@ -69,25 +69,31 @@ def record_from_fields(t, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
 
 @dataclass
 class FlowTrajectory:
-    """Time-ordered records (rows in COLUMNS order) plus optional state snapshots.
+    """Time-ordered records plus optional state snapshots.
 
-    `final` holds the last evolved state (a CurvatureFlowState or a
-    CurveFlowState, depending on which flow produced the trajectory).
+    `records` is one float64 (R, len(COLUMNS)) table, a record per row in COLUMNS
+    order; a list of rows given to the constructor is converted once. `final`
+    holds the last evolved state (a CurvatureFlowState or a CurveFlowState,
+    depending on which flow produced the trajectory).
     """
 
-    records: list = field(default_factory=list)
+    records: np.ndarray = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # (t, object) pairs
     final: object = None
+
+    def __post_init__(self):
+        table = np.array(self.records, dtype=float)
+        self.records = table.reshape(len(table), len(COLUMNS))
 
     def __len__(self):
         return len(self.records)
 
     def column(self, name: str) -> np.ndarray:
-        i = COLUMNS.index(name)
-        return np.array([row[i] for row in self.records])
+        """A view of one column of the table."""
+        return self.records[:, COLUMNS.index(name)]
 
     def finalize_residuals(self) -> None:
-        """Fill the identity residuals of interior records by Simpson's rule.
+        """Fill the identity residuals of interior records by Simpson's rule, in place.
 
         Energy law:  dE/dt = -H1 - quartic/2 + 4E, normalized by (H1 + E + 1).
         H1 law:      dH1/dt = -H2 + 4 H1 - 3.5 mixed, normalized by (H2 + H1 + 1).
@@ -96,19 +102,16 @@ class FlowTrajectory:
         and normalized at the middle record: fourth order in the record spacing.
         The endpoints keep NaN (no stencil).
         """
-        if len(self.records) < 3:
+        if len(self) < 3:
             return
-        table = np.array(self.records)
         t, E, h1, h2, quartic, mixed = (
-            table[:, COLUMNS.index(name)] for name in ("t", "E", "H1", "H2", "quartic", "mixed"))
+            self.column(name) for name in ("t", "E", "H1", "H2", "quartic", "mixed"))
         span = t[2:] - t[:-2]
         for name, x, rate, norm in (
                 ("energy_residual", E, -h1 - 0.5 * quartic + 4.0 * E, h1 + E + 1.0),
                 ("h1_residual", h1, -h2 + 4.0 * h1 - 3.5 * mixed, h2 + h1 + 1.0)):
             simpson = (rate[:-2] + 4.0 * rate[1:-1] + rate[2:]) / 6.0
-            table[1:-1, COLUMNS.index(name)] = (
-                np.abs((x[2:] - x[:-2]) / span - simpson) / norm[1:-1])
-        self.records[:] = table
+            self.column(name)[1:-1] = np.abs((x[2:] - x[:-2]) / span - simpson) / norm[1:-1]
 
 
 # the most steps one plan may take; read at call time. 1250 times the 80 000 steps of
@@ -158,15 +161,16 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
     (N, B) field or its B numbers (record_from_fields' arguments). Every
     snapshot_stride steps (0: never), snapshot(state) is kept. Flow and geometry
     errors from a step or a record are re-raised with the failure time attached;
-    the inputs still held are dropped with the trajectory.
+    the inputs still held are dropped with the trajectory. The blocks' rows end as
+    one table, the trajectory's records.
     """
     n_steps = plan_steps(state.t, t_end, dt)
     block = RECORD_BLOCK
     traj = FlowTrajectory()
-    pending = []
+    pending, tables = [], []
 
     def flush():
-        traj.records.extend(record(*(np.array(column).T for column in zip(*pending))))
+        tables.append(record(*(np.array(column).T for column in zip(*pending))))
         pending.clear()
 
     def emit(current):
@@ -193,6 +197,7 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
             traj.snapshots.append((current.t, snapshot(current)))
     if pending:
         flush()
+    traj.records = np.concatenate(tables)
     traj.final = current
     traj.finalize_residuals()
     return traj

@@ -156,7 +156,7 @@ def test_sweep_runs_in_name_order_on_the_calling_thread(tmp_path, monkeypatch):
         small_scenario(sweep_dir, name=name)
     calls = []
 
-    def recording_run(config, out_dir=None, *, verdicts_only=False):
+    def recording_run(config, out_dir=None, *, verdicts_only=False, printer=None):
         calls.append((config.name, threading.current_thread()))
         return 0
 
@@ -213,17 +213,22 @@ def test_each_sweep_file_ends_as_its_run_alone(tmp_path, capsys):
              small_scenario(sweep_dir, name="endless", N=64, t_end=math.inf),
              # the CSV path is the output directory itself: an OSError, exit 3
              small_scenario(sweep_dir, name="unwritable", outputs={"csv": "."}, **quick)]
-    alone_codes, alone_files = {}, {}
-    for path in paths:
+    alone_codes, alone_files, alone_errors = {}, {}, []
+    for path in sorted(paths):
         out = tmp_path / "alone" / path.stem
         alone_codes[path.stem] = main(["evolve", str(path), "--out-dir", str(out)])
         alone_files.update(_written(out) if out.exists() else {})
+        alone_errors += [line for line in capsys.readouterr().err.splitlines()
+                         if line.startswith("config error:")]
     assert alone_codes == {"good": 0, "good-curve": 0, "ragged": 1, "unknown": 1,
                            "missing": 1, "endless": 1, "unwritable": 3}
-    capsys.readouterr()
+    assert len(alone_errors) == 4
     worst = main(["evolve", "--sweep", str(sweep_dir), "--out-dir", str(tmp_path / "swept")])
-    exits = [line for line in capsys.readouterr().out.splitlines() if ": exit " in line]
+    lines = capsys.readouterr().out.splitlines()
+    exits = [line for line in lines if ": exit " in line]
     assert exits == [f"{path.stem}: exit {alone_codes[path.stem]}" for path in sorted(paths)]
+    # each file prints the config error line it prints alone
+    assert [line for line in lines if line.startswith("config error:")] == alone_errors
     assert _written(tmp_path / "swept") == alone_files
     assert worst == max(alone_codes.values())
 
@@ -583,8 +588,9 @@ def test_sweep_with_a_missing_curve_file_runs_the_rest(tmp_path):
     assert (tmp_path / "good.csv").exists() and (tmp_path / "missing.report.json").exists()
     assert {"good: exit 0", "missing: exit 1"} <= set(lines)
     errors = [line for line in lines if line.startswith("config error:")]
-    assert len(errors) == 1
-    assert str(missing) in errors[0] and str(sweep_dir / "missing-curve.json") in errors[0]
+    # the curve file's error names that file, as the scenario run alone prints it
+    assert len(errors) == 1 and str(missing) not in errors[0]
+    assert errors[0].startswith(f"config error: curve file {sweep_dir / 'missing-curve.json'}: ")
 
 
 def test_every_command_prints_the_one_verdict_line(tmp_path, capsys):

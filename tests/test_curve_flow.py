@@ -290,12 +290,13 @@ def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
     state = CurveFlowState(0.0, perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64), lam=lam,
                            normalization=normalization)
     traj = evolve(state, 0.012, 1e-3, record_stride=stride)
-    want = FlowTrajectory(records=[_reference_record(state)])
+    rows = [_reference_record(state)]
     current = state
     for i in range(1, 13):
         current = step(current, 1e-3)
         if i % stride == 0:
-            want.records.append(_reference_record(current))
+            rows.append(_reference_record(current))
+    want = FlowTrajectory(records=rows)
     want.finalize_residuals()
     assert (current.log_scale != 0.0) == (normalization == "none")
     assert len(traj.records) == len(want.records)

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from centroflow.curve import origin_ellipse, perturbed_ellipse
 from centroflow.diagnostics import Verdict, fit_origin_ellipse
 from centroflow.io import (read_curve_json, write_csv, write_curve_json, write_report,
                            write_svg)
-from centroflow.trajectory import CSV_COLUMNS, FlowTrajectory
+from centroflow.trajectory import COLUMNS, CSV_COLUMNS, FlowTrajectory
 
 
 def test_curve_json_roundtrip_bit_exact(tmp_path):
@@ -34,6 +36,40 @@ def test_csv_header_only_for_empty_trajectory(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(FlowTrajectory(), path)
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+def _joined_csv(traj):
+    # the file as one joined string of every row's repr line
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(map(repr, row[:len(CSV_COLUMNS)].tolist())) for row in traj.records]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_streams_its_rows_and_writes_the_joined_bytes(tmp_path):
+    # 20 001 records, a record per step of a march of 2 time units at dt 1e-4: the
+    # whole file is about 6 MB as one string, and its lines take several times that
+    rng = np.random.default_rng(22)
+    scales = 10.0 ** rng.integers(-300, 300, (20001, 1))
+    table = rng.standard_normal((20001, len(COLUMNS))) * scales
+    residuals = slice(COLUMNS.index("energy_residual"), COLUMNS.index("area"))
+    table[[0, -1], residuals] = math.nan           # the end rows have no Simpson stencil
+    table[:, COLUMNS.index("area")] = math.nan     # a scalar-flow run has no curve
+    table[1, :3] = (0.0, -0.0, math.inf)
+    traj = FlowTrajectory(records=table)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(traj, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert path.read_bytes() == _joined_csv(traj)
+    # the end rows' two residuals, and every area
+    assert path.read_text().count("nan") == 2 * 2 + len(table)
+    empty = FlowTrajectory()
+    write_csv(empty, path)
+    assert path.read_bytes() == _joined_csv(empty) == (",".join(CSV_COLUMNS) + "\n").encode()
 
 
 def test_csv_columns_and_row_count(tmp_path):

@@ -3,16 +3,21 @@
 Each package module other than __init__.py must read every name that its
 module-level imports bind; an import nobody reads is a dead line. No module
 but spectral.py may name the transform kernels and their helpers, so every
-transform and its trimming stay in spectral.
+transform and its trimming stay in spectral. Every `module.name` that the
+README quotes from a package module must exist, so the README cannot name a
+removed function.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "centroflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parents[1] / "README.md"
 
 
 def _unread_imports(source: str) -> list:
@@ -72,3 +77,35 @@ def test_the_kernel_check_finds_a_name_an_attribute_and_an_import():
               "def f(v):\n    return _irfft(spectral._rfft(v))\n")
     assert _spectral_internals_named(source) == ["_irfft", "_rfft", "_tables", "_trim"]
     assert _spectral_internals_named("from .spectral import _trimmed_spectrum, derivative\n") == []
+
+
+def _unresolved_references(text: str) -> tuple:
+    """(references, unresolved): the `module.name` references of text to a package
+    module, a dotted name after the module allowed, and those the package lacks."""
+    modules = "|".join(p.stem for p in MODULES)
+    refs = re.findall(rf"`((?:{modules})(?:\.\w+)+)", text)
+    unresolved = []
+    for ref in refs:
+        module, *names = ref.split(".")
+        target = importlib.import_module(f"centroflow.{module}")
+        for name in names:
+            if not hasattr(target, name):
+                unresolved.append(ref)
+                break
+            target = getattr(target, name)
+    return refs, unresolved
+
+
+def test_every_readme_reference_to_a_module_name_resolves():
+    refs, unresolved = _unresolved_references(README.read_text())
+    assert len(refs) >= 12
+    assert unresolved == []
+
+
+def test_the_readme_check_finds_a_removed_name():
+    text = ("`io.write_csv` and `trajectory.FlowTrajectory.column(name)` stay; "
+            "`io.write_tsv`, `trajectory.FlowTrajectory.rows` and `np.fft.rfft`")
+    assert _unresolved_references(text) == (
+        ["io.write_csv", "trajectory.FlowTrajectory.column", "io.write_tsv",
+         "trajectory.FlowTrajectory.rows"],
+        ["io.write_tsv", "trajectory.FlowTrajectory.rows"])

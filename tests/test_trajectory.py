@@ -1,4 +1,5 @@
-"""Record blocks: record_from_fields on column-major (N, B) fields, and march's blocks."""
+"""Record blocks: record_from_fields on column-major (N, B) fields, march's blocks, and
+the one record table they end in."""
 
 import gc
 import weakref
@@ -13,7 +14,7 @@ from centroflow.curve import perturbed_ellipse, shifted_ellipse
 from centroflow.curve_flow import CurveFlowState
 from centroflow.errors import BlowUp
 from centroflow.spectral import derivative, grid
-from centroflow.trajectory import COLUMNS, record_from_fields
+from centroflow.trajectory import COLUMNS, FlowTrajectory, record_from_fields
 
 
 def _fields(n, b, seed):
@@ -168,3 +169,31 @@ def test_no_recorded_state_outlives_its_step(flow):
     gc.collect()
     assert len(refs) == len(traj) == 11
     assert [ref() for ref in refs] == [None] * 10 + [traj.final]
+
+
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_a_march_keeps_its_records_as_one_table(monkeypatch, flow):
+    # 37 records: two blocks of 16 and a partial one of 5
+    traj = flow.evolve(_start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64)), 0.036, 1e-3)
+    table = traj.records
+    assert type(table) is np.ndarray and table.dtype == np.float64
+    assert table.shape == (37, len(COLUMNS)) and table.flags.c_contiguous
+    for i, name in enumerate(COLUMNS):
+        column = traj.column(name)
+        assert np.shares_memory(column, table)
+        assert column.tobytes() == table[:, i].tobytes()
+    traj.finalize_residuals()   # in place, to the same bits
+    assert traj.records is table
+    monkeypatch.setattr(trajectory, "RECORD_BLOCK", 1)
+    single = flow.evolve(_start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64)), 0.036, 1e-3)
+    assert single.records.tobytes() == table.tobytes()
+
+
+def test_a_list_of_rows_is_converted_once_to_a_table():
+    rows = [np.arange(len(COLUMNS), dtype=float), list(range(len(COLUMNS)))]
+    traj = FlowTrajectory(records=rows)
+    assert traj.records.shape == (2, len(COLUMNS)) and traj.records.dtype == np.float64
+    assert np.array_equal(traj.column("t"), [0.0, 0.0]) and len(traj) == 2
+    assert FlowTrajectory().records.shape == (0, len(COLUMNS))
+    with pytest.raises(ValueError):
+        FlowTrajectory(records=[np.zeros(len(COLUMNS) - 2)])
