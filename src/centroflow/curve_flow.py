@@ -1,13 +1,12 @@
 """The nonlocal curve flow C_t = (lambda + int_0^xi phi dxi) C + (phi/2) C_xi.
 
-Every term except lambda*C is invariant under scalings of C, so the lambda
-part is a pure gauge that commutes exactly with the rest of the flow. The
-stepper therefore advances only the gauge-invariant velocity with RK4 and
-accumulates the gauge analytically in log_scale: the stored `curve` is the
-gauge-invariant representative and `physical_curve` carries the exact factor
-e^(log_scale). Under unit-area normalization the gauge factor is cancelled
-by the rescaling, so log_scale stays zero and the two coincide. Either way,
-the invariant content of a trajectory is independent of lambda bit for bit.
+Every term except lambda*C is invariant under scalings of C, and the rest of
+the velocity is homogeneous of degree 1 in C. So the stepper marches every curve
+one way: RK4 on the gauge-invariant velocity, then a rescale to area pi. The
+stored `curve` and its invariants are independent of lambda and of the
+normalization bit for bit; the normalization chooses only the reported scale.
+Under "none", log_scale keeps the gauge and the scales taken out, and
+`physical_curve` is e^(log_scale) times `curve`; otherwise the two coincide.
 
 The centro-affine curvature extracted from the samples is projected by the
 2/3 rule before entering the velocity: the bracket ratios amplify roundoff
@@ -16,6 +15,7 @@ feedback loop among those modes destabilizes the march at any usable dt.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,17 +29,16 @@ from .spectral import antiderivative, dealias, derivative
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 NORMALIZATIONS = ("none", "unit_area_scale")
-COORD_CEILING = 1e8  # physical max|coordinate| under "none"; read at call time
 
 
 @dataclass(frozen=True)
 class CurveFlowState:
     """Flow time, the evolving curve, the gauge constant and the scaling policy.
 
-    `curve` holds the gauge-invariant representative; all differential
-    invariants (phi, g, L, E, ...) can be read from it directly. The
-    physically scaled curve is `physical_curve`; log_scale differs from zero
-    only for normalization "none" with lambda != 0.
+    `curve` holds the unit-area representative once a step is made; all
+    differential invariants (phi, g, L, E, ...) can be read from it directly.
+    The reported curve is `physical_curve`, e^(log_scale) times it; log_scale
+    stays zero under "unit_area_scale", so there the two are one object.
     """
 
     t: float
@@ -92,31 +91,28 @@ def _start(state: CurveFlowState):
 
 
 def step(state: CurveFlowState, dt: float) -> CurveFlowState:
-    """One guarded RK4 step (curvature_flow._rk4); the gauge accumulates in log_scale."""
+    """One guarded RK4 step (curvature_flow._rk4), rescaled to area pi; under "none"
+    the gauge and the scale the rescale takes out accumulate in log_scale."""
     new = curvature_flow._rk4(state, dt, _start, lambda y: _geometry_velocity(y)[-1])
     t_new = state.t + dt
-    peak = curvature_flow._peak(new)
-    if not peak < math.inf:
+    if not curvature_flow._peak(new) < math.inf:
         raise BlowUp("non-finite coordinates after step", time=t_new)
+    # the area is oriented by the sign of [C, C_p] at the state stepped from, and one too
+    # small for its factor sqrt(pi/area) to be a float has collapsed as well
+    area = float(state.stage[0] * enclosed_area_of(new))
+    if area <= 0 or math.pi / area == math.inf:
+        raise BlowUp("enclosed area collapsed", time=t_new)
     log_scale = state.log_scale
-    if state.normalization == "unit_area_scale":
-        # the gauge factor e^(lam dt) is cancelled exactly by this rescaling; the area is
-        # oriented by the sign of [C, C_p] at the state stepped from, and one too small
-        # for its factor sqrt(pi/area) to be a float has collapsed as well
-        area = float(state.stage[0] * enclosed_area_of(new))
-        if area <= 0 or math.pi / area == math.inf:
-            raise BlowUp("enclosed area collapsed", time=t_new)
-        new = new * math.sqrt(math.pi / area)
-    else:
-        log_scale += state.lam * dt
-        try:
-            physical_max = peak * math.exp(log_scale)
+    if state.normalization == "none":
+        log_scale += state.lam * dt + 0.5 * math.log(area / math.pi)
+        try:  # the area a record reports, e^(2 log_scale) pi, must be a normal float
+            reported = math.exp(2.0 * log_scale) * math.pi
         except OverflowError:
-            raise BlowUp(f"gauge factor e^{log_scale:g} overflowed", time=t_new) from None
-        if physical_max > COORD_CEILING:
-            raise BlowUp(f"coordinates exceeded ceiling {COORD_CEILING:g}", time=t_new)
-    produced = CurveFlowState(t_new, ClosedCurve(new, name=state.curve.name), state.lam,
-                              state.normalization, log_scale)
+            reported = math.inf
+        if not sys.float_info.min <= reported < math.inf:
+            raise BlowUp(f"gauge factor e^{log_scale:g} overflowed", time=t_new)
+    curve = ClosedCurve(new * math.sqrt(math.pi / area), name=state.curve.name)
+    produced = CurveFlowState(t_new, curve, state.lam, state.normalization, log_scale)
     curvature_flow._judge(_start(produced)[3], t_new)  # geometry errors, then the ceiling
     return produced
 
@@ -129,8 +125,8 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     block takes phi's two xi-derivatives by one derivative call per order."""
     def gather(current):
         _, g, phi, _, cp, _, _ = current.stage
-        # the stored curve's area from the stage's C_p, times the gauge factor (finite:
-        # step checks it) on each side, so no product overflows before the area does
+        # the stored curve's area from the stage's C_p, times the reported scale on each
+        # side (step keeps e^(2 log_scale) pi a normal float)
         scale = math.exp(current.log_scale)
         return current.t, g, phi, scale * enclosed_area_of(current.curve.points, cp) * scale
 

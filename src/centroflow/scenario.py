@@ -212,7 +212,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     verdicts.extend(diagnostics.check_monotone_L_and_integralE(primary))
     verdicts.append(diagnostics.check_sobolev_bounded(primary))
 
-    final_curve = curve_traj.final.physical_curve if curve_traj is not None else None
+    # the verdicts are scale-free, so they read the stored curve, not the reported scale
+    final_curve = curve_traj.final.curve if curve_traj is not None else None
     if config.check_convergence and final_curve is not None:
         verdicts.append(diagnostics.check_convergence_to_ellipse(final_curve))
     if config.flow == "both":
@@ -224,8 +225,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     if not verdicts_only:
         write_csv(primary, _resolve(config.csv_path, default_dir, f"{config.name}.csv"))
         if config.svg_dir:
-            _emit_svgs(_resolve(None, default_dir, config.svg_dir), config,
-                       curve0, curve_traj, final_curve)
+            _emit_svgs(_resolve(None, default_dir, config.svg_dir), config, curve0, curve_traj)
     write_report(config.name, verdicts, report_path, extra=extra)
     if printer:
         for v in verdicts:
@@ -233,13 +233,13 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     return 0 if all(v.passed for v in verdicts) else 2
 
 
-def _emit_svgs(svg_dir: Path, config, curve0, curve_traj, final_curve) -> None:
+def _emit_svgs(svg_dir: Path, config, curve0, curve_traj) -> None:
     svg_dir.mkdir(parents=True, exist_ok=True)
     write_svg(curve0, svg_dir / f"{config.name}.initial.svg")
     if curve_traj is not None:
         for t, snap in curve_traj.snapshots:
             write_svg(snap, svg_dir / f"{config.name}.t{t:.6f}.svg")
-    if final_curve is not None:
+        final_curve = curve_traj.final.physical_curve
         form, residual = diagnostics.fit_origin_ellipse(final_curve.points)
         fitted = form if residual < 1e-3 else None
         write_svg(final_curve, svg_dir / f"{config.name}.final.svg", fitted_form=fitted)

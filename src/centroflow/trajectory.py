@@ -161,26 +161,28 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
     (N, B) field or its B numbers (record_from_fields' arguments). Every
     snapshot_stride steps (0: never), snapshot(state) is kept. Flow and geometry
     errors from a step or a record are re-raised with the failure time attached;
-    the inputs still held are dropped with the trajectory. The blocks' rows end as
-    one table, the trajectory's records.
+    the inputs still held are dropped with the trajectory. Each block's rows go to
+    their own rows of the one table, the trajectory's records, sized from the plan.
     """
     n_steps = plan_steps(state.t, t_end, dt)
     block = RECORD_BLOCK
     traj = FlowTrajectory()
-    pending, tables = [], []
+    traj.records = np.empty((1 + n_steps // record_stride, len(COLUMNS)))
+    pending = []
 
-    def flush():
-        tables.append(record(*(np.array(column).T for column in zip(*pending))))
+    def flush(end):
+        traj.records[end - len(pending):end] = record(
+            *(np.array(column).T for column in zip(*pending)))
         pending.clear()
 
-    def emit(current):
+    def emit(current, row):
         pending.append(gather(current))
         if observer is not None:
             observer(current)
         if len(pending) >= block:
-            flush()
+            flush(row + 1)
 
-    emit(state)
+    emit(state, 0)
     if snapshot_stride:
         traj.snapshots.append((state.t, snapshot(state)))
     current = state
@@ -188,7 +190,7 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
         try:
             current = advance(current, dt)
             if i % record_stride == 0:
-                emit(current)
+                emit(current, i // record_stride)
         except MARCH_ERRORS as exc:
             if exc.time is None:
                 exc.time = current.t
@@ -196,8 +198,7 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
         if snapshot_stride and i % snapshot_stride == 0:
             traj.snapshots.append((current.t, snapshot(current)))
     if pending:
-        flush()
-    traj.records = np.concatenate(tables)
+        flush(len(traj))
     traj.final = current
     traj.finalize_residuals()
     return traj

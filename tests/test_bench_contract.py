@@ -89,3 +89,10 @@ def test_bench_scenarios_parse_and_build(tmp_path, workload):
     ops = lab.setup(workload, 0, tmp_path, cf=centroflow)
     assert [op.spec["name"] for op in ops] == [s["name"] for s in lab.MARCHES[workload]]
     assert all(op.scenario_path.is_file() for op in ops)
+
+
+def test_a_unit_area_march_reports_its_stored_curve():
+    # bench/run.py checks the origin ellipse on trajectory.final.physical_curve
+    state = curve_flow.CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=32), lam=0.7)
+    final = curve_flow.evolve(state, 5e-4, 1e-4).final
+    assert final.physical_curve is final.curve

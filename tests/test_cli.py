@@ -441,13 +441,39 @@ def test_an_unknown_preset_kind_is_a_config_error_with_a_report(tmp_path, capsys
     ({"normalization": "none", "lambda": 1e308}, "gauge factor e^1e+304 overflowed"),
     ({"curve": {"kind": "perturbed_ellipse", "a": 1e-160, "b": 1e-160,
                 "amplitude": 0.05, "mode": 3}}, "enclosed area collapsed"),
-], ids=["lambda 1e308", "area 1e-320"])
+    # e^(2 sigma) pi underflows at the first step; the final curve's verdicts are not reached
+    ({"normalization": "none", "lambda": -1e7, "check_convergence": True},
+     "gauge factor e^-999.999 overflowed"),
+], ids=["lambda 1e308", "area 1e-320", "lambda -1e7"])
 def test_an_overflowing_scale_factor_is_a_blowup(tmp_path, overrides, message):
     cfg = small_scenario(tmp_path, name="scale", flow="curve", N=64, t_end=3e-4, **overrides)
     with np.errstate(all="ignore"):  # the 1e-160 curve's invariants divide by zero
         assert main(["verify", str(cfg), "--out-dir", str(tmp_path)]) == 3
     error = json.loads((tmp_path / "scale.report.json").read_text())["error"]
     assert error == {"type": "BlowUp", "message": message, "time": 1e-4}
+
+
+def test_a_none_run_differs_from_its_unit_area_twin_only_in_the_area(tmp_path):
+    # both march the one unit-area curve; "none" only reports the area e^(2 sigma) pi
+    curve = {"kind": "perturbed_ellipse", "a": 1.2, "b": 0.9, "amplitude": 0.05, "mode": 3}
+    reports, tables = [], []
+    for normalization in ("unit_area_scale", "none"):
+        out = tmp_path / normalization
+        out.mkdir()
+        cfg = small_scenario(out, name="twin", curve=curve, N=64, t_end=0.05, record_stride=5,
+                             check_convergence=True, normalization=normalization,
+                             **{"lambda": 0.7})
+        assert main(["evolve", str(cfg), "--out-dir", str(out)]) == 2
+        reports.append((out / "twin.report.json").read_bytes())
+        tables.append([line.split(",") for line in (out / "twin.csv").read_text().splitlines()])
+    assert reports[0] == reports[1]
+    area = CSV_COLUMNS.index("area")
+    unit, scaled = (np.array(table) for table in tables)
+    assert unit.shape == scaled.shape == (2 + 500 // 5, len(CSV_COLUMNS))
+    assert np.array_equal(np.delete(unit, area, axis=1), np.delete(scaled, area, axis=1))
+    # the start is reported unscaled; every later area differs
+    assert unit[1, area] == scaled[1, area]
+    assert np.all(unit[2:, area] != scaled[2:, area])
 
 
 @pytest.mark.parametrize("name", ["g/../../escaped", "a/b", "", ".", ".."])

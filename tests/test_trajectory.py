@@ -2,6 +2,7 @@
 the one record table they end in."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_a_march_keeps_its_records_as_one_table(monkeypatch, flow):
     monkeypatch.setattr(trajectory, "RECORD_BLOCK", 1)
     single = flow.evolve(_start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64)), 0.036, 1e-3)
     assert single.records.tobytes() == table.tobytes()
+    if flow is curvature_flow:
+        # the table is sized once from the plan, so a 10 001-record march holds no second
+        # copy of it: its peak, Simpson's temporaries included, stays below twice the table
+        state = _start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64))
+        tracemalloc.start()
+        try:
+            big = flow.evolve(state, 1.0, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(big) == 10_001
+        assert peak < 2 * big.records.nbytes
 
 
 def test_a_list_of_rows_is_converted_once_to_a_table():
