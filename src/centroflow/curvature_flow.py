@@ -19,7 +19,7 @@ import numpy as np
 from .curve import ClosedCurve
 from .errors import BlowUp, DegenerateMetric, StabilityViolation
 from .invariants import InvariantField, _check_metric, centro_affine
-from .spectral import _derivative_dealias, derivative
+from .spectral import _fused_pass
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 # step guards, read at call time (tests monkeypatch them)
@@ -29,9 +29,12 @@ PHI_CEILING = 10.0  # bound on max|phi| of the state a step starts from and of i
 
 @dataclass(frozen=True)
 class CurvatureFlowState:
-    """Flow time plus the (g, phi) samples. peak is max|phi| and g_min is min(g), both
-    taken once when the state is built: peak for the PHI_CEILING judgements of the
-    step that makes it and the next, g_min for the next step's CFL bound."""
+    """Flow time plus the (g, phi) samples, the rows of one (2, N) array y: the array
+    they came in when they are its rows 0 and 1 (a step's result), else a stacked copy.
+    peak is max|phi| and g_min is min(g), both taken once, with the finiteness check,
+    by one min and one max reduction of y along its rows when the state is built: peak
+    for the PHI_CEILING judgements of the step that makes it and the next, g_min for
+    the next step's CFL bound."""
 
     t: float
     g: np.ndarray
@@ -40,64 +43,100 @@ class CurvatureFlowState:
     g_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if g.shape != phi.shape or g.ndim != 1:
-            raise ValueError("g and phi must be 1-d arrays of equal length")
+        y = _rows_of(self.g, self.phi)
+        if y is None:
+            g = np.asarray(self.g, dtype=float)
+            phi = np.asarray(self.phi, dtype=float)
+            if g.shape != phi.shape or g.ndim != 1:
+                raise ValueError("g and phi must be 1-d arrays of equal length")
+            y = np.array((g, phi))
         # a NaN makes a reduction NaN, which fails every comparison; with the initial
         # values an empty state builds
-        g_lo = np.minimum.reduce(g, initial=math.inf)
-        g_hi = np.maximum.reduce(g, initial=-math.inf)
-        peak = np.maximum.reduce(np.abs(phi), initial=0.0)
-        if not (-math.inf < g_lo and g_hi < math.inf and peak < math.inf):
+        g_lo, phi_lo = np.minimum.reduce(y, axis=1, initial=math.inf).tolist()
+        g_hi, phi_hi = np.maximum.reduce(y, axis=1, initial=-math.inf).tolist()
+        if not (-math.inf < g_lo and g_hi < math.inf and -math.inf < phi_lo
+                and phi_hi < math.inf):
             raise ValueError("state fields must be finite")
         if g_lo <= 0:
             raise DegenerateMetric("metric g must be positive")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "g", y[0])
+        object.__setattr__(self, "phi", y[1])
+        object.__setattr__(self, "peak", max(phi_hi, -phi_lo, 0.0))  # 0 with no samples
         object.__setattr__(self, "g_min", g_lo)
 
     @property
     def n(self) -> int:
         return len(self.g)
 
+    @property
+    def y(self) -> np.ndarray:
+        """The (2, N) array whose rows are g and phi: the base of g, which owns its data."""
+        return self.g.base
+
     @cached_property
     def stage(self):
         """_stage at the state's own fields, computed once: its record and its step's k1
         share it."""
-        return _stage(self.g, self.phi)
+        return _stage(self.y)
 
     @classmethod
     def from_field(cls, field: InvariantField, t: float = 0.0) -> "CurvatureFlowState":
-        return cls(t=t, g=field.g.copy(), phi=field.phi.copy())
+        return cls(t=t, g=field.g, phi=field.phi)
 
     @classmethod
     def from_curve(cls, curve: ClosedCurve, t: float = 0.0) -> "CurvatureFlowState":
         return cls.from_field(centro_affine(curve), t=t)
 
 
-def _stage(g: np.ndarray, phi: np.ndarray):
-    """One RK4 stage on bare arrays: ((g_dot, phi_dot) as one array, phi_xi, phi_xixi).
+def _rows_of(g, phi):
+    """The (2, N) float array whose rows 0 and 1 are g and phi, or None when they are not
+    the contiguous rows of one such array in that order."""
+    y = getattr(g, "base", None)   # a view's base is the array that owns its data
+    if (not isinstance(y, np.ndarray) or getattr(phi, "base", None) is not y
+            or y.dtype != float or g.shape != phi.shape or y.shape != (2,) + g.shape
+            or not (g.flags.c_contiguous and phi.flags.c_contiguous)):
+        return None
+    # each is N contiguous samples of y: g is row 0 when it misses row 1, and phi is
+    # row 1 when it misses row 0
+    if np.may_share_memory(g, y[1]) or np.may_share_memory(phi, y[0]):
+        return None
+    return y
 
-    One fused pass of phi (spectral._derivative_dealias, one rfft and one irfft) gives
-    its p-derivative and the 2/3-rule projection of the cubic; phi_xixi is
-    derivative(phi_xi) / g. Four transforms in all, and each output equals, bit for
-    bit, what xi_derivative(phi, g, 1 or 2) and dealias compute on the same arrays.
+
+def _stage(y: np.ndarray):
+    """One RK4 stage on a bare (2, N) array, the rows g and phi: ((g_dot, phi_dot) as one
+    array, phi_xi, phi_xixi).
+
+    One fused pass of y (spectral._fused_pass, one rfft and one irfft) gives the
+    p-derivatives g_p, phi_p and phi_pp and the 2/3-rule projection of the cubic. Then
+    phi_xi = phi_p / g, bit for bit xi_derivative(phi, g), and by the chain rule
+    phi_xixi = (phi_pp - phi_xi g_p) / g / g. The velocity rows are written in place, in
+    the operations and order of 0.5 phi^2 g and 0.5 phi_xixi - 0.5 p^3 + 2 phi.
     """
+    g, phi = y
     _check_metric(g)
-    phi_xi, projected = _derivative_dealias(phi)
+    g_p, phi_xi, phi_xixi, projected = _fused_pass(y)
     phi_xi /= g
-    phi_xixi = derivative(phi_xi) / g
-    velocity = np.empty((2, len(phi)))
-    velocity[0] = 0.5 * phi**2 * g
-    velocity[1] = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
+    phi_xixi -= np.multiply(phi_xi, g_p, out=g_p)
+    phi_xixi /= g
+    phi_xixi /= g
+    velocity = np.empty(y.shape)
+    g_dot, phi_dot = velocity
+    np.square(phi, out=g_dot)
+    g_dot *= 0.5
+    g_dot *= g
+    # -(0.5 p^3) + 0.5 phi_xixi is 0.5 phi_xixi - 0.5 p^3 bit for bit
+    np.multiply(projected, projected, out=phi_dot)
+    phi_dot *= projected
+    phi_dot *= -0.5
+    phi_dot += np.multiply(phi_xixi, 0.5, out=projected)
+    phi_dot += np.multiply(phi, 2.0, out=g_p)
     return velocity, phi_xi, phi_xixi
 
 
 def rhs(state: CurvatureFlowState):
     """Right-hand sides of the curvature system: the (2, N) rows g_dot and phi_dot."""
-    return _stage(state.g, state.phi)[0]
+    return _stage(state.y)[0]
 
 
 def cfl_limit(g_min: float, n: int) -> float:
@@ -136,18 +175,18 @@ def _rk4(state, dt: float, start, velocity) -> np.ndarray:
 
 
 def _start(state: CurvatureFlowState):
-    return np.array((state.g, state.phi)), state.stage[0], state.g_min, state.peak
+    return state.y, state.stage[0], state.g_min, state.peak
 
 
 def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     """One guarded RK4 step (_rk4) of the rows g and phi; it also judges its result."""
-    g_new, phi_new = _rk4(state, dt, _start, lambda y: _stage(*y)[0])
+    y = _rk4(state, dt, _start, lambda y: _stage(y)[0])
     t_new = state.t + dt
     # the result's one scan judges it: not finite, then the ceiling, then the metric
     try:
-        new = CurvatureFlowState(t=t_new, g=g_new, phi=phi_new)
+        new = CurvatureFlowState(t=t_new, g=y[0], phi=y[1])
     except DegenerateMetric:
-        _judge(_peak(phi_new), t_new)
+        _judge(_peak(y[1]), t_new)
         raise
     except ValueError:
         raise BlowUp("non-finite state after step", time=t_new) from None

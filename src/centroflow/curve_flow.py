@@ -110,7 +110,7 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
         except OverflowError:
             reported = math.inf
         if not sys.float_info.min <= reported < math.inf:
-            raise BlowUp(f"gauge factor e^{log_scale:g} overflowed", time=t_new)
+            raise BlowUp(f"gauge factor e^{log_scale:g} left the float range", time=t_new)
     curve = ClosedCurve(new * math.sqrt(math.pi / area), name=state.curve.name)
     produced = CurveFlowState(t_new, curve, state.lam, state.normalization, log_scale)
     curvature_flow._judge(_start(produced)[3], t_new)  # geometry errors, then the ceiling

@@ -166,17 +166,23 @@ def dealias(values: np.ndarray) -> np.ndarray:
     return _irfft(_rfft(values)[:n // 3], n)
 
 
-def _derivative_dealias(values: np.ndarray) -> np.ndarray:
-    """(2, N): the rows derivative(values) and dealias(values) of 1-d samples, bit for
-    bit, from one rfft and one irfft. The inverse transform takes, as the two columns of
-    one spectrum, the trimmed spectrum times ik and the untrimmed one with its top third
-    zeroed."""
-    n = len(values)
-    spec = _rfft(values)
-    rows = np.empty((2, len(spec)), dtype=complex)
-    rows[1] = spec
-    rows[1, n // 3:] = 0.0
-    np.multiply(_trim(spec), _tables(n).mults[:, 0, 0], out=rows[0])
-    # the transposed view is a column-major (N/2+1, 2) spectrum, so each row of the
-    # transposed result is one contiguous field
-    return _irfft(rows.T, n).T
+def _fused_pass(y: np.ndarray) -> np.ndarray:
+    """(4, N): the rows derivative(g), derivative(phi), derivative(phi, 2) and dealias(phi)
+    of a C-contiguous (2, N) array whose rows are g and phi, bit for bit, from one rfft
+    and one irfft.
+
+    The forward transform takes the rows as the two columns of y.T, and one trim takes
+    each column's own norm. The inverse transform takes four columns: the trimmed
+    spectra times ik, the trimmed phi spectrum times (ik)^2, and the untrimmed phi
+    spectrum with its top third zeroed. Both products are column-major, so each row of
+    the transposed result is one contiguous field."""
+    n = y.shape[1]
+    mults = _tables(n).mults
+    spec = _rfft(y.T)
+    columns = np.empty((len(spec), 4), dtype=complex, order="F")
+    columns[:, 3] = spec[:, 1]
+    columns[n // 3:, 3] = 0.0
+    _trim(spec)
+    np.multiply(spec, mults[:, 0], out=columns[:, :2])
+    np.multiply(spec[:, 1], mults[:, 1, 0], out=columns[:, 2])
+    return _irfft(columns, n).T

@@ -67,6 +67,10 @@ def record_from_fields(t, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
     return table[0] if single else table
 
 
+# the most middle records whose identity residuals finalize_residuals takes at once
+_RESIDUAL_ROWS = 1024
+
+
 @dataclass
 class FlowTrajectory:
     """Time-ordered records plus optional state snapshots.
@@ -100,18 +104,21 @@ class FlowTrajectory:
         Over each pair of record intervals, X(t+) - X(t-) is compared with
         (t+ - t-)/6 (R- + 4 R0 + R+), R the law's right side, per unit of t+ - t-
         and normalized at the middle record: fourth order in the record spacing.
-        The endpoints keep NaN (no stencil).
+        The endpoints keep NaN (no stencil). The stencils are taken _RESIDUAL_ROWS
+        middle records at a time, so the temporaries stay that size however long the
+        march; every operation is elementwise, so the residuals are those of one pass.
         """
-        if len(self) < 3:
-            return
-        t, E, h1, h2, quartic, mixed = (
-            self.column(name) for name in ("t", "E", "H1", "H2", "quartic", "mixed"))
-        span = t[2:] - t[:-2]
-        for name, x, rate, norm in (
-                ("energy_residual", E, -h1 - 0.5 * quartic + 4.0 * E, h1 + E + 1.0),
-                ("h1_residual", h1, -h2 + 4.0 * h1 - 3.5 * mixed, h2 + h1 + 1.0)):
-            simpson = (rate[:-2] + 4.0 * rate[1:-1] + rate[2:]) / 6.0
-            self.column(name)[1:-1] = np.abs((x[2:] - x[:-2]) / span - simpson) / norm[1:-1]
+        columns = [self.column(name) for name in ("t", "E", "H1", "H2", "quartic", "mixed")]
+        energy, h1_law = self.column("energy_residual"), self.column("h1_residual")
+        for start in range(0, len(self) - 2, _RESIDUAL_ROWS):
+            t, E, h1, h2, quartic, mixed = (c[start:start + _RESIDUAL_ROWS + 2] for c in columns)
+            span = t[2:] - t[:-2]
+            for residual, x, rate, norm in (
+                    (energy, E, -h1 - 0.5 * quartic + 4.0 * E, h1 + E + 1.0),
+                    (h1_law, h1, -h2 + 4.0 * h1 - 3.5 * mixed, h2 + h1 + 1.0)):
+                simpson = (rate[:-2] + 4.0 * rate[1:-1] + rate[2:]) / 6.0
+                residual[start + 1:start + 1 + len(span)] = (
+                    np.abs((x[2:] - x[:-2]) / span - simpson) / norm[1:-1])
 
 
 # the most steps one plan may take; read at call time. 1250 times the 80 000 steps of

@@ -438,12 +438,13 @@ def test_an_unknown_preset_kind_is_a_config_error_with_a_report(tmp_path, capsys
 
 
 @pytest.mark.parametrize("overrides,message", [
-    ({"normalization": "none", "lambda": 1e308}, "gauge factor e^1e+304 overflowed"),
+    ({"normalization": "none", "lambda": 1e308},
+     "gauge factor e^1e+304 left the float range"),
     ({"curve": {"kind": "perturbed_ellipse", "a": 1e-160, "b": 1e-160,
                 "amplitude": 0.05, "mode": 3}}, "enclosed area collapsed"),
     # e^(2 sigma) pi underflows at the first step; the final curve's verdicts are not reached
     ({"normalization": "none", "lambda": -1e7, "check_convergence": True},
-     "gauge factor e^-999.999 overflowed"),
+     "gauge factor e^-999.999 left the float range"),
 ], ids=["lambda 1e308", "area 1e-320", "lambda -1e7"])
 def test_an_overflowing_scale_factor_is_a_blowup(tmp_path, overrides, message):
     cfg = small_scenario(tmp_path, name="scale", flow="curve", N=64, t_end=3e-4, **overrides)

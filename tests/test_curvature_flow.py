@@ -4,7 +4,7 @@ from conftest import counting
 
 from centroflow import curvature_flow, curve_flow, spectral, trajectory
 from centroflow.curvature_flow import CurvatureFlowState, cfl_limit, evolve, rhs, step
-from centroflow.curve import ClosedCurve, origin_ellipse, perturbed_ellipse
+from centroflow.curve import ClosedCurve, origin_ellipse, perturbed_ellipse, random_star_convex
 from centroflow.errors import (BlowUp, DegenerateMetric, NonConstantSign,
                                StabilityViolation)
 from centroflow.invariants import xi_derivative
@@ -209,31 +209,40 @@ def test_snapshots_recorded():
 
 # ---------------------------------------------------------------- reference path
 # The scalar march as it was written before its stage kernel: a validated
-# state per RK4 stage, the xi-derivatives by repeated spectral.derivative, the
-# cubic's projection by spectral.dealias, and every record recomputing its
-# xi-derivatives. The lean path must reproduce it bit for bit. The cube and the
-# quartic are IEEE products, p * p * p and (phi^2)^2 (numpy's **2 is np.square);
-# with power=True they are numpy's power, the arithmetic the march had before,
-# which agrees with the products to roundoff only.
+# state per RK4 stage, the xi-derivatives by spectral.derivative, the cubic's
+# projection by spectral.dealias, and every record recomputing its
+# xi-derivatives. phi_xixi is the chain rule (phi_pp - phi_xi g_p) / g / g, and
+# each higher xi-derivative is derivative(previous) / g. The lean path must
+# reproduce it bit for bit. The cube and the quartic are IEEE products, p * p * p
+# and (phi^2)^2 (numpy's **2 is np.square); with power=True they are numpy's
+# power, and with chain_rule=False phi_xixi is derivative(phi_xi) / g, four
+# transforms a stage: the arithmetic the march had before, each of which agrees
+# with the lean path to roundoff only.
 
-def _reference_xi_derivative(values, g, order):
-    out = values
-    for _ in range(order):
-        out = derivative(out) / g
+def _reference_xi_derivatives(phi, g, chain_rule=True):
+    """[phi_xi, phi_xixi, phi_xixixi, phi_xixixixi]."""
+    phi_xi = derivative(phi) / g
+    if chain_rule:
+        out = [phi_xi, (derivative(phi, 2) - phi_xi * derivative(g)) / g / g]
+    else:
+        out = [phi_xi, derivative(phi_xi) / g]
+    for _ in range(2):
+        out.append(derivative(out[-1]) / g)
     return out
 
 
-def _reference_rhs(state, use_dealias, power=False):
+def _reference_rhs(state, use_dealias, power=False, chain_rule=True):
     g, phi = state.g, state.phi
-    phi_xx = _reference_xi_derivative(phi, g, 2)
+    phi_xx = _reference_xi_derivatives(phi, g, chain_rule)[1]
     p = dealias(phi) if use_dealias else phi
     cubed = p**3 if power else p * p * p
     return 0.5 * phi**2 * g, 0.5 * phi_xx - 0.5 * cubed + 2.0 * phi
 
 
-def _reference_step(state, dt, use_dealias, power=False):
+def _reference_step(state, dt, use_dealias, power=False, chain_rule=True):
     def f(g, phi):
-        return _reference_rhs(CurvatureFlowState(state.t, g, phi), use_dealias, power)
+        return _reference_rhs(CurvatureFlowState(state.t, g, phi), use_dealias, power,
+                              chain_rule)
 
     g, phi = state.g, state.phi
     k1g, k1p = f(g, phi)
@@ -245,12 +254,10 @@ def _reference_step(state, dt, use_dealias, power=False):
                               phi=phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _reference_record(t, g, phi, power=False):
-    norms, f = [], phi
-    for _ in range(4):
-        f = _reference_xi_derivative(f, g, 1)
-        norms.append(periodic_integral(f**2 * g))
-    phi_xi = _reference_xi_derivative(phi, g, 1)
+def _reference_record(t, g, phi, power=False, chain_rule=True):
+    derivatives = _reference_xi_derivatives(phi, g, chain_rule)
+    norms = [periodic_integral(f**2 * g) for f in derivatives]
+    phi_xi = derivatives[0]
     L = periodic_integral(g)
     row = dict(t=t, L=L, E=periodic_integral(phi**2 * g), phi_min=float(phi.min()),
                phi_max=float(phi.max()), mean_phi=periodic_integral(phi * g) / L,
@@ -337,7 +344,7 @@ def test_stage_cubes_the_projected_phi_by_products():
     p = grid(64)
     g = 1.0 + 0.3 * np.cos(p)
     phi = 2.5 * (np.sin(p) + 0.4 * np.cos(2 * p) - 0.3 * np.sin(5 * p))
-    (_, phi_dot), _, phi_xixi = curvature_flow._stage(g, phi)
+    (_, phi_dot), _, phi_xixi = curvature_flow._stage(np.array((g, phi)))
     q = dealias(phi)
     assert np.array_equal(phi_dot, 0.5 * phi_xixi - 0.5 * (q * q * q) + 2.0 * phi)
 
@@ -364,6 +371,46 @@ def test_products_agree_with_the_power_march_to_roundoff():
         assert np.nanmax(np.abs(got[:, i] - want[:, i])) <= 1e-12, name
 
 
+def test_the_chain_rule_agrees_with_the_repeated_derivative_to_roundoff():
+    # the march as it was with phi_xixi = derivative(phi_xi) / g, four transforms a
+    # stage: over 500 steps of the benchmark's grid the chain rule moves the records by
+    # roundoff only
+    state = _m3_image_state()
+    got = evolve(state, 500e-4, 1e-4, record_stride=10).records
+    want, current = [], state
+    for i in range(501):
+        if i:
+            current = _reference_step(current, 1e-4, True, chain_rule=False)
+        if i % 10 == 0:
+            want.append(_reference_record(current.t, current.g, current.phi,
+                                          chain_rule=False))
+    want = np.array(want)
+    assert got.shape == want.shape == (51, len(COLUMNS))
+    for name in ("L", "E", "H1", "H2", "H3", "H4"):
+        i = COLUMNS.index(name)
+        assert np.all(np.abs(got[:, i] - want[:, i]) <= 1e-13 * np.abs(want[:, i])), name
+    for name in ("phi_min", "phi_max"):
+        i = COLUMNS.index(name)
+        assert np.all(np.abs(got[:, i] - want[:, i]) <= 1e-13), name
+
+
+@pytest.mark.parametrize("start,bound", [
+    (_m3_image_state, 1e-11),
+    (lambda: CurvatureFlowState.from_curve(random_star_convex(3, n=128)), 1e-9),
+    (lambda: CurvatureFlowState.from_curve(perturbed_ellipse(1, 1, 0.08, 3, n=64)), 1e-5),
+], ids=["m3 image N 256", "star 3 N 128", "m3 0.08 N 64"])
+def test_a_march_at_the_cfl_bound_keeps_its_top_modes_small(start, bound):
+    # the chain rule diffuses the Nyquist mode too: at dt = cfl_limit, dt times its rate
+    # is at most (pi^2 / 4) (g_min / g)^2, about 2.47, inside RK4's real-axis interval
+    # of about 2.78. The star's top third ends near 3e-11 (4e-8 with phi_xixi taken as
+    # derivative(phi_xi) / g); the other two end near 2e-13 and 6e-7 either way
+    state = start()
+    n, dt = state.n, 0.99 * cfl_limit(state.g_min, state.n)
+    for _ in range(3000):
+        state = step(state, dt)
+    assert np.abs(np.fft.rfft(state.phi)[n // 3:]).max() <= bound
+
+
 def test_non_finite_stage_ends_as_blowup_with_time(monkeypatch):
     # phi^3 overflows in the first stage; later stages and the step result go non-finite.
     # The ceiling is lifted so the start state (max|phi| 1e110) is not judged above it
@@ -377,7 +424,7 @@ def test_non_finite_stage_ends_as_blowup_with_time(monkeypatch):
 
 def test_stage_kernel_checks_the_metric():
     with pytest.raises(DegenerateMetric):
-        curvature_flow._stage(np.r_[np.ones(31), 0.0], np.zeros(32))
+        curvature_flow._stage(np.array((np.r_[np.ones(31), 0.0], np.zeros(32))))
 
 
 def test_one_state_build_per_step(monkeypatch):
@@ -401,11 +448,11 @@ def test_geometry_error_mid_march_carries_step_time(monkeypatch):
     calls = []
     original = curvature_flow._stage
 
-    def failing(g, phi):
+    def failing(y):
         calls.append(None)
         if len(calls) == 4 * 3 - 2:
             raise NonConstantSign("injected at step 3")
-        return original(g, phi)
+        return original(y)
 
     monkeypatch.setattr(curvature_flow, "_stage", failing)
     with pytest.raises(NonConstantSign) as info:
@@ -431,6 +478,31 @@ def test_state_rejects_a_non_finite_field(field, bad):
         CurvatureFlowState(0.0, **fields)
 
 
+def test_a_state_keeps_the_array_its_rows_came_in(monkeypatch):
+    p = grid(32)
+    y = np.array((1.0 + 0.3 * np.cos(p), 0.1 * np.sin(p)))
+    state = CurvatureFlowState(0.0, *y)
+    assert state.y is y and state.g.base is y and state.phi.base is y
+    # a step's result keeps the array its RK4 sum made
+    made = []
+
+    def rk4(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    original = curvature_flow._rk4
+    monkeypatch.setattr(curvature_flow, "_rk4", rk4)
+    assert step(state, 1e-4).y is made[0]
+    # fields given apart, or as the rows of one array in the other order, are stacked
+    swapped = y[::-1].copy()
+    swapped[1] += 1.0
+    for g, phi in ((y[0].copy(), y[1].copy()), (swapped[1], swapped[0]), (y[0], y[0])):
+        state = CurvatureFlowState(0.0, g, phi)
+        assert state.y.shape == (2, 32) and state.y is not y and state.y is not swapped
+        assert np.array_equal(state.g, g) and np.array_equal(state.phi, phi)
+        assert state.g.base is state.y and state.phi.base is state.y
+
+
 def test_state_of_empty_fields_builds():
     assert CurvatureFlowState(0.0, np.zeros(0), np.zeros(0)).n == 0
 
@@ -444,7 +516,7 @@ def test_a_metric_sample_at_or_below_zero_is_degenerate(value):
     # a NaN elsewhere does not hide it from the stage's or xi_derivative's guard
     for beside in (1.0, np.nan):
         g[20] = beside
-        for call in (lambda: curvature_flow._stage(g, np.zeros(32)),
+        for call in (lambda: curvature_flow._stage(np.array((g, np.zeros(32)))),
                      lambda: xi_derivative(np.zeros(32), g)):
             with pytest.raises(DegenerateMetric, match="^metric g must be positive for xi-"):
                 call()
@@ -473,7 +545,7 @@ def test_a_produced_state_is_judged_in_order(monkeypatch, g_end, phi_end, error,
     g_dot, phi_dot = np.zeros(32), np.zeros(32)
     g_dot[5], phi_dot[5] = (g_end - 1.0) / dt, phi_end / dt
     velocity = np.array((g_dot, phi_dot))
-    monkeypatch.setattr(curvature_flow, "_stage", lambda g, phi: (velocity, None, None))
+    monkeypatch.setattr(curvature_flow, "_stage", lambda y: (velocity, None, None))
     with pytest.raises(error, match=message) as info:
         step(flat_state(np.zeros(32)), dt)
     assert info.value.time == (dt if at_end else None)
@@ -494,16 +566,16 @@ def test_transform_counts_of_a_stage_and_a_march(monkeypatch):
     state = _m3_image_state()
     forward = counting(monkeypatch, spectral, "_rfft")
     inverse = counting(monkeypatch, spectral, "_irfft")
-    curvature_flow._stage(state.g, state.phi)
-    # phi forward; one inverse for phi_xi and the projected phi; phi_xixi's pair
-    assert (len(forward), len(inverse)) == (2, 2)
+    curvature_flow._stage(state.y)
+    # one forward of (g, phi); one inverse for g_p, phi_p, phi_pp and the projected phi
+    assert (len(forward), len(inverse)) == (1, 1)
     for k, block, blocks in ((1, 16, 1), (3, 16, 1), (3, 2, 2)):
         monkeypatch.setattr(trajectory, "RECORD_BLOCK", block)
         start = _m3_image_state()
         del forward[:], inverse[:]
         evolve(start, k * 1e-4, 1e-4, record_stride=1)
-        # 1 + 4k stages of 2 and 2; each block of the k + 1 records takes H3 and H4
+        # 1 + 4k stages of 1 and 1; each block of the k + 1 records takes H3 and H4
         # by 2 and 2
-        assert len(forward) == len(inverse) == 2 * (1 + 4 * k) + 2 * blocks
-    # a step is 16 transforms, and the records' blocks 4 each
-    assert len(forward) + len(inverse) == 4 + 16 * k + 4 * blocks
+        assert len(forward) == len(inverse) == (1 + 4 * k) + 2 * blocks
+    # a step is 8 transforms, and the records' blocks 4 each
+    assert len(forward) + len(inverse) == 2 + 8 * k + 4 * blocks

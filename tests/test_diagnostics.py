@@ -102,9 +102,9 @@ def test_identity_residuals_judge_sparse_records_and_catch_a_wrong_law(monkeypat
     assert v1.passed and v2.passed
     original = curvature_flow._stage
 
-    def altered(g, phi):
-        velocity, phi_xi, phi_xixi = original(g, phi)
-        velocity[1] += 0.1 * phi
+    def altered(y):
+        velocity, phi_xi, phi_xixi = original(y)
+        velocity[1] += 0.1 * y[1]
         return velocity, phi_xi, phi_xixi
 
     monkeypatch.setattr(curvature_flow, "_stage", altered)

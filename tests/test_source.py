@@ -1,7 +1,8 @@
 """Source checks that stand in for a linter.
 
 Each package module other than __init__.py must read every name that its
-module-level imports bind; an import nobody reads is a dead line. No module
+module-level imports bind; an import nobody reads is a dead line, and so is a
+module-level private name (`_name`) that no package module reads. No module
 but spectral.py may name the transform kernels and their helpers, so every
 transform and its trimming stay in spectral. Every `module.name` that the
 README quotes from a package module must exist, so the README cannot name a
@@ -46,6 +47,53 @@ def test_the_import_check_finds_an_unread_name():
               "from . import curve\n\ndef f():\n    return math.pi + e + curve.n\n")
     assert _unread_imports(source) == ["PI (line 3)", "os (line 2)"]
     assert len(MODULES) >= 10
+
+
+def _unread_private_names(sources: dict) -> list:
+    """The module-level `_name` definitions of sources (module name -> source), a function,
+    a class or an assignment, whose name no source reads: as a name, an attribute or an
+    import. A private helper nobody calls is a dead line."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_every_private_module_level_name_is_read():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_private_name_check_finds_an_unread_helper():
+    sources = {
+        "spectral": ("def _fused_pass(y):\n    return _rfft(y)\n\n"
+                     "def _derivative_dealias(v):\n    return v\n\n"
+                     "def _rfft(v):\n    return v\n\n_LEFT, _RIGHT = 1, 2\n"
+                     "_TABLE: dict = {}\n__all__ = []\n\nclass _Tables:\n    pass\n"),
+        "curvature_flow": ("from .spectral import _fused_pass\nfrom . import spectral\n\n"
+                           "def _stage(y):\n    return _fused_pass(y), spectral._RIGHT\n\n"
+                           "STAGE = _stage\n"),
+    }
+    assert _unread_private_names(sources) == [
+        "spectral._LEFT", "spectral._TABLE", "spectral._Tables", "spectral._derivative_dealias"]
 
 
 SPECTRAL_INTERNALS = ("_rfft", "_irfft", "_trim", "_tables")

@@ -103,16 +103,18 @@ def test_dealias_keeps_constants():
 def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
     # every layout the package hands the kernel pair, against np.fft's own wrapper
     line, curve = rng.standard_normal(n), rng.standard_normal((n, 2))
-    for values in (line, curve):
+    # the scalar stage's (2, n) rows, handed over as their column-major transpose
+    pair = rng.standard_normal((2, n)).T
+    for values in (line, curve, pair):
         assert np.array_equal(spectral._rfft(values), np.fft.rfft(values, axis=0))
     spec, curve_spec = np.fft.rfft(line), np.fft.rfft(curve, axis=0)
     # the derivative batch: a column-major (n/2+1, 3, 2) product
     batch = np.multiply(curve_spec[:, None], spectral._tables(n).mults, order="F")
-    # the scalar stage's two rows, handed over as their column-major transpose
-    rows = np.stack([spec, 1j * spec])
     truncated = spec.copy()
     truncated[n // 3:] = 0.0
-    cases = [(spec, spec), (curve_spec, curve_spec), (batch, batch), (rows.T, rows.T),
+    # the scalar stage's four columns, column-major
+    columns = np.asfortranarray(np.stack([spec, 1j * spec, -spec, truncated], axis=1))
+    cases = [(spec, spec), (curve_spec, curve_spec), (batch, batch), (columns, columns),
              (spec[:n // 3], truncated)]    # dealias: the modes past its slice are zero
     for given, full in cases:
         got, want = spectral._irfft(given, n), np.fft.irfft(full, n=n, axis=0)
@@ -123,14 +125,19 @@ def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_the_fused_pass_is_derivative_and_dealias_bit_for_bit(n, rng):
     # a smooth field whose top coefficients sit at the noise floor, so the trim acts on
-    # the derivative's spectrum and not on the projection's; and one with none there
+    # the derivatives' spectra and not on the projection's; and noise, with none there.
+    # Each row of the pair is trimmed by its own norm: a metric row a thousand times the
+    # curvature row's size leaves the curvature's trim as it is alone
     p = grid(n)
     smooth = np.exp(np.sin(p) + 0.3 * np.cos(2 * p))
     assert not spectral._trim(np.fft.rfft(smooth)).all()
-    for values in (smooth, rng.standard_normal(n)):
-        first, projected = spectral._derivative_dealias(values)
-        assert np.array_equal(first, derivative(values))
-        assert np.array_equal(projected, dealias(values))
+    noise = rng.standard_normal(n)
+    for g, phi in ((1.0 + 0.3 * np.cos(p), smooth), (1e3 * smooth, noise), (noise, smooth)):
+        rows = spectral._fused_pass(np.array((g, phi)))
+        assert rows.shape == (4, n) and all(row.flags.c_contiguous for row in rows)
+        for got, want in zip(rows, (derivative(g), derivative(phi), derivative(phi, 2),
+                                    dealias(phi))):
+            assert np.array_equal(got, want)
 
 
 def test_harmonics_are_kept_read_only_and_bounded():

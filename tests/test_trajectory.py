@@ -190,7 +190,8 @@ def test_a_march_keeps_its_records_as_one_table(monkeypatch, flow):
     assert single.records.tobytes() == table.tobytes()
     if flow is curvature_flow:
         # the table is sized once from the plan, so a 10 001-record march holds no second
-        # copy of it: its peak, Simpson's temporaries included, stays below twice the table
+        # copy of it, and Simpson's temporaries are a block of records, not R of them: its
+        # peak stays below 1.4 times the table (1.26 times; 1.59 with R-length temporaries)
         state = _start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64))
         tracemalloc.start()
         try:
@@ -199,7 +200,7 @@ def test_a_march_keeps_its_records_as_one_table(monkeypatch, flow):
         finally:
             tracemalloc.stop()
         assert len(big) == 10_001
-        assert peak < 2 * big.records.nbytes
+        assert peak < 1.4 * big.records.nbytes
 
 
 def test_a_list_of_rows_is_converted_once_to_a_table():
