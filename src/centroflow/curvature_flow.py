@@ -29,12 +29,11 @@ PHI_CEILING = 10.0  # bound on max|phi| of the state a step starts from and of i
 
 @dataclass(frozen=True)
 class CurvatureFlowState:
-    """Flow time plus the (g, phi) samples, the rows of one (2, N) array y: the array
-    they came in when they are its rows 0 and 1 (a step's result), else a stacked copy.
-    peak is max|phi| and g_min is min(g), both taken once, with the finiteness check,
-    by one min and one max reduction of y along its rows when the state is built: peak
-    for the PHI_CEILING judgements of the step that makes it and the next, g_min for
-    the next step's CFL bound."""
+    """Flow time plus the (g, phi) samples, the rows of one (2, N) array y that the
+    build stacks them into. peak is max|phi| and g_min is min(g), both taken once, with
+    the finiteness check, by one min and one max reduction of y along its rows when the
+    state is built: peak for the PHI_CEILING judgements of the step that makes it and
+    the next, g_min for the next step's CFL bound."""
 
     t: float
     g: np.ndarray
@@ -43,13 +42,11 @@ class CurvatureFlowState:
     g_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = _rows_of(self.g, self.phi)
-        if y is None:
-            g = np.asarray(self.g, dtype=float)
-            phi = np.asarray(self.phi, dtype=float)
-            if g.shape != phi.shape or g.ndim != 1:
-                raise ValueError("g and phi must be 1-d arrays of equal length")
-            y = np.array((g, phi))
+        g = np.asarray(self.g, dtype=float)
+        phi = np.asarray(self.phi, dtype=float)
+        if g.shape != phi.shape or g.ndim != 1:
+            raise ValueError("g and phi must be 1-d arrays of equal length")
+        y = np.array((g, phi))
         # a NaN makes a reduction NaN, which fails every comparison; with the initial
         # values an empty state builds
         g_lo, phi_lo = np.minimum.reduce(y, axis=1, initial=math.inf).tolist()
@@ -70,7 +67,7 @@ class CurvatureFlowState:
 
     @property
     def y(self) -> np.ndarray:
-        """The (2, N) array whose rows are g and phi: the base of g, which owns its data."""
+        """The (2, N) array whose rows are g and phi, the array g is a view of."""
         return self.g.base
 
     @cached_property
@@ -88,21 +85,6 @@ class CurvatureFlowState:
         return cls.from_field(centro_affine(curve), t=t)
 
 
-def _rows_of(g, phi):
-    """The (2, N) float array whose rows 0 and 1 are g and phi, or None when they are not
-    the contiguous rows of one such array in that order."""
-    y = getattr(g, "base", None)   # a view's base is the array that owns its data
-    if (not isinstance(y, np.ndarray) or getattr(phi, "base", None) is not y
-            or y.dtype != float or g.shape != phi.shape or y.shape != (2,) + g.shape
-            or not (g.flags.c_contiguous and phi.flags.c_contiguous)):
-        return None
-    # each is N contiguous samples of y: g is row 0 when it misses row 1, and phi is
-    # row 1 when it misses row 0
-    if np.may_share_memory(g, y[1]) or np.may_share_memory(phi, y[0]):
-        return None
-    return y
-
-
 def _stage(y: np.ndarray):
     """One RK4 stage on a bare (2, N) array, the rows g and phi: ((g_dot, phi_dot) as one
     array, phi_xi, phi_xixi).
@@ -110,27 +92,16 @@ def _stage(y: np.ndarray):
     One fused pass of y (spectral._fused_pass, one rfft and one irfft) gives the
     p-derivatives g_p, phi_p and phi_pp and the 2/3-rule projection of the cubic. Then
     phi_xi = phi_p / g, bit for bit xi_derivative(phi, g), and by the chain rule
-    phi_xixi = (phi_pp - phi_xi g_p) / g / g. The velocity rows are written in place, in
-    the operations and order of 0.5 phi^2 g and 0.5 phi_xixi - 0.5 p^3 + 2 phi.
+    phi_xixi = (phi_pp - phi_xi g_p) / g / g.
     """
     g, phi = y
     _check_metric(g)
-    g_p, phi_xi, phi_xixi, projected = _fused_pass(y)
-    phi_xi /= g
-    phi_xixi -= np.multiply(phi_xi, g_p, out=g_p)
-    phi_xixi /= g
-    phi_xixi /= g
+    g_p, phi_p, phi_pp, projected = _fused_pass(y)
+    phi_xi = phi_p / g
+    phi_xixi = (phi_pp - phi_xi * g_p) / g / g
     velocity = np.empty(y.shape)
-    g_dot, phi_dot = velocity
-    np.square(phi, out=g_dot)
-    g_dot *= 0.5
-    g_dot *= g
-    # -(0.5 p^3) + 0.5 phi_xixi is 0.5 phi_xixi - 0.5 p^3 bit for bit
-    np.multiply(projected, projected, out=phi_dot)
-    phi_dot *= projected
-    phi_dot *= -0.5
-    phi_dot += np.multiply(phi_xixi, 0.5, out=projected)
-    phi_dot += np.multiply(phi, 2.0, out=g_p)
+    velocity[0] = 0.5 * phi**2 * g
+    velocity[1] = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
     return velocity, phi_xi, phi_xixi
 
 

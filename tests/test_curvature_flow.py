@@ -316,11 +316,17 @@ def test_step_bit_identical_to_reference(use_dealias, start):
     assert np.array_equal(g_dot, want_g_dot) and np.array_equal(phi_dot, want_phi_dot)
 
 
-@pytest.mark.parametrize("use_dealias,record_stride,start", [
-    (True, 1, _rough_state), (True, 3, _rough_state),
-    (True, 1, _m3_image_state), (True, 3, _m3_image_state)],
-    ids=["True-1", "True-3", "m3 image N 256-1", "m3 image N 256-3"])
-def test_evolve_records_bit_identical_to_reference(use_dealias, record_stride, start):
+@pytest.mark.parametrize("use_dealias,record_stride,start,residual_rows", [
+    (True, 1, _rough_state, None), (True, 3, _rough_state, None),
+    (True, 1, _m3_image_state, None), (True, 3, _m3_image_state, None),
+    (True, 1, _m3_image_state, 2), (True, 3, _m3_image_state, 3)],
+    ids=["True-1", "True-3", "m3 image N 256-1", "m3 image N 256-3",
+         "m3 image N 256-1 residual blocks of 2", "m3 image N 256-3 residual blocks of 3"])
+def test_evolve_records_bit_identical_to_reference(monkeypatch, use_dealias, record_stride,
+                                                   start, residual_rows):
+    if residual_rows is not None:
+        # finalize_residuals then takes its stencils in 15 and 3 blocks
+        monkeypatch.setattr(trajectory, "_RESIDUAL_ROWS", residual_rows)
     state = start()
     traj = evolve(state, 30e-4, 1e-4, record_stride=record_stride)
     want = []
@@ -478,29 +484,19 @@ def test_state_rejects_a_non_finite_field(field, bad):
         CurvatureFlowState(0.0, **fields)
 
 
-def test_a_state_keeps_the_array_its_rows_came_in(monkeypatch):
+def test_a_state_stacks_its_fields_as_the_rows_of_one_array():
     p = grid(32)
     y = np.array((1.0 + 0.3 * np.cos(p), 0.1 * np.sin(p)))
-    state = CurvatureFlowState(0.0, *y)
-    assert state.y is y and state.g.base is y and state.phi.base is y
-    # a step's result keeps the array its RK4 sum made
-    made = []
-
-    def rk4(*args):
-        made.append(original(*args))
-        return made[-1]
-
-    original = curvature_flow._rk4
-    monkeypatch.setattr(curvature_flow, "_rk4", rk4)
-    assert step(state, 1e-4).y is made[0]
-    # fields given apart, or as the rows of one array in the other order, are stacked
-    swapped = y[::-1].copy()
-    swapped[1] += 1.0
-    for g, phi in ((y[0].copy(), y[1].copy()), (swapped[1], swapped[0]), (y[0], y[0])):
+    # the rows of one array, fields given apart, and one row given twice
+    for g, phi in ((y[0], y[1]), (y[0].copy(), y[1].copy()), (y[0], y[0])):
         state = CurvatureFlowState(0.0, g, phi)
-        assert state.y.shape == (2, 32) and state.y is not y and state.y is not swapped
-        assert np.array_equal(state.g, g) and np.array_equal(state.phi, phi)
-        assert state.g.base is state.y and state.phi.base is state.y
+        assert state.y.shape == (2, 32)
+        assert np.array_equal(state.y[0], g) and np.array_equal(state.y[1], phi)
+        assert np.shares_memory(state.g, state.y) and np.shares_memory(state.phi, state.y)
+    # and so does a step's result
+    new = step(CurvatureFlowState(0.0, *y), 1e-4)
+    assert new.y.shape == (2, 32)
+    assert np.shares_memory(new.g, new.y) and np.shares_memory(new.phi, new.y)
 
 
 def test_state_of_empty_fields_builds():

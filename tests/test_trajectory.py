@@ -191,7 +191,7 @@ def test_a_march_keeps_its_records_as_one_table(monkeypatch, flow):
     if flow is curvature_flow:
         # the table is sized once from the plan, so a 10 001-record march holds no second
         # copy of it, and Simpson's temporaries are a block of records, not R of them: its
-        # peak stays below 1.4 times the table (1.26 times; 1.59 with R-length temporaries)
+        # peak stays below 1.4 times the table (1.24 times; 1.59 with R-length temporaries)
         state = _start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64))
         tracemalloc.start()
         try:
