@@ -204,6 +204,8 @@ def random_star_convex(seed: int, n: int = DEFAULT_N, modes: int = 5,
     sum_k (1 + k^2)(|a_k| + |b_k|) = margin (< 1), which bounds
     [C_p, C_pp] = r^2 + 2 r'^2 - r r'' away from zero.
     """
+    if modes < 1:
+        raise ValueError(f"random_star_convex needs at least 1 mode, got {modes}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, modes)
     b = rng.uniform(-1.0, 1.0, modes)

@@ -25,7 +25,7 @@ from . import curvature_flow
 from .curve import ClosedCurve, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp
 from .invariants import _metric_curvature
-from .spectral import antiderivative, dealias, derivative
+from .spectral import _derivative_batch, _trimmed_spectrum, antiderivative, dealias, derivative
 from .trajectory import FlowTrajectory, march, record_from_fields
 
 NORMALIZATIONS = ("none", "unit_area_scale")
@@ -59,19 +59,21 @@ class CurveFlowState:
 
     @cached_property
     def stage(self):
-        """_geometry_velocity at the state's own curve, computed once: its step's k1,
-        the guards and its record (C_p for the area included) share it."""
-        return _geometry_velocity(self.curve.points, self.curve._derivatives)
+        """_geometry_velocity at the state's own curve points, computed once: its step's
+        k1, the guards and its record (C_p for the area included) share it."""
+        return _geometry_velocity(self.curve.points)
 
 
-def _geometry_velocity(points: np.ndarray, derivs=None):
+def _geometry_velocity(points: np.ndarray):
     """(sign, g, raw phi, projected phi, C_p, min(g), velocity): the gauge-invariant
     velocity, the sign of [C, C_p] (one strict sign, as the metric requires) and what
-    the step and the record read; derivs as in _metric_curvature.
+    the step and the record read. Every RK4 stage makes its own derivative batch of the
+    points, one forward and one inverse transform, and keeps it on no curve.
 
     The points and derivatives are component-major, so their transposed views (2, N)
     have contiguous rows: the velocity is combined on them, no field is broadcast along
     a new axis, and the transposed result is component-major too."""
+    derivs = _derivative_batch(_trimmed_spectrum(points), points.shape[0])
     cp, _, den, _, g, raw, least = _metric_curvature(points, derivs)
     phi = dealias(raw)  # see module docstring: required for top-mode stability
     potential = antiderivative(phi * g)
@@ -122,7 +124,8 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     """March the curve to t_end on trajectory.march, recording invariant diagnostics.
 
     A record step gathers t, the stage's g and raw phi and the curve's area; each
-    block takes phi's two xi-derivatives by one derivative call per order."""
+    block takes phi's two xi-derivatives by one derivative call per order. A snapshot
+    is the state's physical_curve."""
     def gather(current):
         _, g, phi, _, cp, _, _ = current.stage
         # the stored curve's area from the stage's C_p, times the reported scale on each
@@ -134,13 +137,9 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
         phi_xi = derivative(phi) / g
         return record_from_fields(t, g, phi, phi_xi, derivative(phi_xi) / g, area=area)
 
-    def snapshot(current):
-        # a bare copy, so the trajectory does not hold the stepped curve's derivative batch
-        curve = current.physical_curve
-        return ClosedCurve(curve.points, curve.name)
-
     return march(state, t_end, dt, step, gather, record, record_stride=record_stride,
-                 observer=observer, snapshot=snapshot, snapshot_stride=snapshot_stride)
+                 observer=observer, snapshot=lambda current: current.physical_curve,
+                 snapshot_stride=snapshot_stride)
 
 
 def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,

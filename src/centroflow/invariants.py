@@ -19,8 +19,7 @@ import numpy as np
 
 from .curve import SIGN_TOL, ClosedCurve, _one_strict_sign, bracket
 from .errors import DegenerateMetric, NonConstantSign, NotStarShaped
-from .spectral import (_derivative_batch, _trimmed_spectrum, antiderivative, derivative,
-                       periodic_integral)
+from .spectral import antiderivative, derivative, periodic_integral
 
 
 @dataclass(frozen=True)
@@ -90,17 +89,15 @@ def centro_equiaffine(curve: ClosedCurve):
     return _equiaffine(curve)[:2]
 
 
-def _metric_curvature(points: np.ndarray, derivs=None):
+def _metric_curvature(points: np.ndarray, derivs: np.ndarray):
     """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi, least), where
     least is the radicand's minimum, so sqrt(least) is min(g) bit for bit (sqrt is
     monotone and correctly rounded).
 
-    derivs is the curve's derivative batch (ClosedCurve._derivatives); without
-    it, as in the curve-flow stages, one forward and one batched inverse
-    transform of the points give it. The brackets are written out componentwise.
+    derivs is the (N, 3, 2) batch of C_p, C_pp and C_ppp: the curve's own
+    (ClosedCurve._derivatives), or the one a curve-flow stage makes. The brackets
+    are written out componentwise.
     """
-    if derivs is None:
-        derivs = _derivative_batch(_trimmed_spectrum(points), points.shape[0])
     cp, cpp = derivs[:, 0], derivs[:, 1]
     x, y = points[:, 0], points[:, 1]
     xp, yp = cp[:, 0], cp[:, 1]

@@ -185,6 +185,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     verdicts = [diagnostics.check_mean_zero(field0),
                 diagnostics.check_isoperimetric(field0)]
 
+    svgs = bool(config.svg_dir) and not verdicts_only
     scalar_traj = curve_traj = None
     try:
         if config.flow in ("curvature", "both"):
@@ -194,9 +195,10 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
         if config.flow in ("curve", "both"):
             state = curve_flow.CurveFlowState(
                 t=0.0, curve=curve0, lam=config.lam, normalization=config.normalization)
+            # only the SVGs read the snapshots
             curve_traj = curve_flow.evolve(
                 state, config.t_end, config.dt, record_stride=config.record_stride,
-                snapshot_stride=config.snapshot_stride)
+                snapshot_stride=config.snapshot_stride if svgs else 0)
     except MARCH_ERRORS as exc:
         write_report(config.name, verdicts, report_path,
                      error={"type": type(exc).__name__, "message": str(exc),
@@ -224,7 +226,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
 
     if not verdicts_only:
         write_csv(primary, _resolve(config.csv_path, default_dir, f"{config.name}.csv"))
-        if config.svg_dir:
+        if svgs:
             _emit_svgs(_resolve(None, default_dir, config.svg_dir), config, curve0, curve_traj)
     write_report(config.name, verdicts, report_path, extra=extra)
     if printer:

@@ -68,7 +68,7 @@ def _multiplier(k: np.ndarray, order: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _tables(n: int) -> _Tables:
-    """Read-only per-N constants of derivative, antiderivative and _metric_curvature."""
+    """Read-only per-N constants of derivative, antiderivative and _derivative_batch."""
     k = np.arange(n // 2 + 1)
     safe = k.copy()
     safe[0] = 1  # avoid 0/0; mode 0 is antiderivative's linear term

@@ -166,10 +166,12 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
     held, by reference; when the block fills and after the last step,
     record(*columns) turns them into rows, each column the block's column-major
     (N, B) field or its B numbers (record_from_fields' arguments). Every
-    snapshot_stride steps (0: never), snapshot(state) is kept. Flow and geometry
-    errors from a step or a record are re-raised with the failure time attached;
-    the inputs still held are dropped with the trajectory. Each block's rows go to
-    their own rows of the one table, the trajectory's records, sized from the plan.
+    snapshot_stride steps (0: never), snapshot(state) is kept; step 0, the given
+    state, is recorded and kept in the same loop as every later step. Flow and
+    geometry errors from a step or a record are re-raised with the failure time
+    attached, the start time for step 0's record; the inputs still held are dropped
+    with the trajectory. Each block's rows go to their own rows of the one table,
+    the trajectory's records, sized from the plan.
     """
     n_steps = plan_steps(state.t, t_end, dt)
     block = RECORD_BLOCK
@@ -182,22 +184,17 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
             *(np.array(column).T for column in zip(*pending)))
         pending.clear()
 
-    def emit(current, row):
-        pending.append(gather(current))
-        if observer is not None:
-            observer(current)
-        if len(pending) >= block:
-            flush(row + 1)
-
-    emit(state, 0)
-    if snapshot_stride:
-        traj.snapshots.append((state.t, snapshot(state)))
     current = state
-    for i in range(1, n_steps + 1):
+    for i in range(n_steps + 1):
         try:
-            current = advance(current, dt)
+            if i > 0:
+                current = advance(current, dt)
             if i % record_stride == 0:
-                emit(current, i // record_stride)
+                pending.append(gather(current))
+                if observer is not None:
+                    observer(current)
+                if len(pending) >= block:
+                    flush(i // record_stride + 1)
         except MARCH_ERRORS as exc:
             if exc.time is None:
                 exc.time = current.t

@@ -297,6 +297,28 @@ def test_svg_outputs(tmp_path):
     assert "withsvg.final.svg" in names
 
 
+@pytest.mark.parametrize("command,svg_dir,kept", [
+    ("verify", "svgs", 0), ("evolve", None, 0), ("evolve", "svgs", 3)])
+def test_snapshots_are_taken_only_for_svgs(tmp_path, monkeypatch, command, svg_dir, kept):
+    trajectories, original = [], curve_flow.evolve
+
+    def recorder(*args, **kwargs):
+        trajectories.append(original(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(curve_flow, "evolve", recorder)
+    outputs = {"csv": "snap.csv", "report": "snap.report.json"}
+    if svg_dir:
+        outputs["svg_dir"] = svg_dir
+    cfg = small_scenario(tmp_path, name="snap", outputs=outputs, snapshot_stride=100)
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out-dir", str(out)]) == 0
+    assert [len(traj.snapshots) for traj in trajectories] == [kept]
+    svgs = sorted(path.name for path in out.glob("svgs/*.svg"))
+    assert svgs == (["snap.final.svg", "snap.initial.svg", "snap.t0.000000.svg",
+                     "snap.t0.010000.svg", "snap.t0.020000.svg"] if kept else [])
+
+
 def test_evolve_sweep_flag(tmp_path, capsys):
     sweep_dir = tmp_path / "batch"
     sweep_dir.mkdir()
@@ -435,6 +457,13 @@ def test_an_unknown_preset_kind_is_a_config_error_with_a_report(tmp_path, capsys
                             "curve spec invalid: unknown preset kind 'triangle'; known: "
                             "['origin_ellipse', 'perturbed_ellipse', 'random_star_convex', "
                             "'shifted_ellipse', 'star_convex']")
+
+
+def test_a_random_star_without_modes_is_a_config_error_with_a_report(tmp_path, capsys):
+    _check_curve_spec_error(tmp_path, capsys, {"kind": "random_star_convex", "seed": 3,
+                                               "modes": 0},
+                            "curve spec invalid: random_star_convex needs at least 1 mode, "
+                            "got 0")
 
 
 @pytest.mark.parametrize("overrides,message", [

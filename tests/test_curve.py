@@ -202,6 +202,15 @@ def test_random_star_convex_deterministic_and_convex():
         assert check_star_shaped(c) and check_convex(c)
 
 
+@pytest.mark.parametrize("modes", [0, -1])
+def test_random_star_convex_needs_a_mode(modes):
+    # with no modes the coefficients' weight is 0, and the margin / weight rescale would
+    # turn the preset into the unit circle
+    with pytest.raises(ValueError,
+                       match=rf"^random_star_convex needs at least 1 mode, got {modes}$"):
+        random_star_convex(3, modes=modes)
+
+
 def test_preset_dispatcher():
     c = preset("origin_ellipse", a=1.0, b=2.0)
     assert c.n == 256
@@ -270,8 +279,10 @@ def test_c_and_f_ordered_points_give_the_same_bits(n):
         assert c_pts.flags.c_contiguous and f_pts.flags.f_contiguous
         specs = [spectral._trimmed_spectrum(pts) for pts in (c_pts, f_pts)]
         assert np.array_equal(*specs)
-        assert np.array_equal(*(spectral._derivative_batch(spec, n) for spec in specs))
-        for got, want in zip(*(_metric_curvature(pts) for pts in (c_pts, f_pts))):
+        batches = [spectral._derivative_batch(spec, n) for spec in specs]
+        assert np.array_equal(*batches)
+        for got, want in zip(*(_metric_curvature(pts, derivs)
+                               for pts, derivs in zip((c_pts, f_pts), batches))):
             assert np.array_equal(got, want)
         for got, want in zip(*(_geometry_velocity(pts) for pts in (c_pts, f_pts))):
             assert np.array_equal(got, want)

@@ -17,7 +17,8 @@ from centroflow.curve import (ClosedCurve, bracket, enclosed_area_of, origin_ell
                               perturbed_ellipse, random_star_convex, shifted_ellipse,
                               star_convex)
 from centroflow.curve_flow import CurveFlowState, consistency_check, evolve, step
-from centroflow.errors import BlowUp, FlowError, NotStarShaped, StabilityViolation
+from centroflow.errors import (BlowUp, DegenerateMetric, FlowError, NotStarShaped,
+                               StabilityViolation)
 from centroflow.invariants import centro_affine, xi_derivative
 from centroflow.spectral import antiderivative, dealias, derivative, periodic_integral
 from centroflow.trajectory import COLUMNS, FlowTrajectory, record_from_fields
@@ -213,18 +214,18 @@ def test_blowup_on_coordinate_overflow():
 
 
 def test_a_produced_states_geometry_error_carries_the_produced_time(monkeypatch):
-    # the stage of the state that step 2 produces (the third stage made from a curve's
-    # derivative batch) raises: step stamps it with that state's time, 2 dt, where
-    # march alone would stamp the time of the state stepped from, dt
+    # calls 1, 5 and 9 are the stages of the states at t = 0, dt and 2 dt: the first
+    # record makes the start's, then each step makes k2-k4 and its produced state's.
+    # Call 9 raises: step stamps it with that state's time, 2 dt, where march alone
+    # would stamp the time of the state stepped from, dt
     original = curve_flow._geometry_velocity
-    batched = []
+    calls = []
 
-    def failing(points, derivs=None):
-        if derivs is not None:
-            batched.append(points)
-            if len(batched) == 3:
-                raise NotStarShaped("injected")
-        return original(points, derivs)
+    def failing(points):
+        calls.append(points)
+        if len(calls) == 9:
+            raise NotStarShaped("injected")
+        return original(points)
 
     monkeypatch.setattr(curve_flow, "_geometry_velocity", failing)
     dt = 1e-4
@@ -235,17 +236,16 @@ def test_a_produced_states_geometry_error_carries_the_produced_time(monkeypatch)
 
 @pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])
 def test_a_non_finite_stage_velocity_is_a_blowup_at_the_new_time(monkeypatch, normalization):
-    # k4, the third stage made from bare points, is infinite: the stepped coordinates
-    # are not finite, which step judges before its normalization
+    # k4, the fourth call (the state's own stage, then k2-k4), is infinite: the stepped
+    # coordinates are not finite, which step judges before its normalization
     original = curve_flow._geometry_velocity
-    bare = []
+    calls = []
 
-    def infinite_k4(points, derivs=None):
-        stage = original(points, derivs)
-        if derivs is None:
-            bare.append(points)
-            if len(bare) == 3:
-                return stage[:-1] + (np.full_like(stage[-1], math.inf),)
+    def infinite_k4(points):
+        stage = original(points)
+        calls.append(points)
+        if len(calls) == 4:
+            return stage[:-1] + (np.full_like(stage[-1], math.inf),)
         return stage
 
     monkeypatch.setattr(curve_flow, "_geometry_velocity", infinite_k4)
@@ -285,9 +285,12 @@ def test_evolve_snapshots_are_curves():
     state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64), lam=0.0)
     traj = evolve(state, 0.01, 1e-3, snapshot_stride=5)
     assert len(traj.snapshots) == 3
-    for _, snap in traj.snapshots:
+    # the t = 0 snapshot is the caller's own curve; the stepped curves are the states'
+    assert traj.snapshots[0][1] is state.curve
+    assert traj.snapshots[-1][1] is traj.final.curve
+    for _, snap in traj.snapshots[1:]:
         assert snap.points.shape == (64, 2)
-        assert "_derivatives" not in vars(snap)  # snapshots do not keep the stepped curves' batches
+        assert "_derivatives" not in vars(snap)  # no stage keeps a batch on its curve
 
 
 def test_consistency_check_trivial_on_ellipse():
@@ -339,8 +342,9 @@ def test_evolve_records_bit_identical_to_reference(normalization, lam, stride):
         assert np.array_equal(got, ref, equal_nan=True)
 
 
-def test_step_k1_reads_the_kept_spectrum(monkeypatch):
+def test_a_states_stage_makes_its_own_batch(monkeypatch):
     forward = counting(monkeypatch, spectral, "_rfft")
+    inverse = counting(monkeypatch, spectral, "_irfft")
     points = perturbed_ellipse(1, 1, 0.05, 3, n=64).points
     states, counts = [], []
     for keep in (False, True):
@@ -348,12 +352,13 @@ def test_step_k1_reads_the_kept_spectrum(monkeypatch):
         if keep:
             curve.derivative(1)  # as an earlier reader leaves the curve
         states.append(CurveFlowState(0.0, curve))
-        del forward[:]
+        del forward[:], inverse[:]
         states[-1].stage
-        counts.append(len(forward))
-    # with the spectrum kept, the stage makes no forward transform of the points
-    assert counts[1] == counts[0] - 1
-    assert np.array_equal(states[0].stage[-1], states[1].stage[-1])
+        counts.append((len(forward), len(inverse)))
+    # whether or not the curve's batch was made, the stage makes its own pass
+    assert counts[0] == counts[1] == (3, 3)
+    for got, want in zip(states[0].stage, states[1].stage):
+        assert np.array_equal(got, want)
     stages = counting(monkeypatch, curve_flow, "_geometry_velocity")
     results = [step(state, 1e-3) for state in states]
     # k1 is the state's stage: each step computes k2-k4 and the produced state's stage
@@ -413,6 +418,63 @@ def test_march_computes_each_state_velocity_once(monkeypatch):
     # record and the next k1 read the stage, and no other kernel call is made
     assert len(stages) == 1 + 4 * 5
     assert len(kernels) == len(stages)
+
+
+@pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])
+def test_a_curve_march_keeps_no_batch_and_steps_in_13_transform_pairs(monkeypatch,
+                                                                      normalization):
+    state = CurveFlowState(0.0, ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=64).points),
+                           lam=0.7, normalization=normalization)
+    made = []
+    batch = ClosedCurve._derivatives.func
+    monkeypatch.setattr(ClosedCurve, "_derivatives",
+                        property(lambda curve: made.append(curve) or batch(curve)))
+    forward = counting(monkeypatch, spectral, "_rfft")
+    inverse = counting(monkeypatch, spectral, "_irfft")
+    per_step, original = [], curve_flow.step
+
+    def counted(state, dt):
+        before = len(forward), len(inverse)
+        produced = original(state, dt)
+        per_step.append((len(forward) - before[0], len(inverse) - before[1]))
+        return produced
+
+    monkeypatch.setattr(curve_flow, "step", counted)
+    traj = evolve(state, 0.005, 1e-3, snapshot_stride=1)
+    # every stage, the first record's included, makes its own batch, so no curve, the
+    # caller's fresh one and the snapshots included, makes its own; a step keeps its 13
+    # transforms each way
+    assert made == []
+    assert len(traj.snapshots) == 6
+    assert per_step == [(13, 13)] * 5
+
+
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_a_failing_first_record_carries_the_start_time(monkeypatch, flow):
+    # march makes the first record in the loop that attaches failure times, so its
+    # errors carry the start time as a step's do
+    if flow is curve_flow:
+        # the origin is outside this ellipse, so its first stage is not star-shaped
+        state = CurveFlowState(0.25, shifted_ellipse(1, 1, 1.5, 0, n=64))
+        with pytest.raises(NotStarShaped) as info:
+            step(state, 1e-3)
+        assert info.value.time == 0.25
+        error = NotStarShaped
+    else:
+        original, calls = curvature_flow._stage, []
+
+        def failing_first(y):
+            calls.append(y)
+            if len(calls) == 1:
+                raise DegenerateMetric("injected")
+            return original(y)
+
+        monkeypatch.setattr(curvature_flow, "_stage", failing_first)
+        state = CurvatureFlowState.from_curve(perturbed_ellipse(1, 1, 0.05, 3, n=64), t=0.25)
+        error = DegenerateMetric
+    with pytest.raises(error) as info:
+        flow.evolve(state, 0.26, 1e-3)
+    assert info.value.time == 0.25
 
 
 @pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
