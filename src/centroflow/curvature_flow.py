@@ -20,7 +20,7 @@ from .curve import ClosedCurve
 from .errors import BlowUp, DegenerateMetric, StabilityViolation
 from .invariants import InvariantField, _check_metric, centro_affine
 from .spectral import _fused_pass
-from .trajectory import FlowTrajectory, march, record_from_fields
+from .trajectory import FlowTrajectory, march
 
 # step guards, read at call time (tests monkeypatch them)
 CFL = 0.5           # diffusion CFL number of cfl_limit
@@ -166,13 +166,13 @@ def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
 
 
 def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
-           record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
-    """March to t_end on trajectory.march; a snapshot is the state itself.
+           record_stride: int = 1, observer=None) -> FlowTrajectory:
+    """March to t_end on trajectory.march.
 
     A record and the next step's first stage share the state's xi-derivatives
-    (see CurvatureFlowState.stage): a record step gathers them, with t, g and phi,
-    for record_from_fields' block.
+    (see CurvatureFlowState.stage): a record step gathers them, with t, g, phi and a
+    NaN area (no curve exists here), for record_from_fields' block.
     """
-    return march(state, t_end, dt, step, lambda s: (s.t, s.g, s.phi, *s.stage[1:]),
-                 record_from_fields, record_stride=record_stride, observer=observer,
-                 snapshot=lambda s: s, snapshot_stride=snapshot_stride)
+    return march(state, t_end, dt, step,
+                 lambda s: (s.t, s.g, s.phi, math.nan, *s.stage[1:]),
+                 record_stride=record_stride, observer=observer)

@@ -25,8 +25,8 @@ from . import curvature_flow
 from .curve import ClosedCurve, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp
 from .invariants import _metric_curvature
-from .spectral import _derivative_batch, _trimmed_spectrum, antiderivative, dealias, derivative
-from .trajectory import FlowTrajectory, march, record_from_fields
+from .spectral import _derivative_batch, _trimmed_spectrum, antiderivative, dealias
+from .trajectory import FlowTrajectory, march
 
 NORMALIZATIONS = ("none", "unit_area_scale")
 
@@ -120,12 +120,11 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
 
 
 def evolve(state: CurveFlowState, t_end: float, dt: float, *,
-           record_stride: int = 1, observer=None, snapshot_stride: int = 0) -> FlowTrajectory:
+           record_stride: int = 1, observer=None) -> FlowTrajectory:
     """March the curve to t_end on trajectory.march, recording invariant diagnostics.
 
     A record step gathers t, the stage's g and raw phi and the curve's area; each
-    block takes phi's two xi-derivatives by one derivative call per order. A snapshot
-    is the state's physical_curve."""
+    block's record_from_fields takes phi's xi-derivatives."""
     def gather(current):
         _, g, phi, _, cp, _, _ = current.stage
         # the stored curve's area from the stage's C_p, times the reported scale on each
@@ -133,13 +132,8 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
         scale = math.exp(current.log_scale)
         return current.t, g, phi, scale * enclosed_area_of(current.curve.points, cp) * scale
 
-    def record(t, g, phi, area):
-        phi_xi = derivative(phi) / g
-        return record_from_fields(t, g, phi, phi_xi, derivative(phi_xi) / g, area=area)
-
-    return march(state, t_end, dt, step, gather, record, record_stride=record_stride,
-                 observer=observer, snapshot=lambda current: current.physical_curve,
-                 snapshot_stride=snapshot_stride)
+    return march(state, t_end, dt, step, gather, record_stride=record_stride,
+                 observer=observer)
 
 
 def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
@@ -150,12 +144,14 @@ def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
     schedule; the returned number is the worst nodewise difference over all
     record times and the final time.
     """
-    curve_phis, scalar_phis = [], []
-    final = evolve(CurveFlowState(t=0.0, curve=curve0), t_end, dt, record_stride=record_stride,
-                   observer=lambda state: curve_phis.append(state.stage[2])).final
-    curve_phis.append(final.stage[2])
-    final = curvature_flow.evolve(
-        curvature_flow.CurvatureFlowState.from_curve(curve0), t_end, dt,
-        record_stride=record_stride, observer=lambda state: scalar_phis.append(state.phi)).final
-    scalar_phis.append(final.phi)
+    def phis(evolve_from, state, phi_of):
+        """phi_of the march's states at its record steps and at its end."""
+        kept = []
+        final = evolve_from(state, t_end, dt, record_stride=record_stride, observer=lambda i, s: (
+            kept.append(phi_of(s)) if i % record_stride == 0 else None)).final
+        return kept + [phi_of(final)]
+
+    curve_phis = phis(evolve, CurveFlowState(t=0.0, curve=curve0), lambda state: state.stage[2])
+    scalar_phis = phis(curvature_flow.evolve, curvature_flow.CurvatureFlowState.from_curve(curve0),
+                       lambda state: state.phi)
     return max(float(np.abs(a - b).max()) for a, b in zip(curve_phis, scalar_phis))

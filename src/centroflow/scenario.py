@@ -186,6 +186,12 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
                 diagnostics.check_isoperimetric(field0)]
 
     svgs = bool(config.svg_dir) and not verdicts_only
+    snapshots = []  # (t, physical_curve) every snapshot_stride curve steps, for the SVGs
+
+    def keep_snapshot(i, current):
+        if i % config.snapshot_stride == 0:
+            snapshots.append((current.t, current.physical_curve))
+
     scalar_traj = curve_traj = None
     try:
         if config.flow in ("curvature", "both"):
@@ -195,10 +201,9 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
         if config.flow in ("curve", "both"):
             state = curve_flow.CurveFlowState(
                 t=0.0, curve=curve0, lam=config.lam, normalization=config.normalization)
-            # only the SVGs read the snapshots
             curve_traj = curve_flow.evolve(
                 state, config.t_end, config.dt, record_stride=config.record_stride,
-                snapshot_stride=config.snapshot_stride if svgs else 0)
+                observer=keep_snapshot if svgs and config.snapshot_stride > 0 else None)
     except MARCH_ERRORS as exc:
         write_report(config.name, verdicts, report_path,
                      error={"type": type(exc).__name__, "message": str(exc),
@@ -227,7 +232,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     if not verdicts_only:
         write_csv(primary, _resolve(config.csv_path, default_dir, f"{config.name}.csv"))
         if svgs:
-            _emit_svgs(_resolve(None, default_dir, config.svg_dir), config, curve0, curve_traj)
+            _emit_svgs(_resolve(None, default_dir, config.svg_dir), config, curve0, curve_traj,
+                       snapshots)
     write_report(config.name, verdicts, report_path, extra=extra)
     if printer:
         for v in verdicts:
@@ -235,11 +241,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     return 0 if all(v.passed for v in verdicts) else 2
 
 
-def _emit_svgs(svg_dir: Path, config, curve0, curve_traj) -> None:
+def _emit_svgs(svg_dir: Path, config, curve0, curve_traj, snapshots) -> None:
     svg_dir.mkdir(parents=True, exist_ok=True)
     write_svg(curve0, svg_dir / f"{config.name}.initial.svg")
     if curve_traj is not None:
-        for t, snap in curve_traj.snapshots:
+        for t, snap in snapshots:
             write_svg(snap, svg_dir / f"{config.name}.t{t:.6f}.svg")
         final_curve = curve_traj.final.physical_curve
         form, residual = diagnostics.fit_origin_ellipse(final_curve.points)

@@ -16,19 +16,18 @@ CSV_COLUMNS = ("t", "L", "E", "phi_min", "phi_max", "mean_phi",
 COLUMNS = CSV_COLUMNS + ("quartic", "mixed")
 
 
-def record_from_fields(t, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
-                       phi_xixi: np.ndarray, area=math.nan) -> np.ndarray:
+def record_from_fields(t, g: np.ndarray, phi: np.ndarray, area,
+                       *xi_derivatives: np.ndarray) -> np.ndarray:
     """Records, rows in COLUMNS order, from metric and curvature samples.
 
     The fields are a block's column-major (N, B) samples, one column per record,
     and give B rows; t and area are a number or B of them. A 1-D field is a block
-    of one and gives its one row. phi_xi and phi_xixi are xi_derivative(phi, g, 1)
-    and xi_derivative(phi_xi, g, 1), which the caller has at hand; H3 and H4
-    continue from them, one derivative call per order for the whole block. Hn is
-    the integral of (d^n phi/d xi^n)^2 d(xi). The residuals are NaN until
-    FlowTrajectory.finalize_residuals fills them; area is the Euclidean enclosed
-    area of the evolving curve, NaN for scalar-flow trajectories (no curve exists
-    there).
+    of one and gives its one row. xi_derivatives are the first xi-derivatives of phi
+    that the caller has at hand, none or more; each later order up to 4 is
+    derivative(previous) / g, one call per order for the whole block. Hn is the
+    integral of (d^n phi/d xi^n)^2 d(xi). The residuals are NaN until
+    FlowTrajectory.finalize_residuals fills them; area is the Euclidean enclosed area
+    of the evolving curve, NaN for scalar-flow trajectories (no curve exists there).
 
     The nine integrals are periodic_integral's arithmetic on the rows of one
     (B, 9, N) stack of integrands, each the product of its factors with g last, so
@@ -38,15 +37,15 @@ def record_from_fields(t, g: np.ndarray, phi: np.ndarray, phi_xi: np.ndarray,
     its last bits.
     """
     n, single = len(g), np.ndim(g) == 1
-    g, phi, phi_xi, phi_xixi = (np.asfortranarray(np.reshape(f, (n, -1)))
-                                for f in (g, phi, phi_xi, phi_xixi))
-    phi_3 = derivative(phi_xixi) / g
-    phi_4 = derivative(phi_3) / g
+    g, phi, *derivatives = (np.asfortranarray(np.reshape(f, (n, -1)))
+                            for f in (g, phi, *xi_derivatives))
+    while len(derivatives) < 4:
+        derivatives.append(derivative(derivatives[-1] if derivatives else phi) / g)
     rows = np.empty((phi.shape[1], 9, n))
     rows[:, 0] = 1.0                                     # L
     np.square(phi.T, out=rows[:, 1])                     # E
     rows[:, 2] = phi.T                                   # mean_phi, times L
-    for row, f in enumerate((phi_xi, phi_xixi, phi_3, phi_4), 3):
+    for row, f in enumerate(derivatives, 3):
         np.square(f.T, out=rows[:, row])                 # H1..H4
     np.square(rows[:, 1], out=rows[:, 7])                # quartic, (phi^2)^2
     np.multiply(rows[:, 1], rows[:, 3], out=rows[:, 8])  # mixed
@@ -73,7 +72,7 @@ _RESIDUAL_ROWS = 1024
 
 @dataclass
 class FlowTrajectory:
-    """Time-ordered records plus optional state snapshots.
+    """Time-ordered records and the final state.
 
     `records` is one float64 (R, len(COLUMNS)) table, a record per row in COLUMNS
     order; a list of rows given to the constructor is converted once. `final`
@@ -82,7 +81,6 @@ class FlowTrajectory:
     """
 
     records: np.ndarray = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (t, object) pairs
     final: object = None
 
     def __post_init__(self):
@@ -156,31 +154,30 @@ def plan_steps(t0: float, t_end: float, dt: float) -> int:
 RECORD_BLOCK = 16
 
 
-def march(state, t_end: float, dt: float, advance, gather, record, *, record_stride: int,
-          observer, snapshot, snapshot_stride: int) -> FlowTrajectory:
+def march(state, t_end: float, dt: float, advance, gather, *, record_stride: int,
+          observer=None) -> FlowTrajectory:
     """March state to t_end by advance(state, dt); the one loop of both flows' evolve.
 
-    Every record_stride steps, gather(state) takes the record inputs of the state
-    (a tuple of a time, (N,) fields and numbers) and the observer, if any, is
-    called with the state. The inputs of at most RECORD_BLOCK record steps are
-    held, by reference; when the block fills and after the last step,
-    record(*columns) turns them into rows, each column the block's column-major
-    (N, B) field or its B numbers (record_from_fields' arguments). Every
-    snapshot_stride steps (0: never), snapshot(state) is kept; step 0, the given
-    state, is recorded and kept in the same loop as every later step. Flow and
-    geometry errors from a step or a record are re-raised with the failure time
-    attached, the start time for step 0's record; the inputs still held are dropped
-    with the trajectory. Each block's rows go to their own rows of the one table,
-    the trajectory's records, sized from the plan.
+    Every record_stride steps (ValueError below 1), gather(state) takes the state's
+    record_from_fields arguments: a time, (N,) fields and numbers. The inputs of at
+    most RECORD_BLOCK record steps are held, by reference, and record_from_fields
+    turns them into rows, from column-major (N, B) fields and B numbers, when the
+    block fills and after the last step; each block's rows go to their own rows of
+    the one table, the trajectory's records, sized from the plan. After every step i,
+    step 0 being the given state, the observer, if any, is called as observer(i, state).
+    Flow and geometry errors of a step, a record or the observer carry the failure
+    time, the start time for step 0; the inputs still held are dropped with the
+    trajectory.
     """
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     n_steps = plan_steps(state.t, t_end, dt)
-    block = RECORD_BLOCK
     traj = FlowTrajectory()
     traj.records = np.empty((1 + n_steps // record_stride, len(COLUMNS)))
     pending = []
 
     def flush(end):
-        traj.records[end - len(pending):end] = record(
+        traj.records[end - len(pending):end] = record_from_fields(
             *(np.array(column).T for column in zip(*pending)))
         pending.clear()
 
@@ -191,16 +188,14 @@ def march(state, t_end: float, dt: float, advance, gather, record, *, record_str
                 current = advance(current, dt)
             if i % record_stride == 0:
                 pending.append(gather(current))
-                if observer is not None:
-                    observer(current)
-                if len(pending) >= block:
+                if len(pending) >= RECORD_BLOCK:
                     flush(i // record_stride + 1)
+            if observer is not None:
+                observer(i, current)
         except MARCH_ERRORS as exc:
             if exc.time is None:
                 exc.time = current.t
             raise
-        if snapshot_stride and i % snapshot_stride == 0:
-            traj.snapshots.append((current.t, snapshot(current)))
     if pending:
         flush(len(traj))
     traj.final = current

@@ -297,26 +297,36 @@ def test_svg_outputs(tmp_path):
     assert "withsvg.final.svg" in names
 
 
-@pytest.mark.parametrize("command,svg_dir,kept", [
-    ("verify", "svgs", 0), ("evolve", None, 0), ("evolve", "svgs", 3)])
-def test_snapshots_are_taken_only_for_svgs(tmp_path, monkeypatch, command, svg_dir, kept):
-    trajectories, original = [], curve_flow.evolve
+@pytest.mark.parametrize("command,svg_dir,strides,normalization", [
+    pytest.param("verify", "svgs", (100, 1), "unit_area_scale", id="verify-svgs-0"),
+    pytest.param("evolve", None, (100, 1), "unit_area_scale", id="evolve-None-0"),
+    pytest.param("evolve", "svgs", (100, 1), "unit_area_scale", id="evolve-svgs-3"),
+    # a snapshot stride that is no multiple of the record stride
+    pytest.param("evolve", "svgs", (7, 5), "unit_area_scale", id="evolve-svgs-7-5-unit_area_scale"),
+    pytest.param("evolve", "svgs", (7, 5), "none", id="evolve-svgs-7-5-none")])
+def test_snapshots_are_taken_only_for_svgs(tmp_path, monkeypatch, command, svg_dir, strides,
+                                           normalization):
+    observers, original = [], curve_flow.evolve
 
     def recorder(*args, **kwargs):
-        trajectories.append(original(*args, **kwargs))
-        return trajectories[-1]
+        observers.append(kwargs["observer"])
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(curve_flow, "evolve", recorder)
     outputs = {"csv": "snap.csv", "report": "snap.report.json"}
     if svg_dir:
         outputs["svg_dir"] = svg_dir
-    cfg = small_scenario(tmp_path, name="snap", outputs=outputs, snapshot_stride=100)
+    snapshot_stride, record_stride = strides
+    cfg = small_scenario(tmp_path, name="snap", outputs=outputs, normalization=normalization,
+                         snapshot_stride=snapshot_stride, record_stride=record_stride)
     out = tmp_path / "out"
     assert main([command, str(cfg), "--out-dir", str(out)]) == 0
-    assert [len(traj.snapshots) for traj in trajectories] == [kept]
-    svgs = sorted(path.name for path in out.glob("svgs/*.svg"))
-    assert svgs == (["snap.final.svg", "snap.initial.svg", "snap.t0.000000.svg",
-                     "snap.t0.010000.svg", "snap.t0.020000.svg"] if kept else [])
+    svgs = command == "evolve" and svg_dir is not None
+    assert len(observers) == 1 and (observers[0] is not None) == svgs
+    # 200 steps of 1e-4: a snapshot every snapshot_stride of them, the initial and the final
+    times = [f"snap.t{i * 1e-4:.6f}.svg" for i in range(0, 201, snapshot_stride)]
+    assert sorted(path.name for path in out.glob("svgs/*.svg")) == (
+        sorted(["snap.final.svg", "snap.initial.svg"] + times) if svgs else [])
 
 
 def test_evolve_sweep_flag(tmp_path, capsys):

@@ -181,13 +181,14 @@ def test_evolve_annotates_failure_time(monkeypatch):
 
 
 def test_observer_called_each_record():
-    # the observer gets the state of each record step, in order
+    # the observer gets each step and its state, in order, the record steps included
     seen = []
     state = flat_state(0.05 * np.sin(grid(64)))
-    traj = evolve(state, 0.01, 1e-3, record_stride=2, observer=seen.append)
-    assert len(seen) == 1 + 10 // 2
-    assert all(isinstance(s, CurvatureFlowState) for s in seen)
-    assert [s.t for s in seen] == traj.column("t").tolist()
+    traj = evolve(state, 0.01, 1e-3, record_stride=2,
+                  observer=lambda i, s: seen.append((i, s)))
+    assert [i for i, _ in seen] == list(range(11))
+    assert all(isinstance(s, CurvatureFlowState) for _, s in seen)
+    assert [s.t for i, s in seen if i % 2 == 0] == traj.column("t").tolist()
 
 
 def test_mean_zero_conserved_and_extrema_signs():
@@ -202,9 +203,11 @@ def test_mean_zero_conserved_and_extrema_signs():
 
 
 def test_snapshots_recorded():
-    state = flat_state(0.05 * np.sin(grid(64)))
-    traj = evolve(state, 0.01, 1e-3, snapshot_stride=5)
-    assert [t for t, _ in traj.snapshots] == pytest.approx([0.0, 0.005, 0.01])
+    # an observer keeps the state every 5 steps: the given one, then the stepped ones
+    state, kept = flat_state(0.05 * np.sin(grid(64))), []
+    traj = evolve(state, 0.01, 1e-3, observer=lambda i, s: kept.append(s) if i % 5 == 0 else None)
+    assert [s.t for s in kept] == pytest.approx([0.0, 0.005, 0.01])
+    assert kept[0] is state and kept[-1] is traj.final
 
 
 # ---------------------------------------------------------------- reference path

@@ -259,9 +259,9 @@ def test_every_curve_holds_component_major_read_only_points(tmp_path, n):
     curves.append(read_curve_json(tmp_path / "c.json"))
     state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n), lam=0.7)
     curves.append(step(state, 4e-6).curve)   # within the CFL bound at N 1024
-    traj = evolve(CurveFlowState(0.0, state.curve, lam=0.7, normalization="none"), 8e-6, 4e-6,
-                  snapshot_stride=1)
-    curves += [snap for _, snap in traj.snapshots] + [curves[0].scaled(2.5)]
+    evolve(CurveFlowState(0.0, state.curve, lam=0.7, normalization="none"), 8e-6, 4e-6,
+           observer=lambda i, s: curves.append(s.physical_curve))
+    curves.append(curves[0].scaled(2.5))
     for curve in curves:
         assert curve.points.flags.f_contiguous and not curve.points.flags.writeable, curve.name
         x, y = curve.points.T

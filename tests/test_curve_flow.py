@@ -282,13 +282,18 @@ def test_evolve_records_area():
 
 
 def test_evolve_snapshots_are_curves():
-    state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64), lam=0.0)
-    traj = evolve(state, 0.01, 1e-3, snapshot_stride=5)
-    assert len(traj.snapshots) == 3
+    state, snapshots = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64), lam=0.0), []
+
+    def keep(i, current):   # the physical curve every 5 steps
+        if i % 5 == 0:
+            snapshots.append(current.physical_curve)
+
+    traj = evolve(state, 0.01, 1e-3, observer=keep)
+    assert len(snapshots) == 3
     # the t = 0 snapshot is the caller's own curve; the stepped curves are the states'
-    assert traj.snapshots[0][1] is state.curve
-    assert traj.snapshots[-1][1] is traj.final.curve
-    for _, snap in traj.snapshots[1:]:
+    assert snapshots[0] is state.curve
+    assert snapshots[-1] is traj.final.curve
+    for snap in snapshots[1:]:
         assert snap.points.shape == (64, 2)
         assert "_derivatives" not in vars(snap)  # no stage keeps a batch on its curve
 
@@ -312,9 +317,9 @@ def _reference_record(state):
     # reference: the invariants of a fresh curve and the physical curve's own area
     field = centro_affine(ClosedCurve(state.curve.points))
     phi_xi = xi_derivative(field.phi, field.g, 1)
-    return record_from_fields(state.t, field.g, field.phi, phi_xi,
-                              xi_derivative(phi_xi, field.g, 1),
-                              area=enclosed_area_of(state.physical_curve.points))
+    return record_from_fields(state.t, field.g, field.phi,
+                              enclosed_area_of(state.physical_curve.points), phi_xi,
+                              xi_derivative(phi_xi, field.g, 1))
 
 
 @pytest.mark.parametrize("normalization,lam,stride", [
@@ -389,14 +394,13 @@ def test_a_step_makes_its_transforms_on_contiguous_coordinates(monkeypatch, norm
 def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, transforms):
     state = step(CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=256), lam=lam,
                                 normalization=normalization), 1e-4)   # its stage is made
-    # evolve hands its gather and block record to march; take them from there
-    monkeypatch.setattr(curve_flow, "march",
-                        lambda state, t_end, dt, advance, gather, record, **_: (gather, record))
-    gather, record = evolve(state, 1.0, 1e-4)
+    # evolve hands its gather to march; take it from there
+    monkeypatch.setattr(curve_flow, "march", lambda state, t_end, dt, advance, gather, **_: gather)
+    gather = evolve(state, 1.0, 1e-4)
     forward = counting(monkeypatch, spectral, "_rfft")
     inverse = counting(monkeypatch, spectral, "_irfft")
-    # a block of one, its columns as march builds them
-    (row,) = record(*(np.array([column]).T for column in gather(state)))
+    # a block of one, its columns as march builds them, recorded as march records it
+    (row,) = record_from_fields(*(np.array([column]).T for column in gather(state)))
     # the four xi-derivatives of phi take one rfft and one irfft each; the area takes
     # none, scaled or not
     assert (len(forward), len(inverse)) == (transforms, transforms)
@@ -440,12 +444,13 @@ def test_a_curve_march_keeps_no_batch_and_steps_in_13_transform_pairs(monkeypatc
         return produced
 
     monkeypatch.setattr(curve_flow, "step", counted)
-    traj = evolve(state, 0.005, 1e-3, snapshot_stride=1)
+    snapshots = []
+    evolve(state, 0.005, 1e-3, observer=lambda i, s: snapshots.append(s.physical_curve))
     # every stage, the first record's included, makes its own batch, so no curve, the
     # caller's fresh one and the snapshots included, makes its own; a step keeps its 13
     # transforms each way
     assert made == []
-    assert len(traj.snapshots) == 6
+    assert len(snapshots) == 6
     assert per_step == [(13, 13)] * 5
 
 

@@ -4,7 +4,8 @@ Each package module other than __init__.py must read every name that its
 module-level imports bind; an import nobody reads is a dead line, and so is a
 module-level private name (`_name`) that no package module reads. No module
 but spectral.py may name the transform kernels and their helpers, so every
-transform and its trimming stay in spectral. Every `module.name` that the
+transform and its trimming stay in spectral; and no module but trajectory.py
+may name record_from_fields, so march's is the one record path. Every `module.name` that the
 README quotes from a package module must exist, so the README cannot name a
 removed function.
 """
@@ -99,8 +100,8 @@ def test_the_private_name_check_finds_an_unread_helper():
 SPECTRAL_INTERNALS = ("_rfft", "_irfft", "_trim", "_tables")
 
 
-def _spectral_internals_named(source: str) -> list:
-    """The SPECTRAL_INTERNALS that source names: as a name, an attribute or an import."""
+def _named(source: str, names) -> list:
+    """Those of names that source names: as a name, an attribute or an import."""
     named = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -110,21 +111,36 @@ def _spectral_internals_named(source: str) -> list:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 named.update(alias.name.split("."))
-    return sorted(named.intersection(SPECTRAL_INTERNALS))
+    return sorted(named.intersection(names))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spectral.py"],
                          ids=lambda p: p.name)
 def test_only_spectral_names_the_transform_kernels(path):
-    assert _spectral_internals_named(path.read_text()) == []
+    assert _named(path.read_text(), SPECTRAL_INTERNALS) == []
 
 
 def test_the_kernel_check_finds_a_name_an_attribute_and_an_import():
     source = ("from . import spectral\nfrom .spectral import _trim as t, _trimmed_spectrum\n"
               "import centroflow.spectral._tables\n\n"
               "def f(v):\n    return _irfft(spectral._rfft(v))\n")
-    assert _spectral_internals_named(source) == ["_irfft", "_rfft", "_tables", "_trim"]
-    assert _spectral_internals_named("from .spectral import _trimmed_spectrum, derivative\n") == []
+    assert _named(source, SPECTRAL_INTERNALS) == ["_irfft", "_rfft", "_tables", "_trim"]
+    assert _named("from .spectral import _trimmed_spectrum, derivative\n",
+                  SPECTRAL_INTERNALS) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "trajectory.py"],
+                         ids=lambda p: p.name)
+def test_only_trajectory_names_record_from_fields(path):
+    assert _named(path.read_text(), ("record_from_fields",)) == []
+
+
+def test_the_record_path_check_finds_a_name_an_attribute_and_an_import():
+    for source in ("from .trajectory import march, record_from_fields\n",
+                   "from . import trajectory\n\nRECORD = trajectory.record_from_fields\n",
+                   "def gather(s):\n    return record_from_fields(s.t, s.g, s.phi, 0.0)\n"):
+        assert _named(source, ("record_from_fields",)) == ["record_from_fields"]
+    assert _named("from .trajectory import COLUMNS, march\n", ("record_from_fields",)) == []
 
 
 def _unresolved_references(text: str) -> tuple:

@@ -1,5 +1,5 @@
-"""Record blocks: record_from_fields on column-major (N, B) fields, march's blocks, and
-the one record table they end in."""
+"""Record blocks: record_from_fields on column-major (N, B) fields, march's blocks, its
+observer and its stride check, and the one record table the blocks end in."""
 
 import gc
 import tracemalloc
@@ -19,7 +19,7 @@ from centroflow.trajectory import COLUMNS, FlowTrajectory, record_from_fields
 
 
 def _fields(n, b, seed):
-    """b seeded (t, g, phi, phi_xi, phi_xixi, area) inputs of one record each on the
+    """b seeded (t, g, phi, area, phi_xi, phi_xixi) inputs of one record each on the
     n-grid: a positive smooth metric and a band-limited phi with its xi-derivatives."""
     rng = np.random.default_rng([n, b, seed])
     p = grid(n)
@@ -29,7 +29,8 @@ def _fields(n, b, seed):
         phi = sum(rng.standard_normal() / k**2 * np.sin(k * p + rng.uniform(0, 6))
                   for k in range(1, n // 3))
         phi_xi = derivative(phi) / g
-        inputs.append((rng.uniform(), g, phi, phi_xi, derivative(phi_xi) / g, rng.uniform()))
+        t, area = rng.uniform(), rng.uniform()
+        inputs.append((t, g, phi, area, phi_xi, derivative(phi_xi) / g))
     return inputs
 
 
@@ -37,31 +38,35 @@ def _fields(n, b, seed):
 @pytest.mark.parametrize("b", [1, 5, trajectory.RECORD_BLOCK])
 def test_a_block_gives_the_rows_of_its_single_records(monkeypatch, n, b):
     inputs = _fields(n, b, 1)
-    singles = np.array([record_from_fields(*x[:5], area=x[5]) for x in inputs])
+    singles = np.array([record_from_fields(*x) for x in inputs])
     assert singles.shape == (b, len(COLUMNS))
     columns = [np.array(column).T for column in zip(*inputs)]   # as march builds them
-    assert all(f.flags.f_contiguous and f.shape == (n, b) for f in columns[1:5])
-    block = record_from_fields(*columns[:5], area=columns[5])
+    assert all(f.flags.f_contiguous and f.shape == (n, b) for f in columns[1:3] + columns[4:])
+    block = record_from_fields(*columns)
     assert np.array_equal(block, singles, equal_nan=True)
     # a C-ordered block gives the same bits: it is transformed column-major, since the
     # trim's column norm summed across C-ordered columns can differ in its last bits
     c_ordered = [np.ascontiguousarray(f) for f in columns]
     assert b == 1 or not c_ordered[1].flags.f_contiguous
     derivatives = counting(monkeypatch, trajectory, "derivative")
-    assert np.array_equal(record_from_fields(*c_ordered[:5], area=c_ordered[5]), singles,
-                          equal_nan=True)
+    assert np.array_equal(record_from_fields(*c_ordered), singles, equal_nan=True)
     assert len(derivatives) == 2 and all(f.flags.f_contiguous for (f,) in derivatives)
+    # given no xi-derivative, it makes all four, each derivative(previous) / g as the
+    # inputs' phi_xi and phi_xixi are made, to the same bits
+    derivatives.clear()
+    assert np.array_equal(record_from_fields(*c_ordered[:4]), singles, equal_nan=True)
+    assert len(derivatives) == 4 and all(f.flags.f_contiguous for (f,) in derivatives)
 
 
 def test_a_block_takes_one_time_and_area_for_all_its_columns():
     inputs = _fields(64, 3, 2)
     columns = [np.array(column).T for column in zip(*inputs)]
-    block = record_from_fields(0.25, *columns[1:5])
+    block = record_from_fields(0.25, *columns[1:3], np.nan, *columns[4:])
     assert block.shape == (3, len(COLUMNS))
     assert np.all(block[:, COLUMNS.index("t")] == 0.25)
     assert np.all(np.isnan(block[:, COLUMNS.index("area")]))
     # a 1-d field is a block of one and gives its one row
-    row = record_from_fields(0.25, *inputs[0][1:5])
+    row = record_from_fields(0.25, *inputs[0][1:3], np.nan, *inputs[0][4:])
     assert row.shape == (len(COLUMNS),)
     assert np.array_equal(row, block[0], equal_nan=True)
 
@@ -96,19 +101,22 @@ def test_blocks_of_one_give_the_default_trajectory(monkeypatch, name, stride):
 
 
 def _spy(monkeypatch, flow, events):
-    """Make flow.evolve's march log each gather as "gather" and each block as its size."""
-    def march(state, t_end, dt, advance, gather, record, **kwargs):
+    """Make flow.evolve's march log each gather as "gather" and each block as its size;
+    march looks record_from_fields up when it makes a block."""
+    def march(state, t_end, dt, advance, gather, **kwargs):
         def logged_gather(current):
             events.append("gather")
             return gather(current)
 
-        def logged_record(t, *columns):
-            events.append(len(t))
-            return record(t, *columns)
+        return trajectory.march(state, t_end, dt, advance, logged_gather, **kwargs)
 
-        return trajectory.march(state, t_end, dt, advance, logged_gather, logged_record,
-                                **kwargs)
+    def logged_record(t, *columns):
+        events.append(len(t))
+        return record(t, *columns)
+
+    record = trajectory.record_from_fields
     monkeypatch.setattr(flow, "march", march)
+    monkeypatch.setattr(trajectory, "record_from_fields", logged_record)
 
 
 @pytest.mark.parametrize("block", [1, 4, 16])
@@ -118,7 +126,8 @@ def test_at_most_record_block_inputs_are_pending(monkeypatch, flow, block):
     events, seen = [], []
     _spy(monkeypatch, flow, events)
     state = _start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64))
-    traj = flow.evolve(state, 0.022, 1e-3, record_stride=2, observer=seen.append)
+    traj = flow.evolve(state, 0.022, 1e-3, record_stride=2,
+                       observer=lambda i, current: seen.append((i, current)))
     pending = 0
     for event in events:
         pending += 1 if event == "gather" else -event
@@ -126,9 +135,10 @@ def test_at_most_record_block_inputs_are_pending(monkeypatch, flow, block):
     assert pending == 0
     sizes = [event for event in events if event != "gather"]
     assert sizes == [block] * (12 // block) + ([12 % block] if 12 % block else [])
-    # the observer ran once per record step, in order, with the state of that step
-    assert [s.t for s in seen] == traj.column("t").tolist()
-    assert len(seen) == events.count("gather") == 12
+    # the observer ran once per step, in order, with the state of that step
+    assert [i for i, _ in seen] == list(range(23))
+    assert [s.t for i, s in seen if i % 2 == 0] == traj.column("t").tolist()
+    assert events.count("gather") == 12
 
 
 @pytest.mark.parametrize("block", [3, 16])
@@ -153,12 +163,42 @@ def test_a_blowup_in_a_block_raises_as_a_single_record_march_does(monkeypatch, f
 
 
 @pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_the_observer_sees_every_step(flow):
+    # 11 steps at stride 3: the observer gets steps 0-11 in order, the records 0, 3, 6, 9
+    seen = []
+    state = _start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64))
+    traj = flow.evolve(state, 0.011, 1e-3, record_stride=3,
+                       observer=lambda i, current: seen.append((i, current)))
+    assert [i for i, _ in seen] == list(range(12))
+    assert seen[0][1] is state and seen[-1][1] is traj.final
+    assert [current.t for i, current in seen if i % 3 == 0] == traj.column("t").tolist()
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
+def test_a_record_stride_below_one_is_rejected_before_the_first_step(monkeypatch, flow,
+                                                                     stride):
+    steps = counting(monkeypatch, flow, "step")
+    state = _start(flow, perturbed_ellipse(1, 1, 0.05, 3, n=64))
+    with pytest.raises(ValueError, match="record_stride"):
+        flow.evolve(state, 0.01, 1e-3, record_stride=stride)
+    assert steps == []
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_consistency_check_rejects_a_record_stride_below_one(stride):
+    with pytest.raises(ValueError, match="record_stride"):
+        curve_flow.consistency_check(perturbed_ellipse(1, 1, 0.05, 3, n=64), 0.01, 1e-3,
+                                     record_stride=stride)
+
+
+@pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
 def test_no_recorded_state_outlives_its_step(flow):
     # a block holds its record steps' inputs, not their states: when the observer gets
     # a state, no earlier stepped state is left, and after the march only the final one
     refs, alive = [], []
 
-    def observer(state):
+    def observer(i, state):
         gc.collect()
         alive.append(sum(ref() is not None for ref in refs[1:]))  # refs[0]: the start
         refs.append(weakref.ref(state))
