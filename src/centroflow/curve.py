@@ -6,8 +6,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, NotStarShaped
-from .spectral import (_derivative_batch, _harmonic, _trimmed_spectrum, derivative, grid,
-                       periodic_integral)
+from .spectral import (_derivative_batch, _harmonic, _harmonic_stack, _trimmed_spectrum,
+                       derivative, grid, periodic_integral)
 
 # relative tolerance for "one strict sign" in the bracket sign scans
 SIGN_TOL = 1e-12
@@ -126,12 +126,20 @@ def check_convex(curve: ClosedCurve) -> bool:
 DEFAULT_N = 256
 
 
+def _points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (N, 2) samples with columns x and y, written component-major."""
+    points = np.empty((len(x), 2), order="F")
+    points[:, 0] = x
+    points[:, 1] = y
+    return points
+
+
 def origin_ellipse(a: float, b: float, n: int = DEFAULT_N) -> ClosedCurve:
     """Ellipse (a cos p, b sin p) centered at the origin."""
     if a <= 0 or b <= 0:
         raise ValueError("ellipse axes must be positive")
     cos, sin = _harmonic(n, 1)
-    return ClosedCurve(np.stack([a * cos, b * sin], axis=1), name=f"origin_ellipse({a},{b})")
+    return ClosedCurve(_points(a * cos, b * sin), name=f"origin_ellipse({a},{b})")
 
 
 def shifted_ellipse(a: float, b: float, x0: float, y0: float, n: int = DEFAULT_N) -> ClosedCurve:
@@ -139,7 +147,7 @@ def shifted_ellipse(a: float, b: float, x0: float, y0: float, n: int = DEFAULT_N
     if a <= 0 or b <= 0:
         raise ValueError("ellipse axes must be positive")
     cos, sin = _harmonic(n, 1)
-    return ClosedCurve(np.stack([x0 + a * cos, y0 + b * sin], axis=1),
+    return ClosedCurve(_points(x0 + a * cos, y0 + b * sin),
                        name=f"shifted_ellipse({a},{b},{x0},{y0})")
 
 
@@ -158,7 +166,7 @@ def perturbed_ellipse(a: float, b: float, amplitude: float, mode: int,
     if r.min() <= 0:
         raise NotStarShaped("perturbation amplitude drives the radius through zero")
     cos, sin = _harmonic(n, 1)
-    curve = ClosedCurve(np.stack([r * a * cos, r * b * sin], axis=1),
+    curve = ClosedCurve(_points(r * a * cos, r * b * sin),
                         name=f"perturbed_ellipse({a},{b},{amplitude},{mode})")
     _validate_preset(curve, require_convex)
     return curve
@@ -184,14 +192,15 @@ def _star(cos_coeffs, sin_coeffs, r0: float, n: int, require_convex: bool,
         raise ValueError("cos and sin coefficient lists must have equal length")
     if len(cos_coeffs) > n // 8:
         raise ValueError("radius modes must stay below N/8")
-    r = np.full(n, float(r0))
-    for k, (a, b) in enumerate(zip(cos_coeffs, sin_coeffs), start=1):
-        cos, sin = _harmonic(n, k)
-        r += a * cos + b * sin
+    # one row per mode, a_k cos kp + b_k sin kp, summed onto r0 row by row in mode order
+    cos, sin = _harmonic_stack(n, len(cos_coeffs))
+    terms = cos_coeffs[:, None] * cos
+    terms += sin_coeffs[:, None] * sin
+    r = np.add.reduce(terms, axis=0, initial=float(r0))
     if r.min() <= 0:
         raise NotStarShaped("radius function is not positive")
     cos, sin = _harmonic(n, 1)
-    curve = ClosedCurve(np.stack([r * cos, r * sin], axis=1), name=name)
+    curve = ClosedCurve(_points(r * cos, r * sin), name=name)
     _validate_preset(curve, require_convex)
     return curve
 
@@ -210,7 +219,7 @@ def random_star_convex(seed: int, n: int = DEFAULT_N, modes: int = 5,
     a = rng.uniform(-1.0, 1.0, modes)
     b = rng.uniform(-1.0, 1.0, modes)
     k = np.arange(1, modes + 1)
-    weight = np.sum((1.0 + k**2) * (np.abs(a) + np.abs(b)))
+    weight = np.add.reduce((1.0 + k**2) * (np.abs(a) + np.abs(b)))
     a *= margin / weight
     b *= margin / weight
     return _star(a, b, 1.0, n, True, f"random_star_convex(seed={seed})")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curve import SIGN_TOL, ClosedCurve, _one_strict_sign, bracket
+from .curve import SIGN_TOL, ClosedCurve, _one_strict_sign
 from .errors import DegenerateMetric, NonConstantSign, NotStarShaped
 from .spectral import antiderivative, derivative, periodic_integral
 
@@ -30,9 +30,10 @@ class InvariantField:
     g: centro-affine metric d(xi)/dp; phi: centro-affine curvature; curve: the
     curve they were taken from. xi is made on its first read. sigma_density
     (d(sigma)/dp) and mu (the centro-equiaffine curvature) are computed from the
-    curve on each read, through centro_equiaffine: mu scales as the inverse
-    fourth power of the curve's size and can overflow where g and phi, which
-    are scale-invariant, do not, so only reading it raises.
+    curve's derivative batch on each read, through centro_equiaffine, with no
+    transform: mu scales as the inverse fourth power of the curve's size and can
+    overflow where g and phi, which are scale-invariant, do not, so only reading
+    it raises.
     """
 
     epsilon: int
@@ -65,19 +66,20 @@ def _star_density(points: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
 
 def _equiaffine(curve: ClosedCurve):
-    """(s, mu, max|mu|) of a star-shaped curve from its derivative batch; DegenerateMetric
-    when mu is not finite, as on a curve near 1e-80 in size.
+    """(s, mu, max|mu|) of a star-shaped curve from its derivative batch, with no
+    transform; DegenerateMetric when mu is not finite, as on a curve near 1e-80 in size.
 
-    mu is evaluated by the chain rule through the free parameter: C_sigma = C_p/s,
-    C_sigmasigma = (C_pp - (s_p/s) C_p)/s^2 with s = [C, C_p].
+    mu is in closed form: with s = [C, C_p], C_sigma = C_p/s and
+    C_sigmasigma = (C_pp - (s_p/s) C_p)/s^2, whose C_p term brackets C_p with itself,
+    so mu = [C_sigma, C_sigmasigma] = [C_p, C_pp]/s^3. It is divided by s three times,
+    never by s**3: s scales as size^2 and mu as size^-4, so on the m3 curve mu keeps its
+    digits for sizes 1e-77 to 1e77, where s**3 overflows or underflows beyond 1e51
+    and 1e-51.
     """
     derivs = curve._derivatives
     cp, cpp = derivs[:, 0], derivs[:, 1]
     s = _star_density(curve.points, cp)
-    s_p = derivative(s)
-    c_sigma = cp / s[:, None]
-    c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
-    mu = bracket(c_sigma, c_sigma2)
+    mu = (cp[:, 0] * cpp[:, 1] - cp[:, 1] * cpp[:, 0]) / s / s / s   # [C_p, C_pp]/s^3
     peak = np.maximum.reduce(np.abs(mu))
     if not peak < math.inf:
         raise DegenerateMetric("centro-equiaffine curvature mu is not finite on the grid")
@@ -141,7 +143,8 @@ def phi_from_mu(curve: ClosedCurve) -> np.ndarray:
 
     Independent cross-check of centro_affine: phi = -(1/2) mu^(-3/2) mu_sigma
     with mu_sigma = mu_p / sigma_density (the eps = +1 branch; mu must be
-    positive everywhere).
+    positive everywhere). mu_p is spectral, the one forward and one inverse
+    transform of the call, so the route never reads the C_ppp of centro_affine.
     """
     s, mu, peak = _equiaffine(curve)
     # mu is finite here, so its minimum decides as a scan of every sample would

@@ -12,7 +12,8 @@ The gufuncs are numpy's private module, so a numpy without them fails at
 import. Coefficients at the FFT noise floor are trimmed before a derivative
 (see TRIM_FACTOR). The per-N constants (wavenumbers, derivative multipliers,
 the grid) and the harmonics (cos kp, sin kp) the presets sample are built
-once per grid and shared read-only.
+once per grid and shared read-only; so are the (modes, N) stacks of the
+harmonics k = 1..modes, whose rows a star preset's radius sums in one reduction.
 """
 
 from functools import lru_cache
@@ -87,6 +88,18 @@ def _harmonic(n: int, k: int):
     for array in pair:
         array.setflags(write=False)
     return pair
+
+
+@lru_cache(maxsize=16)
+def _harmonic_stack(n: int, modes: int):
+    """Read-only (modes, n) stacks of cos kp and sin kp for k = 1..modes, each row
+    _harmonic(n, k) bit for bit."""
+    cos, sin = np.empty((modes, n)), np.empty((modes, n))
+    for k in range(1, modes + 1):
+        cos[k - 1], sin[k - 1] = _harmonic(n, k)
+    for array in (cos, sin):
+        array.setflags(write=False)
+    return cos, sin
 
 
 def _trim(spec: np.ndarray) -> np.ndarray:

@@ -126,6 +126,17 @@ def test_presets_bit_identical_to_their_formulas(n):
          scale * np.stack([2.0 * cos, 0.7 * sin], axis=1)),
     ]
     pairs += [(random_star_convex(seed, n=n), _random_star_points(seed, n)) for seed in range(4)]
+    # the radius sums one stack of harmonics, row by row: the same bits as the per-mode
+    # loop of _star_points, from no mode (the circle r0) to the N/8 modes allowed
+    k = np.arange(1, n // 8 + 1)
+    for cos_coeffs, sin_coeffs, r0 in (([], [], 1.3), ([0.1], [-0.05], 1.0),
+                                       (0.1 / k**2, -0.05 / k**2, 0.9)):
+        pairs.append((star_convex(cos_coeffs, sin_coeffs, r0, n, require_convex=False),
+                      _star_points(n, cos_coeffs, sin_coeffs, r0)))
+    pairs += [(random_star_convex(seed, n=n, modes=modes), _random_star_points(seed, n, modes))
+              for modes in (1, 8) for seed in range(3)]
+    assert np.array_equal(star_convex([], [], 1.3, n, require_convex=False).points,
+                          np.stack([1.3 * cos, 1.3 * sin], axis=1))
     for curve, want in pairs:
         assert np.array_equal(curve.points, want), curve.name
 

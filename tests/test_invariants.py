@@ -225,16 +225,24 @@ def test_metric_curvature_derivatives_bit_identical(n, monkeypatch):
 # one transform per curve: the kept spectrum and centro-equiaffine parts
 
 def _old_centro_equiaffine(curve):
-    # reference: a fresh spectral.derivative per order, as before the curve kept its spectrum
+    # reference: a fresh spectral.derivative per order, as before the curve kept its
+    # spectrum, and mu in closed form, [C_p, C_pp]/s^3 divided by s three times
     cp, cpp = derivative(curve.points, 1), derivative(curve.points, 2)
     s = bracket(curve.points, cp)
     tol = 1e-12 * np.abs(s).max()
     if not (np.all(s > tol) or np.all(s < -tol)):
         raise NotStarShaped("reference")
-    s_p = derivative(s)
+    return s, bracket(cp, cpp) / s / s / s
+
+
+def _chain_rule_mu(curve):
+    # mu as the chain rule through p gives it, C_sigma = C_p/s and
+    # C_sigmasigma = (C_pp - (s_p/s) C_p)/s^2, at one more transform pair (of s)
+    cp, cpp = derivative(curve.points, 1), derivative(curve.points, 2)
+    s = bracket(curve.points, cp)
     c_sigma = cp / s[:, None]
-    c_sigma2 = (cpp - (s_p / s)[:, None] * cp) / (s**2)[:, None]
-    return s, bracket(c_sigma, c_sigma2)
+    c_sigma2 = (cpp - (derivative(s) / s)[:, None] * cp) / (s**2)[:, None]
+    return bracket(c_sigma, c_sigma2)
 
 
 def _old_centro_affine(curve):
@@ -287,6 +295,13 @@ def test_invariants_bit_identical_to_reference(n, mu_first):
             assert np.array_equal(got, want)
         s2, mu2 = centro_equiaffine(curve)
         assert np.array_equal(s2, s) and np.array_equal(mu2, mu)
+        # the closed form drops the chain rule's (s_p/s) [C_p, C_p] term, which is
+        # zero, so mu and phi_from_mu move by roundoff only (at most 9.2e-16 relative
+        # and 6.0e-15 absolute over these curves; the bounds are twice that)
+        chain_mu = _chain_rule_mu(curve)
+        assert np.all(np.abs(mu - chain_mu) <= 2e-15 * np.abs(chain_mu))
+        chain_phi = -0.5 * (derivative(chain_mu) / s) / (chain_mu * np.sqrt(chain_mu))
+        assert np.abs(via_mu - chain_phi).max() <= 1.2e-14
 
 
 def test_equiaffine_parts_match_the_fields_and_the_batch_is_read_only():
@@ -315,6 +330,17 @@ def test_mu_beyond_the_float_range_raises_where_it_is_read():
                 read()
 
 
+def test_mu_keeps_its_digits_far_beyond_unit_size():
+    # mu = [C_p, C_pp]/s^3 scales as size^-4. Divided by s three times it keeps its
+    # digits at sizes 1e-70 and 1e70; divided by s**3 it would not, as s**3 (about
+    # size^6) overflows to inf at 1e70 and underflows to 0 at 1e-70.
+    m3 = perturbed_ellipse(1, 1, 0.05, 3, n=64)
+    unscaled = centro_equiaffine(m3)[1]
+    for size in (1e-70, 1e70):
+        mu = centro_equiaffine(m3.scaled(size))[1]
+        assert np.all(np.abs(mu * size**4 - unscaled) <= 1e-12 * np.abs(unscaled))
+
+
 def _counting_transforms(monkeypatch):
     calls = []
     for name in ("rfft", "irfft"):
@@ -334,15 +360,17 @@ def test_centro_affine_and_phi_from_mu_share_the_curve_transforms(monkeypatch):
     # on a fresh curve: one spectrum and one derivative batch of the points, kept on it
     field = centro_affine(curve)
     assert calls.count("rfft") == 1 and calls.count("irfft") == 1
-    # (s, mu) are not kept: s_p and mu_p take one forward and one inverse transform each
+    # (s, mu) are not kept, and take no transform: mu is in closed form from the batch,
+    # so phi_from_mu makes one forward and one inverse transform, for mu_p
     phi_from_mu(curve)
-    assert calls.count("rfft") == 3 and calls.count("irfft") == 3
+    assert calls.count("rfft") == 2 and calls.count("irfft") == 2
     centro_equiaffine(curve)
-    assert calls.count("rfft") == 4 and calls.count("irfft") == 4
+    field.sigma_density, field.mu
+    assert calls.count("rfft") == 2 and calls.count("irfft") == 2
     # xi is made on its first read only: one forward and one inverse transform of g
     field.xi
     field.xi
-    assert calls.count("rfft") == 5 and calls.count("irfft") == 5
+    assert calls.count("rfft") == 3 and calls.count("irfft") == 3
 
 
 def test_xi_is_made_once_on_first_read_and_read_only(monkeypatch):

@@ -149,3 +149,17 @@ def test_harmonics_are_kept_read_only_and_bounded():
             with pytest.raises(ValueError):
                 array[0] = 0.0
     assert spectral._harmonic.cache_info().maxsize is not None
+
+
+def test_harmonic_stacks_are_the_harmonics_kept_read_only_and_bounded():
+    for n, modes in ((64, 0), (64, 8), (256, 5), (1024, 128)):
+        cos, sin = spectral._harmonic_stack(n, modes)
+        assert cos.shape == sin.shape == (modes, n)
+        for k in range(1, modes + 1):
+            want = spectral._harmonic(n, k)
+            assert np.array_equal(cos[k - 1], want[0]) and np.array_equal(sin[k - 1], want[1])
+        assert spectral._harmonic_stack(n, modes)[0] is cos
+        for array in (cos, sin):
+            with pytest.raises(ValueError):
+                array[..., 0] = 0.0
+    assert spectral._harmonic_stack.cache_info().maxsize is not None
