@@ -142,7 +142,16 @@ def _rk4(state, dt: float, start, velocity) -> np.ndarray:
     k2 = velocity(y + 0.5 * dt * k1)
     k3 = velocity(y + 0.5 * dt * k2)
     k4 = velocity(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    # y + dt/6 (((k1 + 2 k2) + 2 k3) + k4) in one accumulator, with the association
+    # written out (IEEE sums and products are commutative); no k is written into, k1
+    # being the state's kept stage
+    total = k2 * 2
+    total += k1
+    total += k3 * 2
+    total += k4
+    total *= dt / 6.0
+    total += y
+    return total
 
 
 def _start(state: CurvatureFlowState):

@@ -69,9 +69,11 @@ class ClosedCurve:
         """(N, 3, 2): C_p, C_pp, C_ppp from one forward and one inverse transform, made on
         first read and kept, read-only: its derivatives of orders 1-3, its area, its
         shape checks and its invariants all read it."""
-        spec = _trimmed_spectrum(self.points)
         # the trim zeroes every coefficient of a nonzero curve only when the spectrum
-        # norm it is relative to overflows
+        # norm it is relative to overflows, which the check below reports; numpy's
+        # overflow warning would only repeat it
+        with np.errstate(over="ignore"):
+            spec = _trimmed_spectrum(self.points)
         if not spec.any() and self.points.any():
             raise DegenerateMetric("curve spectrum norm overflows: coordinates up to "
                                    f"{np.abs(self.points).max():g} are beyond the float range")

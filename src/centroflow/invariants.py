@@ -9,6 +9,8 @@ common sign of the ratio, and the centro-affine curvature is
           * (1.5*[C, C_pp]/[C, C_p] - 0.5*[C_p, C_ppp]/[C_p, C_pp]).
 
 phi_from_mu provides an independent route, phi = -(eps/2)(eps*mu)^(-3/2) mu_sigma.
+_metric_curvature takes the four brackets in two stacked (2, N) passes, each row
+the componentwise formula's arithmetic.
 """
 
 import math
@@ -57,9 +59,8 @@ class InvariantField:
         return centro_equiaffine(self.curve)[1]
 
 
-def _star_density(points: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """s = [C, C_p], componentwise; NotStarShaped unless it keeps one strict sign."""
-    s = points[:, 0] * cp[:, 1] - points[:, 1] * cp[:, 0]
+def _require_star(s: np.ndarray) -> np.ndarray:
+    """s = [C, C_p] itself; NotStarShaped unless it keeps one strict sign."""
     if not _one_strict_sign(s):
         raise NotStarShaped("[C, C_p] changes sign: curve is not star-shaped")
     return s
@@ -76,9 +77,9 @@ def _equiaffine(curve: ClosedCurve):
     digits for sizes 1e-77 to 1e77, where s**3 overflows or underflows beyond 1e51
     and 1e-51.
     """
-    derivs = curve._derivatives
+    derivs, points = curve._derivatives, curve.points
     cp, cpp = derivs[:, 0], derivs[:, 1]
-    s = _star_density(curve.points, cp)
+    s = _require_star(points[:, 0] * cp[:, 1] - points[:, 1] * cp[:, 0])
     mu = (cp[:, 0] * cpp[:, 1] - cp[:, 1] * cpp[:, 0]) / s / s / s   # [C_p, C_pp]/s^3
     peak = np.maximum.reduce(np.abs(mu))
     if not peak < math.inf:
@@ -91,23 +92,36 @@ def centro_equiaffine(curve: ClosedCurve):
     return _equiaffine(curve)[:2]
 
 
+# phi's weights of [C, C_pp]/[C, C_p] and of [C_p, C_ppp]/[C_p, C_pp]
+_WEIGHTS = np.array([[1.5], [0.5]])
+_WEIGHTS.setflags(write=False)
+
+
 def _metric_curvature(points: np.ndarray, derivs: np.ndarray):
     """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi, least), where
     least is the radicand's minimum, so sqrt(least) is min(g) bit for bit (sqrt is
     monotone and correctly rounded).
 
     derivs is the (N, 3, 2) batch of C_p, C_pp and C_ppp: the curve's own
-    (ClosedCurve._derivatives), or the one a curve-flow stage makes. The brackets
-    are written out componentwise.
+    (ClosedCurve._derivatives), or the one a curve-flow stage makes. The four brackets
+    are two stacked (2, N) passes over the rows (x, x_p) and (y, y_p), copied into one
+    array so that no operand is broadcast:
+    ([C, C_p], [C_p, C_pp]) = (x, x_p) (y_p, y_pp) - (y, y_p) (x_p, x_pp) and
+    ([C, C_pp], [C_p, C_ppp]) = (x, x_p) (y_pp, y_ppp) - (y, y_p) (x_pp, x_ppp), each
+    row the componentwise bracket's arithmetic. phi's two weighted ratios are one (2, N)
+    product and one (2, N) division. On component-major derivs each (2, N) derivative
+    view is one contiguous block.
     """
-    cp, cpp = derivs[:, 0], derivs[:, 1]
-    x, y = points[:, 0], points[:, 1]
-    xp, yp = cp[:, 0], cp[:, 1]
-    xpp, ypp = cpp[:, 0], cpp[:, 1]
-    xppp, yppp = derivs[:, 2, 0], derivs[:, 2, 1]
-
-    den = _star_density(points, cp)      # [C, C_p]
-    num = xp * ypp - yp * xpp            # [C_p, C_pp]
+    d = derivs.T                            # [component, order - 1]
+    lead = np.empty((2, 2, len(points)))    # [component, order]: (x, x_p), (y, y_p)
+    lead[:, 0] = points.T
+    lead[:, 1] = d[:, 0]
+    first = lead[0] * d[1, :2]              # ([C, C_p], [C_p, C_pp])
+    first -= lead[1] * d[0, :2]
+    second = lead[0] * d[1, 1:]             # ([C, C_pp], [C_p, C_ppp])
+    second -= lead[1] * d[0, 1:]
+    den = _require_star(first[0])
+    num = first[1]
 
     # the guards read the ratio's extremes only: eps is the sign np.sign gives every
     # node (a NaN has none), and the extremes of the radicand eps * ratio are eps times them
@@ -125,10 +139,13 @@ def _metric_curvature(points: np.ndarray, derivs: np.ndarray):
         raise DegenerateMetric("metric radicand [C_p, C_pp]/[C, C_p] vanishes on the grid")
     g = np.sqrt(ratio if eps == 1 else -ratio)
 
+    # phi = (1/g) (1.5 [C, C_pp]/[C, C_p] - 0.5 [C_p, C_ppp]/[C_p, C_pp]), where
     # sqrt(eps*den/num) is 1/g; no extra radicand to guard
-    phi = (1.0 / g) * (1.5 * (x * ypp - y * xpp) / den          # [C, C_pp]
-                       - 0.5 * (xp * yppp - yp * xppp) / num)   # [C_p, C_ppp]
-    return cp, cpp, den, eps, g, phi, least
+    second *= _WEIGHTS
+    second /= first
+    phi = second[0] - second[1]
+    phi *= np.reciprocal(g)
+    return derivs[:, 0], derivs[:, 1], den, eps, g, phi, least
 
 
 def centro_affine(curve: ClosedCurve) -> InvariantField:

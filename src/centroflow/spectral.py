@@ -8,6 +8,8 @@ records' column-major (N, B) blocks share one code path.
 Every transform of the package goes through one kernel pair along axis 0,
 _rfft and _irfft: numpy's pocketfft gufuncs, called as np.fft.rfft and
 np.fft.irfft call them, so they give its bits without its per-call dispatch.
+np.empty allocates their outputs in the input's memory order (row-major only for
+a C-contiguous input), so a later reduction along axis 0 keeps its bits.
 The gufuncs are numpy's private module, so a numpy without them fails at
 import. Coefficients at the FFT noise floor are trimmed before a derivative
 (see TRIM_FACTOR). The per-N constants (wavenumbers, derivative multipliers,
@@ -24,18 +26,20 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 _RFFT_EVEN, _RFFT_ODD, _IRFFT = _pocketfft.rfft_n_even, _pocketfft.rfft_n_odd, _pocketfft.irfft
 _AXES = [(0,), (), (0,)]  # the gufuncs' core axes: the input's axis 0, the factor, the output's
+_COMPLEX, _REAL = np.dtype(complex), np.dtype(float)
 
 
 def _rfft(values: np.ndarray) -> np.ndarray:
     """np.fft.rfft(values, axis=0) bit for bit, for real float64 samples."""
-    n = values.shape[0]
-    out = np.empty_like(values, shape=(n // 2 + 1,) + values.shape[1:], dtype=complex)
+    n = len(values)
+    out = np.empty((n // 2 + 1,) + values.shape[1:], _COMPLEX,
+                   "C" if values.flags.c_contiguous else "F")
     return (_RFFT_ODD if n % 2 else _RFFT_EVEN)(values, 1.0, axes=_AXES, out=out)
 
 
 def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     """np.fft.irfft(spec, n=n, axis=0) bit for bit: modes beyond spec's length are zero."""
-    out = np.empty_like(spec, shape=(n,) + spec.shape[1:], dtype=float)
+    out = np.empty((n,) + spec.shape[1:], _REAL, "C" if spec.flags.c_contiguous else "F")
     return _IRFFT(spec, 1.0 / n, axes=_AXES, out=out)
 
 

@@ -498,6 +498,57 @@ _SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
                             1e-300, 1e300, -1e300])
 
 
+# ---------------------------------------------------------------------------
+# the kernel's stacked (2, N) brackets and weights: the componentwise formulas' bits
+
+
+def _componentwise_metric_curvature(points, derivs):
+    # reference: one bracket() per bracket and phi's two weighted ratios one at a time,
+    # as _reference_velocity in tests/test_curve_flow.py builds them
+    cp, cpp, cppp = derivs[:, 0], derivs[:, 1], derivs[:, 2]
+    den, num = bracket(points, cp), bracket(cp, cpp)
+    ratio = num / den
+    eps = int(np.sign(ratio)[0])
+    radicand = eps * ratio
+    g = np.sqrt(radicand)
+    phi = (1.0 / g) * (1.5 * bracket(points, cpp) / den - 0.5 * bracket(cp, cppp) / num)
+    return cp, cpp, den, eps, g, phi, radicand.min()
+
+
+def _kernel_arrays(n):
+    # presets, GL+(2) images of two of them and the mirror images of those (det < 0, so
+    # [C, C_p] < 0), then two batches with C_pp negated, whose ratio is negative: eps -1,
+    # which no closed curve has, reached by the kernel all the same
+    rng = np.random.default_rng(n)
+    curves = [origin_ellipse(2, 0.5, n), shifted_ellipse(1.3, 0.7, 0.25, -0.1, n),
+              perturbed_ellipse(1.2, 0.9, 0.05, 3, n),
+              star_convex([0.02, -0.01], [0.01, 0.005], 1.1, n), random_star_convex(5, n=n)]
+    for base in (curves[2], curves[4]):
+        theta = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        mat = rng.uniform(0.5, 2.0) * rot @ np.diag([1.7, 1 / 1.7])
+        for det_sign in (1.0, -1.0):
+            curves.append(ClosedCurve(base.points @ (mat @ np.diag([1.0, det_sign])).T))
+    arrays = [_arrays_of(curve) for curve in curves]
+    return arrays + [_scale_cpp(*arrays[k], -1.0) for k in (5, 6)]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stacked_kernel_bit_identical_to_componentwise_brackets(n, order):
+    seen = set()
+    for points, derivs in _kernel_arrays(n):
+        points, derivs = np.array(points, order=order), np.array(derivs, order=order)
+        got = _metric_curvature(points, derivs)
+        want = _componentwise_metric_curvature(points, derivs)
+        assert got[3] == want[3] and got[6] == want[6]
+        for a, b in zip(got[:3] + got[4:6], want[:3] + want[4:6]):
+            assert np.array_equal(a, b)
+        seen.add((got[3], np.sign(got[2][0])))
+    # both signs of eps, each under both orientations
+    assert seen == {(1, 1.0), (1, -1.0), (-1, 1.0), (-1, -1.0)}
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(scale=st.sampled_from([1.0, -1.0, 1e-160, 1e154, 5e-324]),
        flip=st.booleans(),
