@@ -6,8 +6,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, NotStarShaped
-from .spectral import (_derivative_batch, _harmonic, _harmonic_stack, _trimmed_spectrum,
-                       derivative, grid, periodic_integral)
+from .spectral import (_derivative_batch, _harmonic_stack, _trimmed_spectrum, derivative, grid,
+                       periodic_integral)
 
 # relative tolerance for "one strict sign" in the bracket sign scans
 SIGN_TOL = 1e-12
@@ -20,10 +20,26 @@ def bracket(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def enclosed_area_of(points: np.ndarray, cp=None) -> float:
+def enclosed_area_of(points: np.ndarray) -> float:
     """Signed Euclidean area 1/2 * integral of [C, C_p] of samples C; positive for CCW curves."""
-    cp = derivative(points, 1) if cp is None else cp
-    return 0.5 * periodic_integral(bracket(points, cp))
+    return 0.5 * periodic_integral(bracket(points, derivative(points, 1)))
+
+
+def _brackets_of(points: np.ndarray, derivs: np.ndarray):
+    """The bracket kernel: (([C, C_p], [C_p, C_pp]), ([C, C_pp], [C_p, C_ppp])), two (2, N)
+    arrays, from the samples and their (N, 3, 2) batch of C_p, C_pp and C_ppp. The rows
+    (x, x_p) and (y, y_p) are copied into one array, so that no operand is broadcast, and
+    each pair is one stacked pass, (x, x_p) (y_p, y_pp) - (y, y_p) (x_p, x_pp) and
+    (x, x_p) (y_pp, y_ppp) - (y, y_p) (x_pp, x_ppp), each row bracket's arithmetic."""
+    d = derivs.T                            # [component, order - 1]
+    lead = np.empty((2, 2, len(points)))    # [component, order]: (x, x_p), (y, y_p)
+    lead[:, 0] = points.T
+    lead[:, 1] = d[:, 0]
+    first = lead[0] * d[1, :2]
+    first -= lead[1] * d[0, :2]
+    second = lead[0] * d[1, 1:]
+    second -= lead[1] * d[0, 1:]
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -34,8 +50,8 @@ class ClosedCurve:
     stored component-major (Fortran order), so each coordinate, its spectrum
     and the arrays computed from them are contiguous along the grid.
     Star-shapedness is *not* enforced here (the checks below and the invariant
-    pipeline decide admissibility), only grid size and finiteness. It keeps one
-    derived array, _derivatives.
+    pipeline decide admissibility), only grid size and finiteness. It keeps two
+    derived arrays, _derivatives and _brackets.
     """
 
     points: np.ndarray
@@ -67,8 +83,8 @@ class ClosedCurve:
     @cached_property
     def _derivatives(self) -> np.ndarray:
         """(N, 3, 2): C_p, C_pp, C_ppp from one forward and one inverse transform, made on
-        first read and kept, read-only: its derivatives of orders 1-3, its area, its
-        shape checks and its invariants all read it."""
+        first read and kept, read-only: its derivatives of orders 1-3 and its brackets
+        read it."""
         # the trim zeroes every coefficient of a nonzero curve only when the spectrum
         # norm it is relative to overflows, which the check below reports; numpy's
         # overflow warning would only repeat it
@@ -81,6 +97,14 @@ class ClosedCurve:
         derivs.setflags(write=False)
         return derivs
 
+    @cached_property
+    def _brackets(self):
+        """_brackets_of the curve, made on first read and kept, read-only."""
+        pair = _brackets_of(self.points, self._derivatives)
+        for array in pair:
+            array.setflags(write=False)
+        return pair
+
     def derivative(self, order: int = 1) -> np.ndarray:
         """Componentwise spectral derivative d^order C / dp^order; orders 1-3 are
         read-only views of the kept derivative batch."""
@@ -90,7 +114,7 @@ class ClosedCurve:
 
     def enclosed_area(self) -> float:
         """Signed Euclidean area 1/2 * integral of [C, C_p]; positive for CCW curves."""
-        return enclosed_area_of(self.points, self.derivative(1))
+        return 0.5 * periodic_integral(self._brackets[0][0])
 
     def scaled(self, factor: float) -> "ClosedCurve":
         return ClosedCurve(self.points * factor, name=self.name)
@@ -106,10 +130,9 @@ def _one_strict_sign(values: np.ndarray) -> bool:
 
 
 def _shape(curve: ClosedCurve):
-    """(star-shaped, convex): sign scans of [C, C_p] and [C_p, C_pp] from one derivative batch."""
-    derivs = curve._derivatives
-    return (_one_strict_sign(bracket(curve.points, derivs[:, 0])),
-            _one_strict_sign(bracket(derivs[:, 0], derivs[:, 1])))
+    """(star-shaped, convex): sign scans of the curve's kept [C, C_p] and [C_p, C_pp]."""
+    first, _ = curve._brackets
+    return _one_strict_sign(first[0]), _one_strict_sign(first[1])
 
 
 def check_star_shaped(curve: ClosedCurve) -> bool:
@@ -140,7 +163,7 @@ def origin_ellipse(a: float, b: float, n: int = DEFAULT_N) -> ClosedCurve:
     """Ellipse (a cos p, b sin p) centered at the origin."""
     if a <= 0 or b <= 0:
         raise ValueError("ellipse axes must be positive")
-    cos, sin = _harmonic(n, 1)
+    (cos,), (sin,) = _harmonic_stack(n, 1)
     return ClosedCurve(_points(a * cos, b * sin), name=f"origin_ellipse({a},{b})")
 
 
@@ -148,7 +171,7 @@ def shifted_ellipse(a: float, b: float, x0: float, y0: float, n: int = DEFAULT_N
     """Ellipse with center displaced to (x0, y0). Not validated: the origin may be exterior."""
     if a <= 0 or b <= 0:
         raise ValueError("ellipse axes must be positive")
-    cos, sin = _harmonic(n, 1)
+    (cos,), (sin,) = _harmonic_stack(n, 1)
     return ClosedCurve(_points(x0 + a * cos, y0 + b * sin),
                        name=f"shifted_ellipse({a},{b},{x0},{y0})")
 
@@ -164,10 +187,10 @@ def perturbed_ellipse(a: float, b: float, amplitude: float, mode: int,
         raise ValueError("ellipse axes must be positive")
     if mode < 1 or mode > n // 8:
         raise ValueError(f"perturbation mode must be in [1, N/8] = [1, {n // 8}], got {mode}")
-    r = 1.0 + amplitude * _harmonic(n, mode)[0]
+    r = 1.0 + amplitude * _harmonic_stack(n, mode)[0][mode - 1]
     if r.min() <= 0:
         raise NotStarShaped("perturbation amplitude drives the radius through zero")
-    cos, sin = _harmonic(n, 1)
+    (cos,), (sin,) = _harmonic_stack(n, 1)
     curve = ClosedCurve(_points(r * a * cos, r * b * sin),
                         name=f"perturbed_ellipse({a},{b},{amplitude},{mode})")
     _validate_preset(curve, require_convex)
@@ -201,7 +224,7 @@ def _star(cos_coeffs, sin_coeffs, r0: float, n: int, require_convex: bool,
     r = np.add.reduce(terms, axis=0, initial=float(r0))
     if r.min() <= 0:
         raise NotStarShaped("radius function is not positive")
-    cos, sin = _harmonic(n, 1)
+    (cos,), (sin,) = _harmonic_stack(n, 1)
     curve = ClosedCurve(_points(r * cos, r * sin), name=name)
     _validate_preset(curve, require_convex)
     return curve

@@ -26,10 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from . import curvature_flow
-from .curve import ClosedCurve, enclosed_area_of
+from .curve import ClosedCurve, _brackets_of, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp
 from .invariants import _metric_curvature
-from .spectral import _derivative_batch, _trimmed_spectrum, antiderivative, dealias
+from .spectral import (_derivative_batch, _trimmed_spectrum, antiderivative, dealias,
+                       periodic_integral)
 from .trajectory import FlowTrajectory, march
 
 NORMALIZATIONS = ("none", "unit_area_scale")
@@ -64,7 +65,7 @@ class CurveFlowState:
     @cached_property
     def stage(self):
         """_geometry_velocity at the state's own curve points, computed once: its step's
-        k1, the guards and its record (C_p for the area included) share it."""
+        k1, the guards and its record ([C, C_p] for the area included) share it."""
         return _geometry_velocity(self.curve.points)
 
     @cached_property
@@ -75,30 +76,31 @@ class CurveFlowState:
 
 
 def _geometry_velocity(points: np.ndarray):
-    """(sign, g, raw phi, projected phi, C_p, min(g), velocity): the gauge-invariant
-    velocity, the sign of [C, C_p] (one strict sign, as the metric requires) and what
-    the step and the record read. Every RK4 stage makes its own derivative batch of the
-    points, one forward and one inverse transform, and keeps it on no curve.
+    """([C, C_p], g, raw phi, projected phi, min(g), velocity): the gauge-invariant
+    velocity and what the step and the record read. Every RK4 stage makes its own
+    derivative batch of the points, one forward and one inverse transform, and its own
+    brackets from it, and keeps them on no curve.
 
     The points and derivatives are component-major, so their transposed views (2, N)
     have contiguous rows: the velocity is combined on them, no field is broadcast along
     a new axis, and the transposed result is component-major too."""
     derivs = _derivative_batch(_trimmed_spectrum(points), len(points))
-    cp, _, den, _, g, raw, least = _metric_curvature(points, derivs)
+    first, second = _brackets_of(points, derivs)
+    _, g, raw, least = _metric_curvature(first, second)
     phi = dealias(raw)  # see module docstring: required for top-mode stability
     # potential C + (phi/2g) C_p, summed in the product array the potential makes
     velocity = points.T * antiderivative(phi * g)
     weight = 0.5 * phi
     weight /= g
-    velocity += cp.T * weight
-    return math.copysign(1.0, den[0]), g, raw, phi, cp, math.sqrt(least), velocity.T
+    velocity += derivs[:, 0].T * weight
+    return first[0], g, raw, phi, math.sqrt(least), velocity.T
 
 
 def _start(state: CurveFlowState):
     """(points, k1, least metric, projected max|phi|) of a state for curvature_flow._rk4;
     a geometry error of its curve carries the state's time."""
     try:
-        _, _, _, _, _, g_min, k1 = state.stage
+        _, _, _, _, g_min, k1 = state.stage
     except MARCH_ERRORS as exc:
         exc.time = state.t
         raise
@@ -112,9 +114,9 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     t_new = state.t + dt
     if not curvature_flow._peak(new) < math.inf:
         raise BlowUp("non-finite coordinates after step", time=t_new)
-    # the area is oriented by the sign of [C, C_p] at the state stepped from, and one too
-    # small for its factor sqrt(pi/area) to be a float has collapsed as well
-    area = float(state.stage[0] * enclosed_area_of(new))
+    # the area is oriented by the sign of [C, C_p] at the state stepped from (its first
+    # sample's), and one too small for its factor sqrt(pi/area) to be a float has collapsed
+    area = float(math.copysign(1.0, state.stage[0][0]) * enclosed_area_of(new))
     if area <= 0 or math.pi / area == math.inf:
         raise BlowUp("enclosed area collapsed", time=t_new)
     log_scale = state.log_scale
@@ -139,11 +141,11 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
     A record step gathers t, the stage's g and raw phi and the curve's area; each
     block's record_from_fields takes phi's xi-derivatives."""
     def gather(current):
-        _, g, phi, _, cp, _, _ = current.stage
-        # the stored curve's area from the stage's C_p, times the reported scale on each
-        # side (step keeps e^(2 log_scale) pi a normal float)
+        s, g, phi, _, _, _ = current.stage
+        # the stored curve's area, half the integral of the stage's [C, C_p], times the
+        # reported scale on each side (step keeps e^(2 log_scale) pi a normal float)
         scale = math.exp(current.log_scale)
-        return current.t, g, phi, scale * enclosed_area_of(current.curve.points, cp) * scale
+        return current.t, g, phi, scale * (0.5 * periodic_integral(s)) * scale
 
     return march(state, t_end, dt, step, gather, record_stride=record_stride,
                  observer=observer)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .curve import ClosedCurve
 from .invariants import InvariantField, centro_affine, perimeter, xi_derivative
-from .spectral import _harmonic, periodic_integral
+from .spectral import _harmonic_stack, periodic_integral
 from .trajectory import FlowTrajectory
 
 TWO_PI = 2.0 * math.pi
@@ -174,7 +174,7 @@ def explicit_ellipse_family(a0: float, b0: float, t: float, n: int = 256) -> Clo
     if a0 <= 0 or b0 <= 0:
         raise ValueError("family axes must be positive")
     scale = (a0 * b0) ** ((math.exp(2.0 * t) - 1.0) / 2.0)
-    cos, sin = _harmonic(n, 1)
+    (cos,), (sin,) = _harmonic_stack(n, 1)
     pts = scale * np.stack([a0 * cos, b0 * sin], axis=1)
     return ClosedCurve(pts, name=f"family({a0},{b0},t={t})")
 

@@ -9,8 +9,8 @@ common sign of the ratio, and the centro-affine curvature is
           * (1.5*[C, C_pp]/[C, C_p] - 0.5*[C_p, C_ppp]/[C_p, C_pp]).
 
 phi_from_mu provides an independent route, phi = -(eps/2)(eps*mu)^(-3/2) mu_sigma.
-_metric_curvature takes the four brackets in two stacked (2, N) passes, each row
-the componentwise formula's arithmetic.
+centro_affine, centro_equiaffine and phi_from_mu read the curve's kept bracket pair
+(ClosedCurve._brackets).
 """
 
 import math
@@ -32,7 +32,7 @@ class InvariantField:
     g: centro-affine metric d(xi)/dp; phi: centro-affine curvature; curve: the
     curve they were taken from. xi is made on its first read. sigma_density
     (d(sigma)/dp) and mu (the centro-equiaffine curvature) are computed from the
-    curve's derivative batch on each read, through centro_equiaffine, with no
+    curve's kept brackets on each read, through centro_equiaffine, with no
     transform: mu scales as the inverse fourth power of the curve's size and can
     overflow where g and phi, which are scale-invariant, do not, so only reading
     it raises.
@@ -67,7 +67,7 @@ def _require_star(s: np.ndarray) -> np.ndarray:
 
 
 def _equiaffine(curve: ClosedCurve):
-    """(s, mu, max|mu|) of a star-shaped curve from its derivative batch, with no
+    """(s, mu, max|mu|) of a star-shaped curve from its kept brackets, with no
     transform; DegenerateMetric when mu is not finite, as on a curve near 1e-80 in size.
 
     mu is in closed form: with s = [C, C_p], C_sigma = C_p/s and
@@ -77,10 +77,9 @@ def _equiaffine(curve: ClosedCurve):
     digits for sizes 1e-77 to 1e77, where s**3 overflows or underflows beyond 1e51
     and 1e-51.
     """
-    derivs, points = curve._derivatives, curve.points
-    cp, cpp = derivs[:, 0], derivs[:, 1]
-    s = _require_star(points[:, 0] * cp[:, 1] - points[:, 1] * cp[:, 0])
-    mu = (cp[:, 0] * cpp[:, 1] - cp[:, 1] * cpp[:, 0]) / s / s / s   # [C_p, C_pp]/s^3
+    first, _ = curve._brackets
+    s = _require_star(first[0])
+    mu = first[1] / s / s / s   # [C_p, C_pp]/s^3
     peak = np.maximum.reduce(np.abs(mu))
     if not peak < math.inf:
         raise DegenerateMetric("centro-equiaffine curvature mu is not finite on the grid")
@@ -88,8 +87,10 @@ def _equiaffine(curve: ClosedCurve):
 
 
 def centro_equiaffine(curve: ClosedCurve):
-    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine."""
-    return _equiaffine(curve)[:2]
+    """Return (sigma_density, mu) for a star-shaped curve; see _equiaffine. sigma_density
+    is a copy: the curve keeps its bracket read-only."""
+    s, mu, _ = _equiaffine(curve)
+    return s.copy(), mu
 
 
 # phi's weights of [C, C_pp]/[C, C_p] and of [C_p, C_ppp]/[C_p, C_pp]
@@ -97,29 +98,11 @@ _WEIGHTS = np.array([[1.5], [0.5]])
 _WEIGHTS.setflags(write=False)
 
 
-def _metric_curvature(points: np.ndarray, derivs: np.ndarray):
-    """Lean core shared with the curve flow: (cp, cpp, den, eps, g, phi, least), where
-    least is the radicand's minimum, so sqrt(least) is min(g) bit for bit (sqrt is
-    monotone and correctly rounded).
-
-    derivs is the (N, 3, 2) batch of C_p, C_pp and C_ppp: the curve's own
-    (ClosedCurve._derivatives), or the one a curve-flow stage makes. The four brackets
-    are two stacked (2, N) passes over the rows (x, x_p) and (y, y_p), copied into one
-    array so that no operand is broadcast:
-    ([C, C_p], [C_p, C_pp]) = (x, x_p) (y_p, y_pp) - (y, y_p) (x_p, x_pp) and
-    ([C, C_pp], [C_p, C_ppp]) = (x, x_p) (y_pp, y_ppp) - (y, y_p) (x_pp, x_ppp), each
-    row the componentwise bracket's arithmetic. phi's two weighted ratios are one (2, N)
-    product and one (2, N) division. On component-major derivs each (2, N) derivative
-    view is one contiguous block.
-    """
-    d = derivs.T                            # [component, order - 1]
-    lead = np.empty((2, 2, len(points)))    # [component, order]: (x, x_p), (y, y_p)
-    lead[:, 0] = points.T
-    lead[:, 1] = d[:, 0]
-    first = lead[0] * d[1, :2]              # ([C, C_p], [C_p, C_pp])
-    first -= lead[1] * d[0, :2]
-    second = lead[0] * d[1, 1:]             # ([C, C_pp], [C_p, C_ppp])
-    second -= lead[1] * d[0, 1:]
+def _metric_curvature(first: np.ndarray, second: np.ndarray):
+    """Lean core shared with the curve flow: (eps, g, phi, least) from a pair of
+    curve._brackets_of, where least is the radicand's minimum, so sqrt(least) is min(g)
+    bit for bit (sqrt is monotone and correctly rounded). phi's two weighted ratios are
+    one (2, N) product and one (2, N) division, written into no row of the pair."""
     den = _require_star(first[0])
     num = first[1]
 
@@ -141,17 +124,17 @@ def _metric_curvature(points: np.ndarray, derivs: np.ndarray):
 
     # phi = (1/g) (1.5 [C, C_pp]/[C, C_p] - 0.5 [C_p, C_ppp]/[C_p, C_pp]), where
     # sqrt(eps*den/num) is 1/g; no extra radicand to guard
-    second *= _WEIGHTS
-    second /= first
-    phi = second[0] - second[1]
+    weighted = second * _WEIGHTS
+    weighted /= first
+    phi = weighted[0] - weighted[1]
     phi *= np.reciprocal(g)
-    return derivs[:, 0], derivs[:, 1], den, eps, g, phi, least
+    return eps, g, phi, least
 
 
 def centro_affine(curve: ClosedCurve) -> InvariantField:
     """Full invariant field of a star-shaped curve with one-signed [C_p, C_pp], from
-    the curve's derivative batch."""
-    _, _, _, eps, g, phi, _ = _metric_curvature(curve.points, curve._derivatives)
+    the curve's kept brackets."""
+    eps, g, phi, _ = _metric_curvature(*curve._brackets)
     return InvariantField(epsilon=eps, g=g, phi=phi, curve=curve)
 
 

@@ -13,9 +13,9 @@ a C-contiguous input), so a later reduction along axis 0 keeps its bits.
 The gufuncs are numpy's private module, so a numpy without them fails at
 import. Coefficients at the FFT noise floor are trimmed before a derivative
 (see TRIM_FACTOR). The per-N constants (wavenumbers, derivative multipliers,
-the grid) and the harmonics (cos kp, sin kp) the presets sample are built
-once per grid and shared read-only; so are the (modes, N) stacks of the
-harmonics k = 1..modes, whose rows a star preset's radius sums in one reduction.
+the grid) are built once per grid and shared read-only; so are the (modes, N)
+stacks of the harmonics (cos kp, sin kp), k = 1..modes, that the presets sample
+and whose rows a star preset's radius sums in one reduction.
 """
 
 from functools import lru_cache
@@ -84,23 +84,14 @@ def _tables(n: int) -> _Tables:
     return tables
 
 
-@lru_cache(maxsize=128)
-def _harmonic(n: int, k: int):
-    """Read-only (cos kp, sin kp) on the n-grid, np.cos(k * grid(n)) bit for bit."""
-    p = grid(n)
-    pair = (np.cos(k * p), np.sin(k * p))
-    for array in pair:
-        array.setflags(write=False)
-    return pair
-
-
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _harmonic_stack(n: int, modes: int):
-    """Read-only (modes, n) stacks of cos kp and sin kp for k = 1..modes, each row
-    _harmonic(n, k) bit for bit."""
+    """Read-only (modes, n) stacks of cos kp and sin kp on the n-grid for k = 1..modes,
+    row k - 1 np.cos(k * grid(n)) and np.sin(k * grid(n)) bit for bit."""
+    p = grid(n)
     cos, sin = np.empty((modes, n)), np.empty((modes, n))
     for k in range(1, modes + 1):
-        cos[k - 1], sin[k - 1] = _harmonic(n, k)
+        cos[k - 1], sin[k - 1] = np.cos(k * p), np.sin(k * p)
     for array in (cos, sin):
         array.setflags(write=False)
     return cos, sin
@@ -108,11 +99,10 @@ def _harmonic_stack(n: int, modes: int):
 
 def _trim(spec: np.ndarray) -> np.ndarray:
     """Zero, in place, the coefficients of an rfft spectrum at its noise floor."""
-    # the column 2-norm exactly as np.linalg.norm(spec, axis=0) computes it, minus its dispatch
-    squares = spec.conj()
-    squares *= spec
-    norm = np.sqrt(np.add.reduce(squares.real, axis=0))
-    spec[np.abs(spec) <= _TRIM * norm] = 0.0
+    # each column's 2-norm from one vecdot of the magnitudes the mask reads anyway
+    magnitude = np.abs(spec)
+    floor = np.sqrt(np.vecdot(magnitude, magnitude, axis=0)) * _TRIM
+    spec[magnitude <= floor] = 0.0
     return spec
 
 

@@ -32,9 +32,8 @@ def record_from_fields(t, g: np.ndarray, phi: np.ndarray, area,
     The nine integrals are periodic_integral's arithmetic on the rows of one
     (B, 9, N) stack of integrands, each the product of its factors with g last, so
     one reduction along the contiguous grid axis gives them bit for bit. The
-    derivative's trim takes a pairwise column norm too, so a C-ordered block is
-    copied column-major first: summed across its columns, the norm can differ in
-    its last bits.
+    derivative's trim takes its column norms by np.vecdot, whose last bits depend on
+    the layout, so a C-ordered block is copied column-major first.
     """
     n, single = len(g), np.ndim(g) == 1
     g, phi, *derivatives = (np.asfortranarray(np.reshape(f, (n, -1)))

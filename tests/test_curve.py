@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centroflow.curve import (SIGN_TOL, ClosedCurve, _one_strict_sign, bracket, check_convex,
-                              check_star_shaped, enclosed_area_of, origin_ellipse,
+from centroflow.curve import (SIGN_TOL, ClosedCurve, _brackets_of, _one_strict_sign, bracket,
+                              check_convex, check_star_shaped, enclosed_area_of, origin_ellipse,
                               perturbed_ellipse, preset, random_star_convex,
                               shifted_ellipse, star_convex)
-from centroflow import spectral
+from centroflow import curve as curve_module, spectral
 from centroflow.curve_flow import CurveFlowState, _geometry_velocity, evolve, step
 from centroflow.diagnostics import explicit_ellipse_family
 from centroflow.errors import DegenerateMetric, NotStarShaped
-from centroflow.invariants import _metric_curvature, centro_affine
+from centroflow.invariants import _metric_curvature, centro_affine, centro_equiaffine, phi_from_mu
 from centroflow.io import read_curve_json, write_curve_json
 from centroflow.spectral import derivative
 from conftest import counting, fd_bracket_signs, overflowing_m3_image
@@ -292,8 +292,19 @@ def test_c_and_f_ordered_points_give_the_same_bits(n):
         assert np.array_equal(*specs)
         batches = [spectral._derivative_batch(spec, n) for spec in specs]
         assert np.array_equal(*batches)
-        for got, want in zip(*(_metric_curvature(pts, derivs)
-                               for pts, derivs in zip((c_pts, f_pts), batches))):
+        pairs = []
+        for pts, derivs in zip((c_pts, f_pts), batches):
+            # the kernel, on either layout of the batch too, and the pair a curve keeps
+            cp, cpp, cppp = derivs[:, 0], derivs[:, 1], derivs[:, 2]
+            want = ((bracket(pts, cp), bracket(cp, cpp)), (bracket(pts, cpp), bracket(cp, cppp)))
+            kept = ClosedCurve(pts)._brackets
+            assert not any(array.flags.writeable for array in kept)
+            for pair in (_brackets_of(pts, derivs), _brackets_of(pts, np.ascontiguousarray(derivs)),
+                         kept):
+                for got, row in zip(pair, want, strict=True):
+                    assert got.shape == (2, n) and np.array_equal(got, row)
+            pairs.append(kept)
+        for got, want in zip(*(_metric_curvature(*pair) for pair in pairs)):
             assert np.array_equal(got, want)
         for got, want in zip(*(_geometry_velocity(pts) for pts in (c_pts, f_pts))):
             assert np.array_equal(got, want)
@@ -310,6 +321,23 @@ def test_curve_transforms_itself_once(monkeypatch):
     curve.enclosed_area()
     assert check_star_shaped(curve) and check_convex(curve)
     assert len(forward) == 1
+
+
+def test_a_validated_preset_runs_the_bracket_kernel_once(monkeypatch):
+    # its validation makes the kept pair; the shape checks, the area and every invariant
+    # read it
+    kernels = counting(monkeypatch, curve_module, "_brackets_of")
+    for make in (lambda: random_star_convex(4, n=64),
+                 lambda: perturbed_ellipse(1.2, 0.9, 0.05, 3, n=64)):
+        del kernels[:]
+        curve = make()
+        assert check_star_shaped(curve) and check_convex(curve)
+        curve.enclosed_area()
+        centro_affine(curve)
+        centro_equiaffine(curve)
+        phi_from_mu(curve)
+        assert len(kernels) == 1
+        assert kernels[0][0] is curve.points and kernels[0][1] is curve._derivatives
 
 
 def test_new_and_scaled_curves_start_with_an_empty_cache():

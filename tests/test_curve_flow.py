@@ -446,12 +446,13 @@ def test_record_reads_the_area_from_the_stage(monkeypatch, normalization, lam, t
 def test_march_computes_each_state_velocity_once(monkeypatch):
     stages = counting(monkeypatch, curve_flow, "_geometry_velocity")
     kernels = counting(monkeypatch, curve_flow, "_metric_curvature")
+    brackets = counting(monkeypatch, curve_flow, "_brackets_of")
     state = CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.05, 3, n=64), lam=0.7)
     evolve(state, 0.005, 1e-3, record_stride=1)
     # the initial stage, then per step k2-k4 and the produced state's stage: each
     # record and the next k1 read the stage, and no other kernel call is made
     assert len(stages) == 1 + 4 * 5
-    assert len(kernels) == len(stages)
+    assert len(kernels) == len(brackets) == len(stages)
 
 
 @pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroflow import curve_flow, invariants, spectral
-from centroflow.curve import (SIGN_TOL, ClosedCurve, bracket, origin_ellipse, perturbed_ellipse,
-                              random_star_convex, shifted_ellipse, star_convex)
+from centroflow.curve import (SIGN_TOL, ClosedCurve, _brackets_of, bracket, origin_ellipse,
+                              perturbed_ellipse, random_star_convex, shifted_ellipse,
+                              star_convex)
 from centroflow.curve_flow import _geometry_velocity
 from centroflow.errors import (DegenerateMetric, NonConstantSign,
                                NotStarShaped)
@@ -214,10 +215,9 @@ def test_metric_curvature_derivatives_bit_identical(n, monkeypatch):
     monkeypatch.setattr(spectral, "_irfft", recording_irfft)
     derivs = ClosedCurve(points)._derivatives
     monkeypatch.undo()
-    cp, cpp, *_ = _metric_curvature(points, derivs)
     assert len(inverses) == 1
-    assert np.array_equal(cp, derivative(points, 1))
-    assert np.array_equal(cpp, derivative(points, 2))
+    assert np.array_equal(derivs[:, 0], derivative(points, 1))
+    assert np.array_equal(derivs[:, 1], derivative(points, 2))
     assert np.array_equal(inverses[0][:, 2], derivative(points, 3))
 
 
@@ -404,7 +404,7 @@ def test_error_types_in_either_call_order(affine_first):
     for fn in (centro_equiaffine, phi_from_mu, centro_affine, phi_from_mu):
         with pytest.raises(NotStarShaped):
             fn(outside)
-    assert set(vars(outside)) == {"points", "name", "_derivatives"}
+    assert set(vars(outside)) == {"points", "name", "_derivatives", "_brackets"}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def _reference_guards(points, derivs):
 
 def _assert_same_guards(points, derivs):
     want = _reference_guards(points, derivs)
-    kernels = {"_metric_curvature": lambda: _metric_curvature(points, derivs),
+    kernels = {"_metric_curvature": lambda: _metric_curvature(*_brackets_of(points, derivs)),
                "_geometry_velocity": lambda: _geometry_velocity(points)}
     # the curve-flow stage makes its own batch: it is handed the crafted one in its place
     with pytest.MonkeyPatch.context() as patch:
@@ -444,9 +444,9 @@ def _assert_same_guards(points, derivs):
                 continue
             assert not isinstance(want[0], type), f"{name} passed, the reference raised {want}"
             if name == "_metric_curvature":
-                assert got[3] == want[1] and np.array_equal(got[4], want[2])
+                assert got[0] == want[1] and np.array_equal(got[1], want[2])
             else:
-                assert got[0] == want[0] and np.array_equal(got[1], want[2])
+                assert np.sign(got[0][0]) == want[0] and np.array_equal(got[1], want[2])
 
 
 def _circle_arrays(n=16):
@@ -512,7 +512,7 @@ def _componentwise_metric_curvature(points, derivs):
     radicand = eps * ratio
     g = np.sqrt(radicand)
     phi = (1.0 / g) * (1.5 * bracket(points, cpp) / den - 0.5 * bracket(cp, cppp) / num)
-    return cp, cpp, den, eps, g, phi, radicand.min()
+    return (den, num, bracket(points, cpp), bracket(cp, cppp)), (eps, g, phi, radicand.min())
 
 
 def _kernel_arrays(n):
@@ -539,12 +539,18 @@ def test_stacked_kernel_bit_identical_to_componentwise_brackets(n, order):
     seen = set()
     for points, derivs in _kernel_arrays(n):
         points, derivs = np.array(points, order=order), np.array(derivs, order=order)
-        got = _metric_curvature(points, derivs)
-        want = _componentwise_metric_curvature(points, derivs)
-        assert got[3] == want[3] and got[6] == want[6]
-        for a, b in zip(got[:3] + got[4:6], want[:3] + want[4:6]):
+        first, second = _brackets_of(points, derivs)
+        kept = first.copy(), second.copy()
+        got = _metric_curvature(first, second)
+        brackets, want = _componentwise_metric_curvature(points, derivs)
+        for a, b in zip((*first, *second), brackets, strict=True):
             assert np.array_equal(a, b)
-        seen.add((got[3], np.sign(got[2][0])))
+        # the kernel writes into no row of the pair
+        assert np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])
+        assert got[0] == want[0] and got[3] == want[3]
+        for a, b in zip(got[1:3], want[1:3]):
+            assert np.array_equal(a, b)
+        seen.add((got[0], np.sign(first[0][0])))
     # both signs of eps, each under both orientations
     assert seen == {(1, 1.0), (1, -1.0), (-1, 1.0), (-1, -1.0)}
 
