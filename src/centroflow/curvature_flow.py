@@ -7,7 +7,7 @@ The pair (g, phi) evolves by
 
 with d/d(xi) = (1/g) d/dp, so the whole system closes on the grid without
 remeshing. Explicit RK4 with a diffusion CFL guard; the cubic term is
-projected by the 2/3 rule, as the curve flow projects phi.
+projected by the 2/3 rule.
 """
 
 import math

@@ -1,4 +1,11 @@
-"""The nonlocal curve flow C_t = (lambda + int_0^xi phi dxi) C + (phi/2) C_xi.
+"""The nonlocal curve flow, marched in its ray gauge C_t = (lambda + int_0^xi phi dxi) C.
+
+The paper's flow adds (phi/2) C_xi. On a star-shaped curve that term only slides the
+samples along the curve; without it each sample moves along its own ray, the curve at
+every time is the same, and the gauge still commutes with GL(2), the mirror map and
+lambda. The velocity holds no derivative of phi, so phi enters it raw. The samples
+are not the scalar flow's nodes, so the two flows agree on the records' integrals
+(diagnostics.check_flow_equivalence), not node by node.
 
 Every term except lambda*C is invariant under scalings of C, and the rest of
 the velocity is homogeneous of degree 1 in C. So the stepper marches every curve
@@ -7,15 +14,6 @@ stored `curve` and its invariants are independent of lambda and of the
 normalization bit for bit; the normalization chooses only the reported scale.
 Under "none", log_scale keeps the gauge and the scales taken out, and
 `physical_curve` is e^(log_scale) times `curve`; otherwise the two coincide.
-
-The centro-affine curvature extracted from the samples is projected by the
-2/3 rule before entering the velocity: the bracket ratios amplify roundoff
-in the top spectral modes by O(k^3), and without the projection an aliasing
-feedback loop among those modes destabilizes the march at any usable dt.
-
-A step's bits are pinned: the unit-area march of m3 passes its h1_identity
-verdict only by the last bits of its steps, so the stage sums its velocity in
-place in the order of the formula, and a state's max|phi| is taken once.
 """
 
 import math
@@ -25,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import curvature_flow
+from . import curvature_flow, diagnostics
 from .curve import ClosedCurve, _brackets_of, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp
 from .invariants import _metric_curvature
-from .spectral import (_derivative_batch, _trimmed_spectrum, antiderivative, dealias,
-                       periodic_integral)
+from .spectral import _derivative_batch, _trimmed_spectrum, antiderivative, periodic_integral
 from .trajectory import FlowTrajectory, march
 
 NORMALIZATIONS = ("none", "unit_area_scale")
@@ -70,37 +67,32 @@ class CurveFlowState:
 
     @cached_property
     def peak(self) -> float:
-        """max|projected phi| of the stage, taken once: the step that makes the state
-        and the step from it judge it."""
-        return curvature_flow._peak(self.stage[3])
+        """max|phi| of the stage, taken once: the step that makes the state and the step
+        from it judge it."""
+        return curvature_flow._peak(self.stage[2])
 
 
 def _geometry_velocity(points: np.ndarray):
-    """([C, C_p], g, raw phi, projected phi, min(g), velocity): the gauge-invariant
-    velocity and what the step and the record read. Every RK4 stage makes its own
-    derivative batch of the points, one forward and one inverse transform, and its own
-    brackets from it, and keeps them on no curve.
+    """([C, C_p], g, phi, min(g), velocity): the gauge-invariant velocity
+    (int_0^xi phi dxi) C and what the step and the record read. Every RK4 stage makes its
+    own derivative batch of the points, one forward and one inverse transform, and its
+    own brackets from it, and keeps them on no curve.
 
-    The points and derivatives are component-major, so their transposed views (2, N)
-    have contiguous rows: the velocity is combined on them, no field is broadcast along
-    a new axis, and the transposed result is component-major too."""
+    The points are component-major, so their transposed view (2, N) has contiguous rows:
+    the velocity is their product with the potential, and its transpose is
+    component-major too."""
     derivs = _derivative_batch(_trimmed_spectrum(points), len(points))
     first, second = _brackets_of(points, derivs)
-    _, g, raw, least = _metric_curvature(first, second)
-    phi = dealias(raw)  # see module docstring: required for top-mode stability
-    # potential C + (phi/2g) C_p, summed in the product array the potential makes
+    _, g, phi, least = _metric_curvature(first, second)
     velocity = points.T * antiderivative(phi * g)
-    weight = 0.5 * phi
-    weight /= g
-    velocity += derivs[:, 0].T * weight
-    return first[0], g, raw, phi, math.sqrt(least), velocity.T
+    return first[0], g, phi, math.sqrt(least), velocity.T
 
 
 def _start(state: CurveFlowState):
-    """(points, k1, least metric, projected max|phi|) of a state for curvature_flow._rk4;
-    a geometry error of its curve carries the state's time."""
+    """(points, k1, least metric, max|phi|) of a state for curvature_flow._rk4; a
+    geometry error of its curve carries the state's time."""
     try:
-        _, _, _, _, g_min, k1 = state.stage
+        _, _, _, g_min, k1 = state.stage
     except MARCH_ERRORS as exc:
         exc.time = state.t
         raise
@@ -138,10 +130,10 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, observer=None) -> FlowTrajectory:
     """March the curve to t_end on trajectory.march, recording invariant diagnostics.
 
-    A record step gathers t, the stage's g and raw phi and the curve's area; each
-    block's record_from_fields takes phi's xi-derivatives."""
+    A record step gathers t, the stage's g and phi and the curve's area; each block's
+    record_from_fields takes phi's xi-derivatives."""
     def gather(current):
-        s, g, phi, _, _, _ = current.stage
+        s, g, phi, _, _ = current.stage
         # the stored curve's area, half the integral of the stage's [C, C_p], times the
         # reported scale on each side (step keeps e^(2 log_scale) pi a normal float)
         scale = math.exp(current.log_scale)
@@ -153,20 +145,10 @@ def evolve(state: CurveFlowState, t_end: float, dt: float, *,
 
 def consistency_check(curve0: ClosedCurve, t_end: float, dt: float, *,
                       record_stride: int = 100) -> float:
-    """Sup-norm gap between curvature extracted from the curve flow and the scalar flow.
-
-    Both flows start from the same invariant field and march on the same
-    schedule; the returned number is the worst nodewise difference over all
-    record times and the final time.
-    """
-    def phis(evolve_from, state, phi_of):
-        """phi_of the march's states at its record steps and at its end."""
-        kept = []
-        final = evolve_from(state, t_end, dt, record_stride=record_stride, observer=lambda i, s: (
-            kept.append(phi_of(s)) if i % record_stride == 0 else None)).final
-        return kept + [phi_of(final)]
-
-    curve_phis = phis(evolve, CurveFlowState(t=0.0, curve=curve0), lambda state: state.stage[2])
-    scalar_phis = phis(curvature_flow.evolve, curvature_flow.CurvatureFlowState.from_curve(curve0),
-                       lambda state: state.phi)
-    return max(float(np.abs(a - b).max()) for a, b in zip(curve_phis, scalar_phis))
+    """The measured gap of diagnostics.check_flow_equivalence between the records of the
+    curve flow and of the scalar flow, both marched from curve0 on the same schedule."""
+    curve_traj = evolve(CurveFlowState(t=0.0, curve=curve0), t_end, dt,
+                        record_stride=record_stride)
+    scalar_traj = curvature_flow.evolve(curvature_flow.CurvatureFlowState.from_curve(curve0),
+                                        t_end, dt, record_stride=record_stride)
+    return diagnostics.check_flow_equivalence(curve_traj, scalar_traj).measured

@@ -17,6 +17,8 @@ from .trajectory import FlowTrajectory
 
 TWO_PI = 2.0 * math.pi
 MIN_IDENTITY_RECORDS = 5  # fewest records check_energy_identities judges
+# the record columns that do not depend on where a march's samples sit on the curve
+INTEGRALS = ("L", "E", "H1", "H2", "H3", "H4", "quartic", "mixed")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,21 @@ def check_energy_identities(traj: FlowTrajectory) -> tuple:
     v2 = Verdict(names[1], res_h <= 1e-4, res_h, 0.0, 1e-4,
                  context="dH1/dt = -H2 + 4*H1 - 3.5*mixed, scale-normalized")
     return v1, v2
+
+
+def check_flow_equivalence(a: FlowTrajectory, b: FlowTrajectory) -> Verdict:
+    """Two marches of one curve, record by record, on the parametrisation-free integrals:
+    each column's gap max|a - b| / (1 + max|a|) within 1e-6, at the same record times."""
+    if not np.array_equal(a.column("t"), b.column("t")):
+        return Verdict("flow_equivalence", False, math.inf, 0.0, 1e-6,
+                       context="the record times differ")
+    gaps = {}
+    for name in INTEGRALS:
+        x = a.column(name)
+        gaps[name] = np.abs(x - b.column(name)).max() / (1.0 + np.abs(x).max())
+    worst = max(gaps, key=lambda name: (math.isnan(gaps[name]), gaps[name]))  # NaN fails
+    return Verdict("flow_equivalence", gaps[worst] <= 1e-6, gaps[worst], 0.0, 1e-6,
+                   context=f"worst column {worst} of {', '.join(INTEGRALS)}")
 
 
 def check_monotone_L_and_integralE(traj: FlowTrajectory) -> tuple:

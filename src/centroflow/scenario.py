@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import curvature_flow, curve_flow, diagnostics
 from .curve import ClosedCurve, preset
 from .errors import GEOMETRY_ERRORS, MARCH_ERRORS, CentroflowError, ConfigError
@@ -224,10 +222,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, *, verdicts_only: bool = 
     if config.check_convergence and final_curve is not None:
         verdicts.append(diagnostics.check_convergence_to_ellipse(final_curve))
     if config.flow == "both":
-        gap = float(np.abs(centro_affine(final_curve).phi - scalar_traj.final.phi).max())
-        verdicts.append(diagnostics.Verdict(
-            "flow_equivalence", gap <= 1e-4, gap, 0.0, 1e-4,
-            context="final curvature gap, curve flow vs curvature flow"))
+        verdicts.append(diagnostics.check_flow_equivalence(curve_traj, scalar_traj))
 
     if not verdicts_only:
         write_csv(primary, _resolve(config.csv_path, default_dir, f"{config.name}.csv"))

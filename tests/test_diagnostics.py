@@ -12,13 +12,14 @@ from centroflow.diagnostics import (Verdict, check_backward_limit_on_family,
                                     check_convergence_to_ellipse,
                                     check_curvature_bounds,
                                     check_energy_identities,
+                                    check_flow_equivalence,
                                     check_isoperimetric, check_mean_zero,
                                     check_monotone_L_and_integralE,
                                     check_sobolev_bounded,
                                     explicit_ellipse_family, family_area,
                                     fit_origin_ellipse, verdict_line)
 from centroflow.invariants import centro_affine
-from centroflow.trajectory import FlowTrajectory
+from centroflow.trajectory import COLUMNS, FlowTrajectory
 
 TWO_PI = 2 * math.pi
 
@@ -110,6 +111,30 @@ def test_identity_residuals_judge_sparse_records_and_catch_a_wrong_law(monkeypat
     monkeypatch.setattr(curvature_flow, "_stage", altered)
     v1, _ = check_energy_identities(march())
     assert not v1.passed and v1.measured > 1e-3
+
+
+def test_flow_equivalence_is_the_worst_integral_columns_gap():
+    state = CurvatureFlowState.from_curve(perturbed_ellipse(1, 1, 0.05, 3, n=64))
+    traj = evolve(state, 0.01, 1e-3, record_stride=2)
+    same = check_flow_equivalence(traj, traj)
+    assert (same.name, same.passed, same.measured, same.tolerance) == (
+        "flow_equivalence", True, 0.0, 1e-6)
+    # a column off by 2e-6 (1 + max|H2|) at one record fails; phi's nodal columns and the
+    # residuals are not compared
+    records = traj.records.copy()
+    h2 = records[:, COLUMNS.index("H2")]
+    h2[3] += 2e-6 * (1.0 + np.abs(h2).max())
+    records[:, COLUMNS.index("phi_max")] += 1.0
+    moved = check_flow_equivalence(traj, FlowTrajectory(records=records))
+    assert not moved.passed and moved.measured == pytest.approx(2e-6, rel=1e-9)
+    assert moved.context.startswith("worst column H2 ")
+    records[:, COLUMNS.index("H3")] = math.nan
+    broken = check_flow_equivalence(traj, FlowTrajectory(records=records))
+    assert not broken.passed and broken.context.startswith("worst column H3 ")
+    records = traj.records.copy()
+    records[:, COLUMNS.index("t")] *= 2.0
+    shifted = check_flow_equivalence(traj, FlowTrajectory(records=records))
+    assert not shifted.passed and shifted.context == "the record times differ"
 
 
 def test_monotone_and_integral_bounds():
