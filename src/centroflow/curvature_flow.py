@@ -6,13 +6,12 @@ The pair (g, phi) evolves by
     phi_t   = phi_xixi / 2 - phi^3 / 2 + 2 phi,
 
 with d/d(xi) = (1/g) d/dp, so the whole system closes on the grid without
-remeshing. Explicit RK4 with a diffusion CFL guard; the cubic term is
-projected by the 2/3 rule.
+remeshing. Explicit RK4 with a diffusion CFL guard; the cubic term is the raw
+phi cubed, with no projection.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -70,12 +69,6 @@ class CurvatureFlowState:
         """The (2, N) array whose rows are g and phi, the array g is a view of."""
         return self.g.base
 
-    @cached_property
-    def stage(self):
-        """_stage at the state's own fields, computed once: its record and its step's k1
-        share it."""
-        return _stage(self.y)
-
     @classmethod
     def from_field(cls, field: InvariantField, t: float = 0.0) -> "CurvatureFlowState":
         return cls(t=t, g=field.g, phi=field.phi)
@@ -85,29 +78,28 @@ class CurvatureFlowState:
         return cls.from_field(centro_affine(curve), t=t)
 
 
-def _stage(y: np.ndarray):
-    """One RK4 stage on a bare (2, N) array, the rows g and phi: ((g_dot, phi_dot) as one
-    array, phi_xi, phi_xixi).
+def _stage(y: np.ndarray) -> np.ndarray:
+    """One RK4 stage on a bare (2, N) array, the rows g and phi: the velocity
+    (g_dot, phi_dot) as one (2, N) array.
 
     One fused pass of y (spectral._fused_pass, one rfft and one irfft) gives the
-    p-derivatives g_p, phi_p and phi_pp and the 2/3-rule projection of the cubic. Then
-    phi_xi = phi_p / g, bit for bit xi_derivative(phi, g), and by the chain rule
-    phi_xixi = (phi_pp - phi_xi g_p) / g / g.
+    p-derivatives g_p, phi_p and phi_pp. Then phi_xi = phi_p / g, bit for bit
+    xi_derivative(phi, g), and by the chain rule phi_xixi = (phi_pp - phi_xi g_p) / g / g.
     """
     g, phi = y
     _check_metric(g)
-    g_p, phi_p, phi_pp, projected = _fused_pass(y)
+    g_p, phi_p, phi_pp = _fused_pass(y)
     phi_xi = phi_p / g
     phi_xixi = (phi_pp - phi_xi * g_p) / g / g
     velocity = np.empty(y.shape)
     velocity[0] = 0.5 * phi**2 * g
-    velocity[1] = 0.5 * phi_xixi - 0.5 * (projected * projected * projected) + 2.0 * phi
-    return velocity, phi_xi, phi_xixi
+    velocity[1] = 0.5 * phi_xixi - 0.5 * (phi * phi * phi) + 2.0 * phi
+    return velocity
 
 
 def rhs(state: CurvatureFlowState):
     """Right-hand sides of the curvature system: the (2, N) rows g_dot and phi_dot."""
-    return _stage(state.y)[0]
+    return _stage(state.y)
 
 
 def cfl_limit(g_min: float, n: int) -> float:
@@ -143,8 +135,8 @@ def _rk4(state, dt: float, start, velocity) -> np.ndarray:
     k3 = velocity(y + 0.5 * dt * k2)
     k4 = velocity(y + dt * k3)
     # y + dt/6 (((k1 + 2 k2) + 2 k3) + k4) in one accumulator, with the association
-    # written out (IEEE sums and products are commutative); no k is written into, k1
-    # being the state's kept stage
+    # written out (IEEE sums and products are commutative); no k is written into, a
+    # curve state's k1 being its kept stage
     total = k2 * 2
     total += k1
     total += k3 * 2
@@ -155,12 +147,12 @@ def _rk4(state, dt: float, start, velocity) -> np.ndarray:
 
 
 def _start(state: CurvatureFlowState):
-    return state.y, state.stage[0], state.g_min, state.peak
+    return state.y, _stage(state.y), state.g_min, state.peak
 
 
 def step(state: CurvatureFlowState, dt: float) -> CurvatureFlowState:
     """One guarded RK4 step (_rk4) of the rows g and phi; it also judges its result."""
-    y = _rk4(state, dt, _start, lambda y: _stage(y)[0])
+    y = _rk4(state, dt, _start, _stage)
     t_new = state.t + dt
     # the result's one scan judges it: not finite, then the ceiling, then the metric
     try:
@@ -178,10 +170,8 @@ def evolve(state: CurvatureFlowState, t_end: float, dt: float, *,
            record_stride: int = 1, observer=None) -> FlowTrajectory:
     """March to t_end on trajectory.march.
 
-    A record and the next step's first stage share the state's xi-derivatives
-    (see CurvatureFlowState.stage): a record step gathers them, with t, g, phi and a
-    NaN area (no curve exists here), for record_from_fields' block.
+    A record step gathers t, g, phi and a NaN area (no curve exists here); each block's
+    record_from_fields takes phi's xi-derivatives, as it does for the curve flow.
     """
-    return march(state, t_end, dt, step,
-                 lambda s: (s.t, s.g, s.phi, math.nan, *s.stage[1:]),
+    return march(state, t_end, dt, step, lambda s: (s.t, s.g, s.phi, math.nan),
                  record_stride=record_stride, observer=observer)

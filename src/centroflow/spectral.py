@@ -167,29 +167,26 @@ def periodic_integral(values: np.ndarray) -> float:
 
 
 def dealias(values: np.ndarray) -> np.ndarray:
-    """Zero the top third of spectral modes (2/3-rule projection)."""
+    """Zero the top third of spectral modes (2/3-rule projection). No flow calls it; it
+    stays for library users and the benchmark's tracer."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     return _irfft(_rfft(values)[:n // 3], n)
 
 
 def _fused_pass(y: np.ndarray) -> np.ndarray:
-    """(4, N): the rows derivative(g), derivative(phi), derivative(phi, 2) and dealias(phi)
-    of a C-contiguous (2, N) array whose rows are g and phi, bit for bit, from one rfft
-    and one irfft.
+    """(3, N): the rows derivative(g), derivative(phi) and derivative(phi, 2) of a
+    C-contiguous (2, N) array whose rows are g and phi, bit for bit, from one rfft and
+    one irfft.
 
     The forward transform takes the rows as the two columns of y.T, and one trim takes
-    each column's own norm. The inverse transform takes four columns: the trimmed
-    spectra times ik, the trimmed phi spectrum times (ik)^2, and the untrimmed phi
-    spectrum with its top third zeroed. Both products are column-major, so each row of
-    the transposed result is one contiguous field."""
+    each column's own norm. The inverse transform takes three columns: the trimmed
+    spectra times ik and the trimmed phi spectrum times (ik)^2. Both products are
+    column-major, so each row of the transposed result is one contiguous field."""
     n = y.shape[1]
     mults = _tables(n).mults
-    spec = _rfft(y.T)
-    columns = np.empty((len(spec), 4), dtype=complex, order="F")
-    columns[:, 3] = spec[:, 1]
-    columns[n // 3:, 3] = 0.0
-    _trim(spec)
+    spec = _trimmed_spectrum(y.T)
+    columns = np.empty((len(spec), 3), dtype=complex, order="F")
     np.multiply(spec, mults[:, 0], out=columns[:, :2])
     np.multiply(spec[:, 1], mults[:, 1, 0], out=columns[:, 2])
     return _irfft(columns, n).T

@@ -16,18 +16,17 @@ CSV_COLUMNS = ("t", "L", "E", "phi_min", "phi_max", "mean_phi",
 COLUMNS = CSV_COLUMNS + ("quartic", "mixed")
 
 
-def record_from_fields(t, g: np.ndarray, phi: np.ndarray, area,
-                       *xi_derivatives: np.ndarray) -> np.ndarray:
+def record_from_fields(t, g: np.ndarray, phi: np.ndarray, area) -> np.ndarray:
     """Records, rows in COLUMNS order, from metric and curvature samples.
 
     The fields are a block's column-major (N, B) samples, one column per record,
     and give B rows; t and area are a number or B of them. A 1-D field is a block
-    of one and gives its one row. xi_derivatives are the first xi-derivatives of phi
-    that the caller has at hand, none or more; each later order up to 4 is
-    derivative(previous) / g, one call per order for the whole block. Hn is the
-    integral of (d^n phi/d xi^n)^2 d(xi). The residuals are NaN until
-    FlowTrajectory.finalize_residuals fills them; area is the Euclidean enclosed area
-    of the evolving curve, NaN for scalar-flow trajectories (no curve exists there).
+    of one and gives its one row. phi's xi-derivatives of orders 1 to 4 are each
+    derivative(previous) / g, one call per order for the whole block, the one way both
+    flows' records take them. Hn is the integral of (d^n phi/d xi^n)^2 d(xi). The
+    residuals are NaN until FlowTrajectory.finalize_residuals fills them; area is the
+    Euclidean enclosed area of the evolving curve, NaN for scalar-flow trajectories
+    (no curve exists there).
 
     The nine integrals are periodic_integral's arithmetic on the rows of one
     (B, 9, N) stack of integrands, each the product of its factors with g last, so
@@ -36,16 +35,15 @@ def record_from_fields(t, g: np.ndarray, phi: np.ndarray, area,
     the layout, so a C-ordered block is copied column-major first.
     """
     n, single = len(g), np.ndim(g) == 1
-    g, phi, *derivatives = (np.asfortranarray(np.reshape(f, (n, -1)))
-                            for f in (g, phi, *xi_derivatives))
-    while len(derivatives) < 4:
-        derivatives.append(derivative(derivatives[-1] if derivatives else phi) / g)
+    g, phi = (np.asfortranarray(np.reshape(f, (n, -1))) for f in (g, phi))
     rows = np.empty((phi.shape[1], 9, n))
     rows[:, 0] = 1.0                                     # L
     np.square(phi.T, out=rows[:, 1])                     # E
     rows[:, 2] = phi.T                                   # mean_phi, times L
-    for row, f in enumerate(derivatives, 3):
-        np.square(f.T, out=rows[:, row])                 # H1..H4
+    f = phi
+    for row in range(3, 7):                              # H1..H4
+        f = derivative(f) / g
+        np.square(f.T, out=rows[:, row])
     np.square(rows[:, 1], out=rows[:, 7])                # quartic, (phi^2)^2
     np.multiply(rows[:, 1], rows[:, 3], out=rows[:, 8])  # mixed
     rows *= g.T[:, None]

@@ -8,7 +8,7 @@ from centroflow.curve import ClosedCurve, origin_ellipse, perturbed_ellipse, ran
 from centroflow.errors import (BlowUp, DegenerateMetric, NonConstantSign,
                                StabilityViolation)
 from centroflow.invariants import xi_derivative
-from centroflow.spectral import dealias, derivative, grid, periodic_integral
+from centroflow.spectral import derivative, grid, periodic_integral
 from centroflow.trajectory import COLUMNS, plan_steps
 
 
@@ -212,40 +212,38 @@ def test_snapshots_recorded():
 
 # ---------------------------------------------------------------- reference path
 # The scalar march as it was written before its stage kernel: a validated
-# state per RK4 stage, the xi-derivatives by spectral.derivative, the cubic's
-# projection by spectral.dealias, and every record recomputing its
-# xi-derivatives. phi_xixi is the chain rule (phi_pp - phi_xi g_p) / g / g, and
-# each higher xi-derivative is derivative(previous) / g. The lean path must
-# reproduce it bit for bit. The cube and the quartic are IEEE products, p * p * p
-# and (phi^2)^2 (numpy's **2 is np.square); with power=True they are numpy's
-# power, and with chain_rule=False phi_xixi is derivative(phi_xi) / g, four
-# transforms a stage: the arithmetic the march had before, each of which agrees
-# with the lean path to roundoff only.
+# state per RK4 stage, the xi-derivatives by spectral.derivative, and every
+# record recomputing its xi-derivatives. A stage's phi_xixi is the chain rule
+# (phi_pp - phi_xi g_p) / g / g; a record's xi-derivatives are each
+# derivative(previous) / g. The lean path must reproduce it bit for bit. The
+# cube and the quartic are IEEE products, phi * phi * phi and (phi^2)^2
+# (numpy's **2 is np.square); with power=True they are numpy's power, and with
+# chain_rule=False a stage's phi_xixi is derivative(phi_xi) / g, four transforms
+# a stage: the arithmetic the march had before, each of which agrees with the
+# lean path to roundoff only.
 
-def _reference_xi_derivatives(phi, g, chain_rule=True):
-    """[phi_xi, phi_xixi, phi_xixixi, phi_xixixixi]."""
-    phi_xi = derivative(phi) / g
-    if chain_rule:
-        out = [phi_xi, (derivative(phi, 2) - phi_xi * derivative(g)) / g / g]
-    else:
-        out = [phi_xi, derivative(phi_xi) / g]
-    for _ in range(2):
+def _reference_xi_derivatives(phi, g):
+    """[phi_xi, phi_xixi, phi_xixixi, phi_xixixixi], each derivative(previous) / g."""
+    out = [phi]
+    for _ in range(4):
         out.append(derivative(out[-1]) / g)
-    return out
+    return out[1:]
 
 
-def _reference_rhs(state, use_dealias, power=False, chain_rule=True):
+def _reference_rhs(state, power=False, chain_rule=True):
     g, phi = state.g, state.phi
-    phi_xx = _reference_xi_derivatives(phi, g, chain_rule)[1]
-    p = dealias(phi) if use_dealias else phi
-    cubed = p**3 if power else p * p * p
+    if chain_rule:
+        phi_xi = derivative(phi) / g
+        phi_xx = (derivative(phi, 2) - phi_xi * derivative(g)) / g / g
+    else:
+        phi_xx = _reference_xi_derivatives(phi, g)[1]
+    cubed = phi**3 if power else phi * phi * phi
     return 0.5 * phi**2 * g, 0.5 * phi_xx - 0.5 * cubed + 2.0 * phi
 
 
-def _reference_step(state, dt, use_dealias, power=False, chain_rule=True):
+def _reference_step(state, dt, power=False, chain_rule=True):
     def f(g, phi):
-        return _reference_rhs(CurvatureFlowState(state.t, g, phi), use_dealias, power,
-                              chain_rule)
+        return _reference_rhs(CurvatureFlowState(state.t, g, phi), power, chain_rule)
 
     g, phi = state.g, state.phi
     k1g, k1p = f(g, phi)
@@ -257,8 +255,8 @@ def _reference_step(state, dt, use_dealias, power=False, chain_rule=True):
                               phi=phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _reference_record(t, g, phi, power=False, chain_rule=True):
-    derivatives = _reference_xi_derivatives(phi, g, chain_rule)
+def _reference_record(t, g, phi, power=False):
+    derivatives = _reference_xi_derivatives(phi, g)
     norms = [periodic_integral(f**2 * g) for f in derivatives]
     phi_xi = derivatives[0]
     L = periodic_integral(g)
@@ -292,7 +290,7 @@ def _reference_residuals(rows):
 
 def _rough_state():
     # a non-uniform metric, and curvature whose upper modes start at roundoff,
-    # so that the derivative's noise trim and the 2/3-rule projection both act
+    # so that the derivative's noise trim acts
     p = grid(64)
     return CurvatureFlowState(0.0, 1.0 + 0.3 * np.cos(p),
                               0.2 * np.sin(2 * p) + 0.1 * np.cos(3 * p))
@@ -305,27 +303,29 @@ def _m3_image_state():
         ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=256).points @ mat.T))
 
 
-@pytest.mark.parametrize("use_dealias,start", [(True, _rough_state), (True, _m3_image_state)],
+# chain_rule=True: the reference stage takes phi_xixi by the chain rule, as the lean
+# stage does
+@pytest.mark.parametrize("chain_rule,start", [(True, _rough_state), (True, _m3_image_state)],
                          ids=["True", "m3 image N 256"])
-def test_step_bit_identical_to_reference(use_dealias, start):
+def test_step_bit_identical_to_reference(chain_rule, start):
     state = want = start()
     for _ in range(50):
         state = step(state, 1e-4)
-        want = _reference_step(want, 1e-4, use_dealias)
+        want = _reference_step(want, 1e-4, chain_rule=chain_rule)
         assert state.t == want.t
         assert np.array_equal(state.g, want.g) and np.array_equal(state.phi, want.phi)
     g_dot, phi_dot = rhs(state)
-    want_g_dot, want_phi_dot = _reference_rhs(state, use_dealias)
+    want_g_dot, want_phi_dot = _reference_rhs(state, chain_rule=chain_rule)
     assert np.array_equal(g_dot, want_g_dot) and np.array_equal(phi_dot, want_phi_dot)
 
 
-@pytest.mark.parametrize("use_dealias,record_stride,start,residual_rows", [
+@pytest.mark.parametrize("chain_rule,record_stride,start,residual_rows", [
     (True, 1, _rough_state, None), (True, 3, _rough_state, None),
     (True, 1, _m3_image_state, None), (True, 3, _m3_image_state, None),
     (True, 1, _m3_image_state, 2), (True, 3, _m3_image_state, 3)],
     ids=["True-1", "True-3", "m3 image N 256-1", "m3 image N 256-3",
          "m3 image N 256-1 residual blocks of 2", "m3 image N 256-3 residual blocks of 3"])
-def test_evolve_records_bit_identical_to_reference(monkeypatch, use_dealias, record_stride,
+def test_evolve_records_bit_identical_to_reference(monkeypatch, chain_rule, record_stride,
                                                    start, residual_rows):
     if residual_rows is not None:
         # finalize_residuals then takes its stencils in 15 and 3 blocks
@@ -336,7 +336,7 @@ def test_evolve_records_bit_identical_to_reference(monkeypatch, use_dealias, rec
     current = state
     for i in range(31):
         if i:
-            current = _reference_step(current, 1e-4, use_dealias)
+            current = _reference_step(current, 1e-4, chain_rule=chain_rule)
         if i % record_stride == 0:
             want.append(_reference_record(current.t, current.g, current.phi))
     _reference_residuals(want)
@@ -347,15 +347,16 @@ def test_evolve_records_bit_identical_to_reference(monkeypatch, use_dealias, rec
     assert np.array_equal(traj.final.phi, current.phi)
 
 
-def test_stage_cubes_the_projected_phi_by_products():
+def test_stage_cubes_phi_by_products():
     # a mixed-sign phi of amplitude 2.5, where the cubic dominates phi_dot, so a
     # last-bit change in the cube shows in the stage's phi_dot
     p = grid(64)
     g = 1.0 + 0.3 * np.cos(p)
     phi = 2.5 * (np.sin(p) + 0.4 * np.cos(2 * p) - 0.3 * np.sin(5 * p))
-    (_, phi_dot), _, phi_xixi = curvature_flow._stage(np.array((g, phi)))
-    q = dealias(phi)
-    assert np.array_equal(phi_dot, 0.5 * phi_xixi - 0.5 * (q * q * q) + 2.0 * phi)
+    _, phi_dot = curvature_flow._stage(np.array((g, phi)))
+    phi_xi = derivative(phi) / g
+    phi_xixi = (derivative(phi, 2) - phi_xi * derivative(g)) / g / g
+    assert np.array_equal(phi_dot, 0.5 * phi_xixi - 0.5 * (phi * phi * phi) + 2.0 * phi)
 
 
 def test_products_agree_with_the_power_march_to_roundoff():
@@ -366,7 +367,7 @@ def test_products_agree_with_the_power_march_to_roundoff():
     want, current = [], state
     for i in range(31):
         if i:
-            current = _reference_step(current, 1e-4, True, power=True)
+            current = _reference_step(current, 1e-4, power=True)
         want.append(_reference_record(current.t, current.g, current.phi, power=True))
     _reference_residuals(want)
     want = np.array(want)
@@ -381,18 +382,17 @@ def test_products_agree_with_the_power_march_to_roundoff():
 
 
 def test_the_chain_rule_agrees_with_the_repeated_derivative_to_roundoff():
-    # the march as it was with phi_xixi = derivative(phi_xi) / g, four transforms a
-    # stage: over 500 steps of the benchmark's grid the chain rule moves the records by
-    # roundoff only
+    # the march as it was with the stage's phi_xixi = derivative(phi_xi) / g, four
+    # transforms a stage: over 500 steps of the benchmark's grid the chain rule moves
+    # the records by roundoff only
     state = _m3_image_state()
     got = evolve(state, 500e-4, 1e-4, record_stride=10).records
     want, current = [], state
     for i in range(501):
         if i:
-            current = _reference_step(current, 1e-4, True, chain_rule=False)
+            current = _reference_step(current, 1e-4, chain_rule=False)
         if i % 10 == 0:
-            want.append(_reference_record(current.t, current.g, current.phi,
-                                          chain_rule=False))
+            want.append(_reference_record(current.t, current.g, current.phi))
     want = np.array(want)
     assert got.shape == want.shape == (51, len(COLUMNS))
     for name in ("L", "E", "H1", "H2", "H3", "H4"):
@@ -452,8 +452,8 @@ def test_one_state_build_per_step(monkeypatch):
 
 
 def test_geometry_error_mid_march_carries_step_time(monkeypatch):
-    # stage calls: 1 for the first record, then 3 per step and 1 per record;
-    # call 4k - 2 is the second stage of step k, which starts at (k - 1) dt
+    # stage calls: 4 per step and none per record; call 4k - 2 is the second stage
+    # of step k, which starts at (k - 1) dt
     calls = []
     original = curvature_flow._stage
 
@@ -544,7 +544,7 @@ def test_a_produced_state_is_judged_in_order(monkeypatch, g_end, phi_end, error,
     g_dot, phi_dot = np.zeros(32), np.zeros(32)
     g_dot[5], phi_dot[5] = (g_end - 1.0) / dt, phi_end / dt
     velocity = np.array((g_dot, phi_dot))
-    monkeypatch.setattr(curvature_flow, "_stage", lambda y: (velocity, None, None))
+    monkeypatch.setattr(curvature_flow, "_stage", lambda y: velocity)
     with pytest.raises(error, match=message) as info:
         step(flat_state(np.zeros(32)), dt)
     assert info.value.time == (dt if at_end else None)
@@ -566,15 +566,14 @@ def test_transform_counts_of_a_stage_and_a_march(monkeypatch):
     forward = counting(monkeypatch, spectral, "_rfft")
     inverse = counting(monkeypatch, spectral, "_irfft")
     curvature_flow._stage(state.y)
-    # one forward of (g, phi); one inverse for g_p, phi_p, phi_pp and the projected phi
+    # one forward of (g, phi); one inverse for g_p, phi_p and phi_pp
     assert (len(forward), len(inverse)) == (1, 1)
     for k, block, blocks in ((1, 16, 1), (3, 16, 1), (3, 2, 2)):
         monkeypatch.setattr(trajectory, "RECORD_BLOCK", block)
         start = _m3_image_state()
         del forward[:], inverse[:]
         evolve(start, k * 1e-4, 1e-4, record_stride=1)
-        # 1 + 4k stages of 1 and 1; each block of the k + 1 records takes H3 and H4
-        # by 2 and 2
-        assert len(forward) == len(inverse) == (1 + 4 * k) + 2 * blocks
-    # a step is 8 transforms, and the records' blocks 4 each
-    assert len(forward) + len(inverse) == 2 + 8 * k + 4 * blocks
+        # 4k stages of 1 and 1; each block of the k + 1 records takes H1-H4 by 4 and 4
+        assert len(forward) == len(inverse) == 4 * k + 4 * blocks
+    # a step is 8 transforms, and the records' blocks 8 each
+    assert len(forward) + len(inverse) == 8 * k + 8 * blocks

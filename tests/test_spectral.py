@@ -112,8 +112,8 @@ def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
     batch = np.multiply(curve_spec[:, None], spectral._tables(n).mults, order="F")
     truncated = spec.copy()
     truncated[n // 3:] = 0.0
-    # the scalar stage's four columns, column-major
-    columns = np.asfortranarray(np.stack([spec, 1j * spec, -spec, truncated], axis=1))
+    # the scalar stage's three columns, column-major
+    columns = np.asfortranarray(np.stack([spec, 1j * spec, -spec], axis=1))
     cases = [(spec, spec), (curve_spec, curve_spec), (batch, batch), (columns, columns),
              (spec[:n // 3], truncated)]    # dealias: the modes past its slice are zero
     for given, full in cases:
@@ -123,20 +123,19 @@ def test_transform_kernels_are_numpys_bit_for_bit(n, rng):
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
-def test_the_fused_pass_is_derivative_and_dealias_bit_for_bit(n, rng):
-    # a smooth field whose top coefficients sit at the noise floor, so the trim acts on
-    # the derivatives' spectra and not on the projection's; and noise, with none there.
-    # Each row of the pair is trimmed by its own norm: a metric row a thousand times the
-    # curvature row's size leaves the curvature's trim as it is alone
+def test_the_fused_pass_is_derivative_bit_for_bit(n, rng):
+    # a smooth field whose top coefficients sit at the noise floor, so the trim acts;
+    # and noise, with none there. Each row of the pair is trimmed by its own norm: a
+    # metric row a thousand times the curvature row's size leaves the curvature's trim
+    # as it is alone
     p = grid(n)
     smooth = np.exp(np.sin(p) + 0.3 * np.cos(2 * p))
     assert not spectral._trim(np.fft.rfft(smooth)).all()
     noise = rng.standard_normal(n)
     for g, phi in ((1.0 + 0.3 * np.cos(p), smooth), (1e3 * smooth, noise), (noise, smooth)):
         rows = spectral._fused_pass(np.array((g, phi)))
-        assert rows.shape == (4, n) and all(row.flags.c_contiguous for row in rows)
-        for got, want in zip(rows, (derivative(g), derivative(phi), derivative(phi, 2),
-                                    dealias(phi))):
+        assert rows.shape == (3, n) and all(row.flags.c_contiguous for row in rows)
+        for got, want in zip(rows, (derivative(g), derivative(phi), derivative(phi, 2))):
             assert np.array_equal(got, want)
 
 

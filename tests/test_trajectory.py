@@ -14,13 +14,13 @@ from centroflow.curvature_flow import CurvatureFlowState
 from centroflow.curve import perturbed_ellipse, shifted_ellipse
 from centroflow.curve_flow import CurveFlowState
 from centroflow.errors import BlowUp
-from centroflow.spectral import derivative, grid
+from centroflow.spectral import grid
 from centroflow.trajectory import COLUMNS, FlowTrajectory, record_from_fields
 
 
 def _fields(n, b, seed):
-    """b seeded (t, g, phi, area, phi_xi, phi_xixi) inputs of one record each on the
-    n-grid: a positive smooth metric and a band-limited phi with its xi-derivatives."""
+    """b seeded (t, g, phi, area) inputs of one record each on the n-grid: a positive
+    smooth metric and a band-limited phi."""
     rng = np.random.default_rng([n, b, seed])
     p = grid(n)
     inputs = []
@@ -28,9 +28,8 @@ def _fields(n, b, seed):
         g = 1.0 + 0.3 * np.cos(p + rng.uniform(0, 6)) + 0.05 * rng.standard_normal() * np.sin(3 * p)
         phi = sum(rng.standard_normal() / k**2 * np.sin(k * p + rng.uniform(0, 6))
                   for k in range(1, n // 3))
-        phi_xi = derivative(phi) / g
         t, area = rng.uniform(), rng.uniform()
-        inputs.append((t, g, phi, area, phi_xi, derivative(phi_xi) / g))
+        inputs.append((t, g, phi, area))
     return inputs
 
 
@@ -41,32 +40,28 @@ def test_a_block_gives_the_rows_of_its_single_records(monkeypatch, n, b):
     singles = np.array([record_from_fields(*x) for x in inputs])
     assert singles.shape == (b, len(COLUMNS))
     columns = [np.array(column).T for column in zip(*inputs)]   # as march builds them
-    assert all(f.flags.f_contiguous and f.shape == (n, b) for f in columns[1:3] + columns[4:])
+    assert all(f.flags.f_contiguous and f.shape == (n, b) for f in columns[1:3])
     block = record_from_fields(*columns)
     assert np.array_equal(block, singles, equal_nan=True)
     # a C-ordered block gives the same bits: it is transformed column-major, since the
-    # trim's column norm summed across C-ordered columns can differ in its last bits
+    # trim's column norm summed across C-ordered columns can differ in its last bits.
+    # It makes all four xi-derivatives, each derivative(previous) / g of the whole block
     c_ordered = [np.ascontiguousarray(f) for f in columns]
     assert b == 1 or not c_ordered[1].flags.f_contiguous
     derivatives = counting(monkeypatch, trajectory, "derivative")
     assert np.array_equal(record_from_fields(*c_ordered), singles, equal_nan=True)
-    assert len(derivatives) == 2 and all(f.flags.f_contiguous for (f,) in derivatives)
-    # given no xi-derivative, it makes all four, each derivative(previous) / g as the
-    # inputs' phi_xi and phi_xixi are made, to the same bits
-    derivatives.clear()
-    assert np.array_equal(record_from_fields(*c_ordered[:4]), singles, equal_nan=True)
     assert len(derivatives) == 4 and all(f.flags.f_contiguous for (f,) in derivatives)
 
 
 def test_a_block_takes_one_time_and_area_for_all_its_columns():
     inputs = _fields(64, 3, 2)
     columns = [np.array(column).T for column in zip(*inputs)]
-    block = record_from_fields(0.25, *columns[1:3], np.nan, *columns[4:])
+    block = record_from_fields(0.25, *columns[1:3], np.nan)
     assert block.shape == (3, len(COLUMNS))
     assert np.all(block[:, COLUMNS.index("t")] == 0.25)
     assert np.all(np.isnan(block[:, COLUMNS.index("area")]))
     # a 1-d field is a block of one and gives its one row
-    row = record_from_fields(0.25, *inputs[0][1:3], np.nan, *inputs[0][4:])
+    row = record_from_fields(0.25, *inputs[0][1:3], np.nan)
     assert row.shape == (len(COLUMNS),)
     assert np.array_equal(row, block[0], equal_nan=True)
 
