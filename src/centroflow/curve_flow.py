@@ -7,6 +7,11 @@ lambda. The velocity holds no derivative of phi, so phi enters it raw. The sampl
 are not the scalar flow's nodes, so the two flows agree on the records' integrals
 (diagnostics.check_flow_equivalence), not node by node.
 
+The potential has a closed form: with s = [C, C_p] and m = [C_p, C_pp], s_p = [C, C_pp]
+and m_p = [C_p, C_ppp], so phi g = 1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) as g = sqrt(|m/s|).
+So phi = d/dxi ln[C, C_xi], and int_0^xi phi dxi = ln(r / r(0)) with r = [C, C_p]/g,
+exactly 0 at p = 0 and exactly periodic.
+
 Every term except lambda*C is invariant under scalings of C, and the rest of
 the velocity is homogeneous of degree 1 in C. So the stepper marches every curve
 one way: RK4 on the gauge-invariant velocity, then a rescale to area pi. The
@@ -27,7 +32,7 @@ from . import curvature_flow, diagnostics
 from .curve import ClosedCurve, _brackets_of, enclosed_area_of
 from .errors import MARCH_ERRORS, BlowUp
 from .invariants import _metric_curvature
-from .spectral import _derivative_batch, _trimmed_spectrum, antiderivative, periodic_integral
+from .spectral import _derivative_batch, _trimmed_spectrum, periodic_integral
 from .trajectory import FlowTrajectory, march
 
 NORMALIZATIONS = ("none", "unit_area_scale")
@@ -62,7 +67,9 @@ class CurveFlowState:
     @cached_property
     def stage(self):
         """_geometry_velocity at the state's own curve points, computed once: its step's
-        k1, the guards and its record ([C, C_p] for the area included) share it."""
+        k1, the guards and its record ([C, C_p] for the area included) share it. Its
+        potential is ln(r / r(0)), r = [C, C_p]/g, since phi = d/dxi ln[C, C_xi]: phi g =
+        1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) with s = [C, C_p] and m = [C_p, C_pp]."""
         return _geometry_velocity(self.curve.points)
 
     @cached_property
@@ -78,13 +85,18 @@ def _geometry_velocity(points: np.ndarray):
     own derivative batch of the points, one forward and one inverse transform, and its
     own brackets from it, and keeps them on no curve.
 
+    The potential is phi = d/dxi ln[C, C_xi] integrated in closed form from the brackets,
+    with no transform: phi g = 1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) for s = [C, C_p] and
+    m = [C_p, C_pp], so int_0^xi phi dxi = ln(r / r(0)) with r = s/g, which is one-signed.
+
     The points are component-major, so their transposed view (2, N) has contiguous rows:
     the velocity is their product with the potential, and its transpose is
     component-major too."""
     derivs = _derivative_batch(_trimmed_spectrum(points), len(points))
     first, second = _brackets_of(points, derivs)
     _, g, phi, least = _metric_curvature(first, second)
-    velocity = points.T * antiderivative(phi * g)
+    ray = first[0] / g
+    velocity = points.T * np.log(ray / ray[0])
     return first[0], g, phi, math.sqrt(least), velocity.T
 
 

@@ -106,14 +106,14 @@ def test_lambda_gauge_phi_without_renormalization():
 
 
 def _reference_velocity(pts):
-    # reference: (int_0^xi phi dxi) C, from one spectral.derivative per order and the
-    # bracket helper
-    cp, cpp, cppp = (derivative(pts, order) for order in (1, 2, 3))
-    den, num = bracket(pts, cp), bracket(cp, cpp)
-    ratio = num / den
+    # reference: (int_0^xi phi dxi) C in closed form, ln(r / r(0)) C with r = [C, C_p]/g,
+    # from one spectral.derivative per order and the bracket helper
+    cp, cpp = (derivative(pts, order) for order in (1, 2))
+    den = bracket(pts, cp)
+    ratio = bracket(cp, cpp) / den
     g = np.sqrt(int(np.sign(ratio)[0]) * ratio)
-    phi = (1.0 / g) * (1.5 * bracket(pts, cpp) / den - 0.5 * bracket(cp, cppp) / num)
-    return antiderivative(phi * g)[:, None] * pts
+    ray = den / g
+    return np.log(ray / ray[0])[:, None] * pts
 
 
 def _reference_step(state, dt):
@@ -342,14 +342,18 @@ def test_consistency_check_perturbed_short():
     assert gap <= 1e-6
 
 
+def _sl2_image(curve):
+    # A = R(0.3) diag(1.8, 1/1.8) R(1.1), det 1
+    return ClosedCurve(curve.points @ (_rotation(0.3) @ np.diag([1.8, 1 / 1.8])
+                                       @ _rotation(1.1)).T)
+
+
 def test_an_sl2_image_of_m3_marches_as_m3():
-    # A = R(0.3) diag(1.8, 1/1.8) R(1.1): a linear map takes rays to rays, so the image's
-    # records are m3's. The paper gauge's tangential term read h1_identity 2.5e-4 here and
-    # a flow-equivalence gap of 4.0e-3
-    mat = _rotation(0.3) @ np.diag([1.8, 1 / 1.8]) @ _rotation(1.1)
+    # a linear map takes rays to rays, so the image's records are m3's. The paper gauge's
+    # tangential term read h1_identity 2.5e-4 here and a flow-equivalence gap of 4.0e-3
     m3 = perturbed_ellipse(1, 1, 0.05, 3, n=256)
     base, image = (evolve(CurveFlowState(0.0, curve), 0.5, 1e-4)
-                   for curve in (m3, ClosedCurve(m3.points @ mat.T)))
+                   for curve in (m3, _sl2_image(m3)))
     assert all(v.passed for v in check_energy_identities(image))
     assert check_flow_equivalence(image, base).passed
 
@@ -374,6 +378,33 @@ def test_the_amplitude_008_curve_keeps_the_scalar_flows_integrals():
     assert np.array_equal(np.delete(traj.records[0], area), np.delete(scalar.records[0], area),
                           equal_nan=True)
     assert consistency_check(curve, 0.2, 5e-5, record_stride=100) <= 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _converge_curve()[0],
+    lambda: _sl2_image(_converge_curve()[0]),
+    lambda: ClosedCurve(_converge_curve()[0].points * np.array([1.0, -1.0])),
+    lambda: shifted_ellipse(1, 1, 0.3, 0, n=64),
+], ids=["m3 N 256", "SL(2) image of m3", "clockwise m3", "shifted ellipse N 64"])
+def test_the_stages_potential_is_the_antiderivative_of_phi_dxi(make):
+    # phi = d/dxi ln[C, C_xi], so the stage's potential ln(r / r(0)) with r = [C, C_p]/g
+    # is antiderivative(phi g) up to roundoff on a resolved curve (at most 1.1e-15 seen
+    # here). On an under-resolved curve the two differ by truncation error, 2.6e-7 on
+    # random stars at N 64, so no tolerance is set there
+    points = make().points
+    _, g, phi, _, velocity = curve_flow._geometry_velocity(points)
+    potential = np.vecdot(velocity, points) / np.vecdot(points, points)
+    assert np.abs(potential - antiderivative(phi * g)).max() <= 1e-14
+    assert np.all(velocity[0] == 0.0)   # the potential is exactly 0 at p = 0
+
+
+def test_the_amplitude_008_curve_at_n_64_keeps_h1_of_n_128():
+    # at N 64 phi is not resolved; the closed-form potential reads no spectrum of phi g,
+    # and H1 at t = 0.2 agrees with N 128's to 9.2e-12 relative. The potential taken as
+    # antiderivative(phi g) carried phi's truncation error into the march: 2.8e-9
+    h1 = [evolve(CurveFlowState(0.0, perturbed_ellipse(1, 1, 0.08, 3, n=n)), 0.2, 5e-5,
+                 record_stride=4000).column("H1")[-1] for n in (64, 128)]
+    assert abs(h1[0] - h1[1]) <= 1e-10 * abs(h1[1])
 
 
 # relative gap allowed between a scaled record's area and its scaled copy's area,
@@ -426,9 +457,9 @@ def test_a_states_stage_makes_its_own_batch(monkeypatch):
         del forward[:], inverse[:]
         states[-1].stage
         counts.append((len(forward), len(inverse)))
-    # whether or not the curve's batch was made, the stage makes its own pass; the
-    # potential's antiderivative takes one transform each way more
-    assert counts[0] == counts[1] == (2, 2)
+    # whether or not the curve's batch was made, the stage makes its own pass, and the
+    # potential, read from its brackets in closed form, takes no transform
+    assert counts[0] == counts[1] == (1, 1)
     for got, want in zip(states[0].stage, states[1].stage):
         assert np.array_equal(got, want)
     stages = counting(monkeypatch, curve_flow, "_geometry_velocity")
@@ -446,9 +477,9 @@ def test_a_step_makes_its_transforms_on_contiguous_coordinates(monkeypatch, norm
     forward = counting(monkeypatch, spectral, "_rfft")
     inverse = counting(monkeypatch, spectral, "_irfft")
     produced = step(state, 1e-4)
-    # k2-k4 and the produced state's stage take 2 and 2 each; the unit-area rescaling,
+    # k2-k4 and the produced state's stage take 1 and 1 each; the unit-area rescaling,
     # made under either normalization, takes the area's derivative, one of each more
-    assert (len(forward), len(inverse)) == (9, 9)
+    assert (len(forward), len(inverse)) == (5, 5)
     # every transform of the points or of a velocity reads component-major coordinates
     curves = [args[0] for args in forward if args[0].ndim == 2]
     assert len(curves) == 5
@@ -493,7 +524,7 @@ def test_march_computes_each_state_velocity_once(monkeypatch):
 
 
 @pytest.mark.parametrize("normalization", ["unit_area_scale", "none"])
-def test_a_curve_march_keeps_no_batch_and_steps_in_9_transform_pairs(monkeypatch,
+def test_a_curve_march_keeps_no_batch_and_steps_in_5_transform_pairs(monkeypatch,
                                                                      normalization):
     state = CurveFlowState(0.0, ClosedCurve(perturbed_ellipse(1, 1, 0.05, 3, n=64).points),
                            lam=0.7, normalization=normalization)
@@ -515,19 +546,20 @@ def test_a_curve_march_keeps_no_batch_and_steps_in_9_transform_pairs(monkeypatch
     snapshots = []
     evolve(state, 0.005, 1e-3, observer=lambda i, s: snapshots.append(s.physical_curve))
     # every stage, the first record's included, makes its own batch, so no curve, the
-    # caller's fresh one and the snapshots included, makes its own; a step keeps its 9
+    # caller's fresh one and the snapshots included, makes its own; a step keeps its 5
     # transforms each way
     assert made == []
     assert len(snapshots) == 6
-    assert per_step == [(9, 9)] * 5
+    assert per_step == [(5, 5)] * 5
 
 
 @pytest.mark.parametrize("flow", [curve_flow, curvature_flow], ids=["curve", "curvature"])
-def test_a_failing_first_record_carries_the_start_time(monkeypatch, flow):
-    # march makes the first record in the loop that attaches failure times, so its
-    # errors carry the start time as a step's do
+def test_a_march_failing_at_its_start_carries_the_start_time(monkeypatch, flow):
+    # march makes the first record and the first step in the loop that attaches failure
+    # times, so an error of either carries the start time as a later step's does
     if flow is curve_flow:
-        # the origin is outside this ellipse, so its first stage is not star-shaped
+        # the origin is outside this ellipse, so the first record's stage is not
+        # star-shaped
         state = CurveFlowState(0.25, shifted_ellipse(1, 1, 1.5, 0, n=64))
         with pytest.raises(NotStarShaped) as info:
             step(state, 1e-3)
