@@ -12,6 +12,12 @@ and m_p = [C_p, C_ppp], so phi g = 1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) as g = s
 So phi = d/dxi ln[C, C_xi], and int_0^xi phi dxi = ln(r / r(0)) with r = [C, C_p]/g,
 exactly 0 at p = 0 and exactly periodic.
 
+A step computes only what something reads. The velocity needs [C, C_p] and g alone, so
+the RK4 stages k2-k4 make no phi; a state's stage, phi included, is made once. The
+stepped points make one derivative batch: its [C, C_p] gives the area of the rescale,
+and its brackets the produced state's stage, [C, C_p] times the factor squared and g
+and phi as they come.
+
 Every term except lambda*C is invariant under scalings of C, and the rest of
 the velocity is homogeneous of degree 1 in C. So the stepper marches every curve
 one way: RK4 on the gauge-invariant velocity, then a rescale to area pi. The
@@ -29,9 +35,9 @@ from functools import cached_property
 import numpy as np
 
 from . import curvature_flow, diagnostics
-from .curve import ClosedCurve, _brackets_of, enclosed_area_of
+from .curve import ClosedCurve, _brackets_of, bracket
 from .errors import MARCH_ERRORS, BlowUp
-from .invariants import _metric_curvature
+from .invariants import _metric, _metric_curvature
 from .spectral import _derivative_batch, _trimmed_spectrum, periodic_integral
 from .trajectory import FlowTrajectory, march
 
@@ -67,9 +73,8 @@ class CurveFlowState:
     @cached_property
     def stage(self):
         """_geometry_velocity at the state's own curve points, computed once: its step's
-        k1, the guards and its record ([C, C_p] for the area included) share it. Its
-        potential is ln(r / r(0)), r = [C, C_p]/g, since phi = d/dxi ln[C, C_xi]: phi g =
-        1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) with s = [C, C_p] and m = [C_p, C_pp]."""
+        k1, the guards and its record ([C, C_p] for the area included) share it. A state
+        that step produces is handed its stage, made from the stepped points' batch."""
         return _geometry_velocity(self.curve.points)
 
     @cached_property
@@ -79,25 +84,49 @@ class CurveFlowState:
         return curvature_flow._peak(self.stage[2])
 
 
-def _geometry_velocity(points: np.ndarray):
-    """([C, C_p], g, phi, min(g), velocity): the gauge-invariant velocity
-    (int_0^xi phi dxi) C and what the step and the record read. Every RK4 stage makes its
-    own derivative batch of the points, one forward and one inverse transform, and its
-    own brackets from it, and keeps them on no curve.
+def _batch(points: np.ndarray) -> np.ndarray:
+    """The points' own derivative batch (orders 1-3), one forward and one inverse
+    transform, kept on no curve."""
+    return _derivative_batch(_trimmed_spectrum(points), len(points))
 
-    The potential is phi = d/dxi ln[C, C_xi] integrated in closed form from the brackets,
-    with no transform: phi g = 1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) for s = [C, C_p] and
-    m = [C_p, C_pp], so int_0^xi phi dxi = ln(r / r(0)) with r = s/g, which is one-signed.
+
+def _along_rays(points: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gauge-invariant velocity (int_0^xi phi dxi) C, every stage's one velocity
+    arithmetic, from [C, C_p] and g of the points or of any multiple of them.
+
+    The potential is phi = d/dxi ln[C, C_xi] integrated in closed form, with no transform:
+    phi g = 1.5 s_p/s - 0.5 m_p/m = d/dp ln(s/g) for s = [C, C_p] and m = [C_p, C_pp], so
+    int_0^xi phi dxi = ln(r / r(0)) with r = s/g, which is one-signed.
 
     The points are component-major, so their transposed view (2, N) has contiguous rows:
     the velocity is their product with the potential, and its transpose is
     component-major too."""
-    derivs = _derivative_batch(_trimmed_spectrum(points), len(points))
-    first, second = _brackets_of(points, derivs)
+    ray = s / g
+    return (points.T * np.log(ray / ray[0])).T
+
+
+def _geometry_velocity(points: np.ndarray, brackets=None, squared: float = 1.0):
+    """([C, C_p], g, phi, min(g), velocity): the velocity and what the guards and the
+    record read; the one function that builds a stage tuple.
+
+    A state's stage makes its own brackets of the points. step hands it the brackets of
+    the stepped points and the square of the factor that rescales them to `points`:
+    [C, C_p] scales by it, g and phi are invariant under scalings, and the velocity is
+    the product of `points` with the scale-invariant potential."""
+    first, second = _brackets_of(points, _batch(points)) if brackets is None else brackets
     _, g, phi, least = _metric_curvature(first, second)
-    ray = first[0] / g
-    velocity = points.T * np.log(ray / ray[0])
-    return first[0], g, phi, math.sqrt(least), velocity.T
+    return first[0] * squared, g, phi, math.sqrt(least), _along_rays(points, first[0], g)
+
+
+def _velocity(points: np.ndarray) -> np.ndarray:
+    """The velocity alone, for RK4 stages k2-k4, which read nothing else: from the rows
+    [C, C_p] and [C_p, C_pp] and the metric half of the kernel, with every guard, with no
+    second bracket pair and no phi. It is _geometry_velocity(points)[-1] bit for bit."""
+    derivs = _batch(points)
+    cp = derivs[:, 0]
+    s = bracket(points, cp)
+    _, g, _ = _metric((s, bracket(cp, derivs[:, 1])))
+    return _along_rays(points, s, g)
 
 
 def _start(state: CurveFlowState):
@@ -114,13 +143,14 @@ def _start(state: CurveFlowState):
 def step(state: CurveFlowState, dt: float) -> CurveFlowState:
     """One guarded RK4 step (curvature_flow._rk4), rescaled to area pi; under "none"
     the gauge and the scale the rescale takes out accumulate in log_scale."""
-    new = curvature_flow._rk4(state, dt, _start, lambda y: _geometry_velocity(y)[-1])
+    new = curvature_flow._rk4(state, dt, _start, _velocity)
     t_new = state.t + dt
     if not curvature_flow._peak(new) < math.inf:
         raise BlowUp("non-finite coordinates after step", time=t_new)
+    brackets = _brackets_of(new, _batch(new))
     # the area is oriented by the sign of [C, C_p] at the state stepped from (its first
     # sample's), and one too small for its factor sqrt(pi/area) to be a float has collapsed
-    area = float(math.copysign(1.0, state.stage[0][0]) * enclosed_area_of(new))
+    area = math.copysign(1.0, state.stage[0][0]) * (0.5 * periodic_integral(brackets[0][0]))
     if area <= 0 or math.pi / area == math.inf:
         raise BlowUp("enclosed area collapsed", time=t_new)
     log_scale = state.log_scale
@@ -132,9 +162,17 @@ def step(state: CurveFlowState, dt: float) -> CurveFlowState:
             reported = math.inf
         if not sys.float_info.min <= reported < math.inf:
             raise BlowUp(f"gauge factor e^{log_scale:g} left the float range", time=t_new)
-    curve = ClosedCurve(new * math.sqrt(math.pi / area), name=state.curve.name)
+    squared = math.pi / area
+    curve = ClosedCurve(new * math.sqrt(squared), name=state.curve.name)
     produced = CurveFlowState(t_new, curve, state.lam, state.normalization, log_scale)
-    curvature_flow._judge(_start(produced)[3], t_new)  # geometry errors, then the ceiling
+    # the produced state's stage, kept where its cached `stage` keeps it; its geometry
+    # errors, then the ceiling, carry the produced state's time
+    try:
+        vars(produced)["stage"] = _geometry_velocity(curve.points, brackets, squared)
+    except MARCH_ERRORS as exc:
+        exc.time = t_new
+        raise
+    curvature_flow._judge(produced.peak, t_new)
     return produced
 
 

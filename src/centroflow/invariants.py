@@ -98,11 +98,10 @@ _WEIGHTS = np.array([[1.5], [0.5]])
 _WEIGHTS.setflags(write=False)
 
 
-def _metric_curvature(first: np.ndarray, second: np.ndarray):
-    """Lean core shared with the curve flow: (eps, g, phi, least) from a pair of
-    curve._brackets_of, where least is the radicand's minimum, so sqrt(least) is min(g)
-    bit for bit (sqrt is monotone and correctly rounded). phi's two weighted ratios are
-    one (2, N) product and one (2, N) division, written into no row of the pair."""
+def _metric(first):
+    """The metric half of _metric_curvature, with every guard: (eps, g, least) from the
+    rows [C, C_p] and [C_p, C_pp], where least is the radicand's minimum, so sqrt(least)
+    is min(g) bit for bit (sqrt is monotone and correctly rounded)."""
     den = _require_star(first[0])
     num = first[1]
 
@@ -120,7 +119,15 @@ def _metric_curvature(first: np.ndarray, second: np.ndarray):
         raise NonConstantSign("sign of [C_p, C_pp]/[C, C_p] varies over the grid")
     if least <= SIGN_TOL * most:
         raise DegenerateMetric("metric radicand [C_p, C_pp]/[C, C_p] vanishes on the grid")
-    g = np.sqrt(ratio if eps == 1 else -ratio)
+    return eps, np.sqrt(ratio if eps == 1 else -ratio), least
+
+
+def _metric_curvature(first: np.ndarray, second: np.ndarray):
+    """Lean core shared with the curve flow: (eps, g, phi, least) from a pair of
+    curve._brackets_of, its metric half (_metric) and then its curvature half. phi's two
+    weighted ratios are one (2, N) product and one (2, N) division, written into no row
+    of the pair."""
+    eps, g, least = _metric(first)
 
     # phi = (1/g) (1.5 [C, C_pp]/[C, C_p] - 0.5 [C_p, C_ppp]/[C_p, C_pp]), where
     # sqrt(eps*den/num) is 1/g; no extra radicand to guard

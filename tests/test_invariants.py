@@ -432,8 +432,10 @@ def _reference_guards(points, derivs):
 def _assert_same_guards(points, derivs):
     want = _reference_guards(points, derivs)
     kernels = {"_metric_curvature": lambda: _metric_curvature(*_brackets_of(points, derivs)),
-               "_geometry_velocity": lambda: _geometry_velocity(points)}
-    # the curve-flow stage makes its own batch: it is handed the crafted one in its place
+               "_geometry_velocity": lambda: _geometry_velocity(points),
+               "_velocity": lambda: curve_flow._velocity(points)}
+    # the curve-flow stages make their own batch: they are handed the crafted one in its
+    # place. The velocity stage of k2-k4 keeps every guard of the metric half
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(curve_flow, "_derivative_batch", lambda spec, n: derivs)
         for name, kernel in kernels.items():
@@ -445,6 +447,8 @@ def _assert_same_guards(points, derivs):
             assert not isinstance(want[0], type), f"{name} passed, the reference raised {want}"
             if name == "_metric_curvature":
                 assert got[0] == want[1] and np.array_equal(got[1], want[2])
+            elif name == "_velocity":
+                assert np.array_equal(got, _geometry_velocity(points)[-1])
             else:
                 assert np.sign(got[0][0]) == want[0] and np.array_equal(got[1], want[2])
 
